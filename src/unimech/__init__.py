@@ -20,7 +20,6 @@ from .dynamics import (
     fd_gradient,
     lp_field,
     rk4,
-    variational_derivative,
     write_report_json,
     write_trajectory_csv,
 )

@@ -18,6 +18,7 @@ be examined rather than rejected.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -138,6 +139,52 @@ class AlgebraReport:
 # -- constructions ------------------------------------------------------------
 
 
+def fill_entries(shape: tuple[int, ...], entries, name: str, skew: bool = False) -> np.ndarray:
+    """Dense tensor of `shape` from sparse rows [k, i, j, value].
+
+    Indices must be integers in range (a negative one does not wrap) and the
+    value a number; a bad row raises ConfigError naming `name`.  With
+    `skew` a row needs i < j and also contributes -value to [k, j, i], so the
+    result is antisymmetric in its last two indices.
+    """
+    arr = np.zeros(shape)
+    try:
+        rows = list(entries)
+    except TypeError as exc:
+        raise ConfigError(f"{name} must be a list of [k, i, j, value] entries") from exc
+    for entry in rows:
+        try:
+            k, i, j, value = entry
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name} entry {entry!r} is not [k, i, j, value]") from exc
+        if not (
+            all(isinstance(q, numbers.Real) for q in (k, i, j, value))
+            and all(float(q).is_integer() for q in (k, i, j))
+        ):
+            raise ConfigError(f"{name} entry {entry!r} needs integer indices and a number")
+        idx, value = (int(k), int(i), int(j)), float(value)
+        if not all(0 <= q < size for q, size in zip(idx, shape)):
+            raise ConfigError(f"{name} entry {entry!r} out of range for shape {shape}")
+        if skew:
+            if not idx[1] < idx[2]:
+                raise ConfigError(
+                    f"{name} entries must have i < j (got i={idx[1]}, j={idx[2]}); "
+                    "the loader antisymmetrizes"
+                )
+            arr[idx[0], idx[2], idx[1]] -= value
+        arr[idx] += value
+    return arr
+
+
+def sparse_entries(tensor: np.ndarray, skew: bool = False) -> list:
+    """The nonzero [k, i, j, value] rows of a tensor, only i < j with `skew`;
+    fill_entries reads them back."""
+    mask = tensor != 0.0
+    if skew:
+        mask &= np.triu(np.ones(tensor.shape[1:], dtype=bool), k=1)
+    return [[int(k), int(i), int(j), float(tensor[k, i, j])] for k, i, j in np.argwhere(mask)]
+
+
 def from_sparse_entries(
     dim: int,
     entries: Iterable[tuple[int, int, int, float]],
@@ -149,22 +196,7 @@ def from_sparse_entries(
     Each entry contributes value to c[k, i, j] and -value to c[k, j, i], so the
     result is antisymmetric by construction.
     """
-    c = np.zeros((dim, dim, dim))
-    for entry in entries:
-        if len(entry) != 4:
-            raise ConfigError(f"structure entry {entry!r} is not [k, i, j, value]")
-        k, i, j, value = entry
-        k, i, j = int(k), int(i), int(j)
-        for idx in (k, i, j):
-            if not 0 <= idx < dim:
-                raise ConfigError(f"index {idx} out of range for dimension {dim}")
-        if not i < j:
-            raise ConfigError(
-                f"sparse entries must have i < j (got i={i}, j={j}); "
-                "the loader antisymmetrizes"
-            )
-        c[k, i, j] += float(value)
-        c[k, j, i] -= float(value)
+    c = fill_entries((dim, dim, dim), entries, "structure", skew=True)
     kwargs = {} if tol is None else {"tol": tol}
     return LieAlgebra(dim=dim, c=c, labels=labels, **kwargs)
 
@@ -264,13 +296,7 @@ def _reject_extra(name: str, params: dict) -> None:
 
 
 def algebra_to_doc(alg: LieAlgebra) -> dict:
-    entries = []
-    for k in range(alg.dim):
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                if alg.c[k, i, j] != 0.0:
-                    entries.append([k, i, j, float(alg.c[k, i, j])])
-    return {"dim": alg.dim, "labels": list(alg.labels), "c": entries}
+    return {"dim": alg.dim, "labels": list(alg.labels), "c": sparse_entries(alg.c, skew=True)}
 
 
 def algebra_from_doc(doc: dict) -> LieAlgebra:

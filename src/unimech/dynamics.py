@@ -38,7 +38,6 @@ from .products import UnifiedProductData
 __all__ = [
     "EnergySpec",
     "Trajectory",
-    "variational_derivative",
     "ep_field",
     "lp_field",
     "rk4",
@@ -142,6 +141,10 @@ class EnergySpec:
         states itself) rather than crash inside the solver."""
         mu = np.asarray(mu, dtype=float)
         if self.kind == "quadratic":
+            if mu.shape != self.inertia.shape[:1]:
+                raise DimensionError(
+                    f"mu has shape {mu.shape}, expected ({self.inertia.shape[0]},)"
+                )
             c, lower = self._cho
             x, info = _POTRS(c, mu, lower=lower)
             if info != 0:
@@ -154,11 +157,6 @@ class EnergySpec:
         if self.kind == "quadratic":
             return 0.5 * float(mu @ self.dual_gradient(mu))
         return float(self.f(mu))
-
-
-def variational_derivative(spec: EnergySpec, x: np.ndarray) -> np.ndarray:
-    """Functional derivative of the energy at x in basis coordinates."""
-    return spec.gradient(x)
 
 
 def ep_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:

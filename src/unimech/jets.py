@@ -11,19 +11,20 @@ Two jet layouts share one container:
                    (labels print the subset digits in decreasing order).
 
 All slots are Lie algebra elements (matrices); the base is a group element.
-The product in both layouts is base-first:
+The iterated product is base-first, a sum over set partitions:
 
-  tangent   rho_k = zeta_k + sum over compositions (i1..il) of k of
-            (-1)^(l-1) * N(i1..il) * ad_{zeta_{i_{l-1}}} ... ad_{zeta_{i_1}}
-            Ad_{y^-1} xi_{i_l},
-  iterated  Z_A = Y_A + sum over set partitions of A, blocks ordered by
-            increasing maximum, of (-1)^(l-1) ad_{Y_{B_{l-1}}} ...
-            ad_{Y_{B_1}} Ad_{y^-1} X_{B_l},
+  Z_A = Y_A + sum over set partitions of A, blocks ordered by increasing
+        maximum, of (-1)^(l-1) ad_{Y_{B_{l-1}}} ... ad_{Y_{B_1}} Ad_{y^-1} X_{B_l}
 
-for (x, xi) * (y, zeta) resp. (x, X) * (y, Y).  N counts the set partitions
-of {1..k} whose block sizes, ordered by increasing block maximum, are
-exactly (i1..il); summing N over compositions of k gives the k-th Bell
-number, which is how the two layouts stay consistent.
+for (x, X) * (y, Y).  T^nG sits inside the iterated bundle through the
+embedding A -> |A| (tn_to_iterated), so the tangent product is the same sum
+over the partitions of {1..k}, read through the slot map B -> |B|.  Both
+layouts therefore run one cached term table, _terms(kind, n): each term is a
+target slot, a count, an ad-chain of slots and a head slot.  Partitions that
+land on the same slots merge, so a tangent term's count is the number of set
+partitions of {1..k} with those block sizes (partition_coefficient); summing
+the counts of slot k gives the k-th Bell number.  The inverse reads the same
+table off the element's own slots.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -110,14 +112,6 @@ def algebra_residual(group: str, x: np.ndarray) -> float:
 def ad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix commutator."""
     return x @ y - y @ x
-
-
-def _conj_by_inverse(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Ad_{y^-1} x = y^-1 x y via a linear solve."""
-    try:
-        return np.linalg.solve(y, x @ y)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"base matrix is not invertible: {exc}") from exc
 
 
 def _inverse(g: np.ndarray) -> np.ndarray:
@@ -268,44 +262,7 @@ def set_partitions(items: tuple) -> Iterator[list[tuple]]:
             yield [b for j, b in enumerate(p) if j != i] + [p[i] + (last,)]
 
 
-# -- n-th tangent group ------------------------------------------------------
-
-
-def tn_multiply(n: int, a: JetElement, b: JetElement) -> JetElement:
-    """Product in T^nG, left-trivialized: (x, xi) * (y, zeta)."""
-    _check_pair(a, b, "tangent", n)
-    out = [np.array(z) for z in b.slots]
-    for k in range(1, n + 1):
-        for comp in compositions(k):
-            ell = len(comp)
-            acc = _conj_by_inverse(b.base, a.slots[comp[-1] - 1])
-            for r in range(ell - 1):
-                acc = ad(b.slots[comp[r] - 1], acc)
-            out[k - 1] += (-1) ** (ell - 1) * partition_coefficient(comp) * acc
-    return JetElement(a.group, a.base @ b.base, out, kind="tangent", tol=max(a.tol, b.tol))
-
-
-def tn_inverse(n: int, a: JetElement) -> JetElement:
-    """Inverse in T^nG.  Same composition sum as the product but with the
-    ad-chain read off the element's own slots, conjugated back by the base,
-    and no sign alternation."""
-    if a.kind != "tangent" or a.order != n:
-        raise DimensionError(f"expected a tangent jet of order {n}")
-    base_inv = _inverse(a.base)
-    out = []
-    for k in range(1, n + 1):
-        acc_k = np.zeros((a.dim, a.dim))
-        for comp in compositions(k):
-            ell = len(comp)
-            acc = np.array(a.slots[comp[-1] - 1])
-            for r in range(ell - 2, -1, -1):
-                acc = ad(a.slots[comp[r] - 1], acc)
-            acc_k += partition_coefficient(comp) * (a.base @ acc @ base_inv)
-        out.append(-acc_k)
-    return JetElement(a.group, base_inv, out, kind="tangent", tol=a.tol)
-
-
-# -- iterated tangent bundle -------------------------------------------------
+# -- iterated slot bookkeeping -----------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -325,36 +282,79 @@ def _slot_index(subset: tuple[int, ...]) -> int:
     return sum(1 << (i - 1) for i in subset) - 1
 
 
+# -- products and inverses, both layouts -------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _terms(kind: str, n: int) -> tuple[tuple[int, int, tuple[int, ...], int], ...]:
+    """The order-n product sum as (target slot, count, chain slots, head slot)
+    terms, one per distinct slot pattern of a set partition of a target
+    subset (blocks ordered by increasing maximum).  Iterated targets are all
+    nonempty subsets of {1..n}, read through _slot_index; tangent targets
+    are {1..k}, read through B -> |B| - 1."""
+    if kind == "iterated":
+        targets, slot = subsets_by_slot(n), _slot_index
+    else:
+        targets = [tuple(range(1, k + 1)) for k in range(1, n + 1)]
+        slot = lambda block: len(block) - 1
+    counts: Counter = Counter()
+    for target in targets:
+        for blocks in set_partitions(target):
+            counts[slot(target), tuple(map(slot, blocks[:-1])), slot(blocks[-1])] += 1
+    return tuple((t, count, chain, head) for (t, chain, head), count in counts.items())
+
+
+def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
+    """(x, X) * (y, Y): Y plus the signed, counted ad_Y-chains of Ad_{y^-1} X."""
+    _check_pair(a, b, kind, n)
+    try:
+        conj = np.linalg.solve(b.base, a.slots @ b.base)  # Ad_{y^-1} of every slot
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"base matrix is not invertible: {exc}") from exc
+    out = np.array(b.slots)
+    for target, count, chain, head in _terms(kind, n):
+        acc = conj[head]
+        for s in chain:
+            acc = ad(b.slots[s], acc)
+        out[target] += (-1) ** len(chain) * count * acc
+    return JetElement(a.group, a.base @ b.base, out, kind=kind, tol=max(a.tol, b.tol))
+
+
+def _invert(kind: str, n: int, a: JetElement) -> JetElement:
+    """The product's term table read off the element's own slots, chains in
+    reverse and unsigned, then conjugated back by the base and negated."""
+    if a.kind != kind or a.order != n:
+        article = "an" if kind == "iterated" else "a"
+        raise DimensionError(f"expected {article} {kind} jet of order {n}")
+    base_inv = _inverse(a.base)
+    out = np.zeros_like(a.slots)
+    for target, count, chain, head in _terms(kind, n):
+        acc = a.slots[head]
+        for s in reversed(chain):
+            acc = ad(a.slots[s], acc)
+        out[target] += count * acc
+    return JetElement(a.group, base_inv, -(a.base @ out @ base_inv), kind=kind, tol=a.tol)
+
+
+def tn_multiply(n: int, a: JetElement, b: JetElement) -> JetElement:
+    """Product in T^nG, left-trivialized: (x, xi) * (y, zeta)."""
+    return _multiply("tangent", n, a, b)
+
+
+def tn_inverse(n: int, a: JetElement) -> JetElement:
+    """Inverse in T^nG.  Same composition sum as the product but with the
+    ad-chain read off the element's own slots, conjugated back by the base,
+    and no sign alternation."""
+    return _invert("tangent", n, a)
+
+
 def iterated_multiply(n: int, a: JetElement, b: JetElement) -> JetElement:
     """Product in the n-fold iterated tangent bundle of the group."""
-    _check_pair(a, b, "iterated", n)
-    out = [np.array(z) for z in b.slots]
-    for subset in subsets_by_slot(n):
-        k = _slot_index(subset)
-        for blocks in set_partitions(subset):
-            ell = len(blocks)
-            acc = _conj_by_inverse(b.base, a.slots[_slot_index(blocks[-1])])
-            for r in range(ell - 1):
-                acc = ad(b.slots[_slot_index(blocks[r])], acc)
-            out[k] += (-1) ** (ell - 1) * acc
-    return JetElement(a.group, a.base @ b.base, out, kind="iterated", tol=max(a.tol, b.tol))
+    return _multiply("iterated", n, a, b)
 
 
 def iterated_inverse(n: int, a: JetElement) -> JetElement:
-    if a.kind != "iterated" or a.order != n:
-        raise DimensionError(f"expected an iterated jet of order {n}")
-    base_inv = _inverse(a.base)
-    out = []
-    for subset in subsets_by_slot(n):
-        acc_k = np.zeros((a.dim, a.dim))
-        for blocks in set_partitions(subset):
-            ell = len(blocks)
-            acc = np.array(a.slots[_slot_index(blocks[-1])])
-            for r in range(ell - 2, -1, -1):
-                acc = ad(a.slots[_slot_index(blocks[r])], acc)
-            acc_k += a.base @ acc @ base_inv
-        out.append(-acc_k)
-    return JetElement(a.group, base_inv, out, kind="iterated", tol=a.tol)
+    return _invert("iterated", n, a)
 
 
 # -- embeddings and factorization --------------------------------------------
@@ -494,22 +494,25 @@ def jet_to_doc(j: JetElement) -> dict:
 
 
 def jet_from_doc(doc: dict) -> JetElement:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"jet document must be an object, got {type(doc).__name__}")
     try:
-        m = re.fullmatch(r"([A-Z]+)(\d+)", str(doc["group"]))
-        if not m or m.group(1) not in GROUP_TAGS:
-            raise ConfigError(f"bad group name {doc['group']!r}")
-        base = np.asarray(doc["base"], dtype=float)
-        if base.shape != (int(m.group(2)),) * 2:
-            raise ConfigError(
-                f"group {doc['group']} expects a {m.group(2)}x{m.group(2)} base,"
-                f" got {base.shape}"
-            )
-        return JetElement(
-            m.group(1), base, [np.asarray(s, dtype=float) for s in doc["slots"]],
-            kind=doc.get("kind", "tangent"),
-        )
+        name, base, slots = doc["group"], doc["base"], doc["slots"]
     except KeyError as exc:
         raise ConfigError(f"jet document is missing key {exc}") from exc
+    m = re.fullmatch(r"([A-Z]+)(\d+)", str(name))
+    if not m or m.group(1) not in GROUP_TAGS:
+        raise ConfigError(f"bad group name {name!r}")
+    try:
+        base = np.asarray(base, dtype=float)
+        slots = [np.asarray(s, dtype=float) for s in slots]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"jet base and slots must be numeric arrays: {exc}") from exc
+    if base.shape != (int(m.group(2)),) * 2:
+        raise ConfigError(
+            f"group {name} expects a {m.group(2)}x{m.group(2)} base, got {base.shape}"
+        )
+    return JetElement(m.group(1), base, slots, kind=doc.get("kind", "tangent"))
 
 
 def save_jet(j: JetElement, path) -> None:

@@ -34,7 +34,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import LieAlgebra, algebra_from_doc, algebra_to_doc
+from .algebra import (
+    LieAlgebra,
+    algebra_from_doc,
+    algebra_to_doc,
+    fill_entries,
+    sparse_entries,
+)
 from .errors import ConfigError, DimensionError, default_tol
 
 
@@ -43,9 +49,6 @@ class SplitVector(NamedTuple):
 
     m: np.ndarray
     h: np.ndarray
-
-
-SplitCovector = SplitVector
 
 
 @dataclass(frozen=True)
@@ -352,65 +355,17 @@ def coad(d: UnifiedProductData, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 #    "psi": [[c, a, j, value], ...]}   dense entries, no symmetry
 
 
-def _dense_entries(tensor: np.ndarray) -> list:
-    out = []
-    for idx in np.argwhere(tensor != 0.0):
-        out.append([int(q) for q in idx] + [float(tensor[tuple(idx)])])
-    return out
-
-
-def _skew_entries(tensor: np.ndarray) -> list:
-    out = []
-    n0, n1, _ = tensor.shape
-    for k in range(n0):
-        for i in range(n1):
-            for j in range(i + 1, n1):
-                if tensor[k, i, j] != 0.0:
-                    out.append([k, i, j, float(tensor[k, i, j])])
-    return out
-
-
 def product_to_doc(d: UnifiedProductData) -> dict:
     return {
         "dim": d.dim,
         "dim_m": d.dim_m,
         "labels": list(d.labels),
         "h": algebra_to_doc(d.h),
-        "act": _dense_entries(d.act),
-        "phi": _skew_entries(d.phi),
-        "theta": _skew_entries(d.theta),
-        "psi": _dense_entries(d.psi),
+        "act": sparse_entries(d.act),
+        "phi": sparse_entries(d.phi, skew=True),
+        "theta": sparse_entries(d.theta, skew=True),
+        "psi": sparse_entries(d.psi),
     }
-
-
-def _fill_dense(shape: tuple[int, ...], entries, name: str) -> np.ndarray:
-    arr = np.zeros(shape)
-    for entry in entries:
-        if len(entry) != 4:
-            raise ConfigError(f"{name} entry {entry!r} is not [k, i, j, value]")
-        k, i, j, value = entry
-        try:
-            arr[int(k), int(i), int(j)] += float(value)
-        except IndexError as exc:
-            raise ConfigError(f"{name} entry {entry!r} out of range for {shape}") from exc
-    return arr
-
-
-def _fill_skew(shape: tuple[int, ...], entries, name: str) -> np.ndarray:
-    arr = np.zeros(shape)
-    for entry in entries:
-        if len(entry) != 4:
-            raise ConfigError(f"{name} entry {entry!r} is not [k, i, j, value]")
-        k, i, j, value = entry
-        k, i, j = int(k), int(i), int(j)
-        if not i < j:
-            raise ConfigError(f"{name} entries must have i < j (got i={i}, j={j})")
-        try:
-            arr[k, i, j] += float(value)
-            arr[k, j, i] -= float(value)
-        except IndexError as exc:
-            raise ConfigError(f"{name} entry {entry!r} out of range for {shape}") from exc
-    return arr
 
 
 def product_from_doc(doc: dict) -> UnifiedProductData:
@@ -436,10 +391,10 @@ def product_from_doc(doc: dict) -> UnifiedProductData:
     return UnifiedProductData(
         dim_m=m,
         h=h,
-        act=_fill_dense((m, h.dim, m), doc.get("act", []), "act"),
-        phi=_fill_skew((m, m, m), doc.get("phi", []), "phi"),
-        theta=_fill_skew((h.dim, m, m), doc.get("theta", []), "theta"),
-        psi=_fill_dense((h.dim, h.dim, m), doc.get("psi", []), "psi"),
+        act=fill_entries((m, h.dim, m), doc.get("act", []), "act"),
+        phi=fill_entries((m, m, m), doc.get("phi", []), "phi", skew=True),
+        theta=fill_entries((h.dim, m, m), doc.get("theta", []), "theta", skew=True),
+        psi=fill_entries((h.dim, h.dim, m), doc.get("psi", []), "psi"),
         m_labels=m_labels,
     )
 

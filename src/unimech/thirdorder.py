@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .algebra import LieAlgebra, abelian, tangent_algebra
 from .dynamics import EnergySpec
-from .errors import SingularFiberMap, TooFewPoints, default_tol
+from .errors import DimensionError, SingularFiberMap, TooFewPoints, default_tol
 from .products import UnifiedProductData
 
 __all__ = [
@@ -78,7 +78,7 @@ def ep3_field(g: LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:
     n = g.dim
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (3 * n,):
-        raise ValueError(f"state must have length {3 * n}, got {pi.shape}")
+        raise DimensionError(f"state must have length {3 * n}, got {pi.shape}")
     eta = spec.dual_gradient(pi)
     e0, e1, e2 = eta[:n], eta[n : 2 * n], eta[2 * n :]
     p0, p1, p2 = pi[:n], pi[n : 2 * n], pi[2 * n :]

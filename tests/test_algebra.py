@@ -137,6 +137,12 @@ def test_from_sparse_entries_rejects_bad_rows():
         from_sparse_entries(2, [(0, 0, 5, 1.0)])
     with pytest.raises(ConfigError):
         from_sparse_entries(2, [(0, 0, 1)])
+    with pytest.raises(ConfigError):
+        from_sparse_entries(2, [(-1, 0, 1, 1.0)])
+    with pytest.raises(ConfigError):
+        from_sparse_entries(2, [(0, 0, 1, "x")])
+    with pytest.raises(ConfigError):
+        from_sparse_entries(2, [(0, 0.5, 1, 1.0)])
 
 
 def test_constructor_enforces_antisymmetry():

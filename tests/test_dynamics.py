@@ -18,7 +18,6 @@ from unimech import (
     lp_field,
     preset,
     rk4,
-    variational_derivative,
     write_report_json,
     write_trajectory_csv,
 )
@@ -95,8 +94,16 @@ def test_blackbox_gradients_track_the_quadratic_ones():
 def test_variational_derivative_is_the_gradient():
     spec = EnergySpec.blackbox(lambda x: float(np.sum(x**3)))
     x = np.array([0.5, -0.25, 1.0])
-    np.testing.assert_allclose(variational_derivative(spec, x), spec.gradient(x))
-    np.testing.assert_allclose(variational_derivative(spec, x), 3 * x**2, atol=1e-7)
+    np.testing.assert_allclose(spec.gradient(x), 3 * x**2, atol=1e-7)
+
+
+def test_quadratic_energy_rejects_a_wrong_length_momentum():
+    spec = EnergySpec.identity(12)
+    for bad in (np.ones(5), np.ones(13), np.ones((12, 1))):
+        with pytest.raises(DimensionError, match="expected \\(12,\\)"):
+            spec.dual_gradient(bad)
+        with pytest.raises(DimensionError, match="expected \\(12,\\)"):
+            spec.hamiltonian(bad)
 
 
 def test_ep_field_reproduces_the_euler_top():

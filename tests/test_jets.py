@@ -316,27 +316,26 @@ def test_triple_bundle_product_written_out():
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_iterated_group_laws(order):
     rng = np.random.default_rng(17)
-    e = unit_jet("SO", 3, order, kind="iterated")
-    for _ in range(3):
-        a = random_jet("SO", 3, order, kind="iterated", rng=rng)
-        b = random_jet("SO", 3, order, kind="iterated", rng=rng)
-        c = random_jet("SO", 3, order, kind="iterated", rng=rng)
-        left = iterated_multiply(order, iterated_multiply(order, a, b), c)
-        right = iterated_multiply(order, a, iterated_multiply(order, b, c))
-        _assert_jets_close(left, right, atol=1e-9)
-        _assert_jets_close(iterated_multiply(order, a, e), a, atol=1e-10)
-        _assert_jets_close(iterated_multiply(order, e, a), a, atol=1e-10)
-        inv = iterated_inverse(order, a)
-        _assert_jets_close(iterated_multiply(order, a, inv), e, atol=1e-10)
-        _assert_jets_close(iterated_multiply(order, inv, a), e, atol=1e-10)
+    for group, dim in (("SO", 3), ("SL", 2), ("GL", 3)):
+        e = unit_jet(group, dim, order, kind="iterated")
+        for _ in range(3):
+            a, b, c = (random_jet(group, dim, order, kind="iterated", rng=rng) for _ in range(3))
+            left = iterated_multiply(order, iterated_multiply(order, a, b), c)
+            right = iterated_multiply(order, a, iterated_multiply(order, b, c))
+            _assert_jets_close(left, right, atol=1e-9)
+            _assert_jets_close(iterated_multiply(order, a, e), a, atol=1e-10)
+            _assert_jets_close(iterated_multiply(order, e, a), a, atol=1e-10)
+            inv = iterated_inverse(order, a)
+            _assert_jets_close(iterated_multiply(order, a, inv), e, atol=1e-10)
+            _assert_jets_close(iterated_multiply(order, inv, a), e, atol=1e-10)
 
 
 def test_tn_to_iterated_is_a_homomorphism():
     rng = np.random.default_rng(18)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         a = random_jet("SO", 3, n, rng=rng)
         b = random_jet("SO", 3, n, rng=rng)
         image_of_product = tn_to_iterated(tn_multiply(n, a, b))
@@ -593,6 +592,14 @@ def test_doc_errors(tmp_path):
         jet_from_doc({"group": "SO3", "base": np.eye(3).tolist()})
     with pytest.raises(ConfigError, match="expects a 3x3"):
         jet_from_doc({**good, "base": np.eye(2).tolist()})
+    with pytest.raises(ConfigError, match="must be an object"):
+        jet_from_doc([1, 2])
+    with pytest.raises(ConfigError, match="numeric"):
+        jet_from_doc({**good, "base": [["a", 0, 0], [0, 1, 0], [0, 0, 1]]})
+    with pytest.raises(ConfigError, match="numeric"):
+        jet_from_doc({**good, "slots": [[["x"] * 3] * 3, good["slots"][1]]})
+    with pytest.raises(ConfigError, match="numeric"):
+        jet_from_doc({**good, "slots": 7})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="line"):

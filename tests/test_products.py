@@ -310,5 +310,24 @@ def test_doc_errors():
         product_from_doc(
             {"dim_m": 2, "h": {"dim": 1}, "act": [[0, 5, 0, 1.0]]}
         )
+    # negative indices must not wrap around to the far end of an axis
+    for key, entry in (
+        ("act", [0, 0, -1, 1.0]),
+        ("act", [-1, 0, 0, 1.0]),
+        ("psi", [0, -1, 0, 1.0]),
+        ("phi", [-1, 0, 1, 1.0]),
+        ("phi", [0, -1, 1, 1.0]),
+        ("theta", [-1, 0, 1, 1.0]),
+        ("theta", [0, -2, -1, 1.0]),
+    ):
+        with pytest.raises(ConfigError, match="out of range"):
+            product_from_doc({"dim_m": 2, "h": {"dim": 1}, key: [entry]})
+    for key, entry in (("act", [0, 0, 0, "one"]), ("phi", [0, 0, "1", 1.0])):
+        with pytest.raises(ConfigError, match="integer indices and a number"):
+            product_from_doc({"dim_m": 2, "h": {"dim": 1}, key: [entry]})
+    with pytest.raises(ConfigError, match="not \\[k, i, j, value\\]"):
+        product_from_doc({"dim_m": 2, "h": {"dim": 1}, "psi": [[0, 0, 1.0]]})
+    with pytest.raises(ConfigError, match="must be a list"):
+        product_from_doc({"dim_m": 2, "h": {"dim": 1}, "theta": 3})
     with pytest.raises(ConfigError):
         product_from_doc("not a dict")

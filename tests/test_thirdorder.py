@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from unimech import (
+    DimensionError,
     EnergySpec,
     MatrixBasis,
     SingularFiberMap,
@@ -118,7 +119,7 @@ def test_ep3_input_checks():
     g = preset("so3")
     with pytest.raises(ValueError, match="quadratic"):
         ep3_field(g, EnergySpec.blackbox(lambda mu: float(mu @ mu)), np.zeros(9))
-    with pytest.raises(ValueError, match="length 9"):
+    with pytest.raises(DimensionError, match="state must have length 9"):
         ep3_field(g, EnergySpec.identity(9), np.zeros(6))
 
 
