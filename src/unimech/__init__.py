@@ -67,7 +67,6 @@ from .models import (
 )
 from .products import (
     AxiomReport,
-    SplitVector,
     UnifiedProductData,
     coad,
     compose_bracket,

@@ -18,6 +18,7 @@ be examined rather than rejected.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
@@ -26,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, UnknownPreset, default_tol
+from .errors import ConfigError, DimensionError, UnknownPreset, default_tol, load_json
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -209,16 +210,27 @@ def abelian(dim: int, labels: tuple[str, ...] = (), tol: float | None = None) ->
     return LieAlgebra(dim=dim, c=np.zeros((dim, dim, dim)), labels=labels, **kwargs)
 
 
-def tangent_algebra(g: LieAlgebra) -> LieAlgebra:
-    """The tangent-bundle algebra g |x g with
-    [(x1, x2), (y1, y2)] = ([x1, y1], [x1, y2] + [x2, y1])."""
-    n = g.dim
-    c = np.zeros((2 * n, 2 * n, 2 * n))
-    c[:n, :n, :n] = g.c
-    c[n:, :n, n:] = g.c
-    c[n:, n:, :n] = g.c
-    labels = g.labels + tuple(f"d{lbl}" for lbl in g.labels)
-    return LieAlgebra(dim=2 * n, c=c, labels=labels, tol=g.tol)
+def tangent_algebra(g: LieAlgebra, n: int = 1) -> LieAlgebra:
+    """The order-n tangent algebra g (x) R[t]/(t^(n+1)) in derivative
+    coordinates: levels 0..n, level k labelled "d"*k + label, and
+
+      [a, b]_k = sum_{i=0..k} C(k, i) [a_i, b_(k-i)].
+
+    n = 1 is the tangent-bundle algebra g |x g.  Built once per (g, n) and
+    kept in g's instance dict, beside its cached field_tensor."""
+    if not isinstance(n, int) or n < 0:
+        raise ConfigError(f"tangent order must be a non-negative integer, got {n!r}")
+    cache = g.__dict__.setdefault("_tangent_algebras", {})
+    if n not in cache:
+        d = g.dim
+        c = np.zeros((n + 1, d, n + 1, d, n + 1, d))
+        for k in range(n + 1):
+            for i in range(k + 1):
+                c[k, :, i, :, k - i, :] = math.comb(k, i) * g.c
+        labels = tuple("d" * k + lbl for k in range(n + 1) for lbl in g.labels)
+        size = (n + 1) * d
+        cache[n] = LieAlgebra(size, c.reshape(size, size, size), labels=labels, tol=g.tol)
+    return cache[n]
 
 
 def _so3() -> LieAlgebra:
@@ -254,7 +266,8 @@ def _heisenberg() -> LieAlgebra:
 
 def preset(name: str, **params) -> LieAlgebra:
     """Named algebra presets: abelian (needs dim), so3, sl2, heisenberg,
-    tangent (needs base: name or LieAlgebra)."""
+    tangent (needs base: name or LieAlgebra; the first-order
+    tangent_algebra(base), g |x g)."""
     if name == "abelian":
         if "dim" not in params:
             raise ConfigError("abelian preset needs a dim parameter")
@@ -321,10 +334,4 @@ def save_algebra(alg: LieAlgebra, path: str | Path) -> None:
 
 
 def load_algebra(path: str | Path) -> LieAlgebra:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"failed to parse {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from exc
-    return algebra_from_doc(doc)
+    return algebra_from_doc(load_json(path))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import algebra_from_doc
+from .algebra import algebra_from_doc, tangent_algebra
 from .dynamics import (
     EnergySpec,
     conservation_report,
@@ -30,7 +30,7 @@ from .dynamics import (
     write_report_json,
     write_trajectory_csv,
 )
-from .errors import ConfigError, NonFiniteState, UnknownPreset
+from .errors import ConfigError, NonFiniteState, UnknownPreset, load_json
 from .models import build_model
 from .products import (
     UnifiedProductData,
@@ -39,22 +39,9 @@ from .products import (
     product_from_doc,
     validate_axioms,
 )
-from .thirdorder import ep3_field, third_order_product
+from .thirdorder import ep3_field
 
 __all__ = ["main"]
-
-
-def _load_json(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"no such file: {path}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    return doc
 
 
 def _resolve_model(node, params: dict | None = None) -> UnifiedProductData:
@@ -62,7 +49,7 @@ def _resolve_model(node, params: dict | None = None) -> UnifiedProductData:
     an inline document, or a path to one."""
     if isinstance(node, str):
         if node.endswith(".json") or Path(node).exists():
-            return _model_from_doc(_load_json(node))
+            return _model_from_doc(load_json(node))
         return build_model(node, params)
     if isinstance(node, dict):
         if "name" in node:
@@ -166,7 +153,7 @@ def _block_functionals(kind: str, d: UnifiedProductData, g, dim: int) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_json(args.config)
+    cfg = load_json(args.config)
     for key in ("model", "dynamics", "initial", "integrator"):
         if key not in cfg:
             raise ConfigError(f"config is missing '{key}'")
@@ -185,7 +172,7 @@ def _cmd_run(args) -> int:
             raise ConfigError("ep3 dynamics needs a plain algebra model (empty m part)")
         g = d.h
         dim = 3 * g.dim
-        labels = third_order_product(g).labels
+        labels = tangent_algebra(g, 2).labels
     else:
         dim = d.dim
         labels = d.labels
@@ -201,6 +188,26 @@ def _cmd_run(args) -> int:
     if h <= 0 or steps < 1:
         raise ConfigError("integrator needs h > 0 and steps >= 1")
 
+    functionals = {}
+    for tag in cfg.get("conserve", ["hamiltonian"]):
+        if tag in ("hamiltonian", "energy"):
+            functionals[tag] = spec.hamiltonian
+        elif tag == "norm_sq_block":
+            functionals.update(_block_functionals(kind, d, g, dim))
+        else:
+            raise ConfigError(f"unknown conserved-quantity tag {tag!r}")
+    outputs = cfg.get("outputs", {})
+    if not isinstance(outputs, dict):
+        raise ConfigError("outputs must be an object")
+    for key in ("trajectory", "report"):
+        if key not in outputs:
+            continue
+        if not isinstance(outputs[key], str):
+            raise ConfigError(f"outputs.{key} must be a path")
+        parent = Path(outputs[key]).parent
+        if not parent.is_dir():
+            raise ConfigError(f"outputs.{key}: directory {parent} does not exist")
+
     if kind == "ep":
         field = lambda y: ep_field(d, spec, y)  # noqa: E731
     elif kind == "lp":
@@ -214,17 +221,8 @@ def _cmd_run(args) -> int:
         print(f"error: state became non-finite at step {exc.step}", file=sys.stderr)
         return 3
 
-    functionals = {}
-    for tag in cfg.get("conserve", ["hamiltonian"]):
-        if tag in ("hamiltonian", "energy"):
-            functionals[tag] = spec.hamiltonian
-        elif tag == "norm_sq_block":
-            functionals.update(_block_functionals(kind, d, g, dim))
-        else:
-            raise ConfigError(f"unknown conserved-quantity tag {tag!r}")
     report = conservation_report(traj, functionals)
 
-    outputs = cfg.get("outputs", {})
     if "trajectory" in outputs:
         write_trajectory_csv(traj, outputs["trajectory"])
         print(f"trajectory: {outputs['trajectory']} ({len(traj)} rows)")

@@ -1,11 +1,13 @@
-"""Exception types and shared tolerance handling.
+"""Exception types, shared tolerance handling and the JSON document reader.
 
 All numerical tolerances in the package default to 1e-10 and can be overridden
 globally through the UM_TOL environment variable (read at call time, so tests
 may monkeypatch the environment).
 """
 
+import json
 import os
+from pathlib import Path
 
 DEFAULT_TOL = 1e-10
 
@@ -66,3 +68,24 @@ class TooFewPoints(ValueError):
 
 class ConfigError(ValueError):
     """Run configuration is missing keys, has bad values, or failed to parse."""
+
+
+def load_json(path) -> dict:
+    """The JSON object stored at `path`.  A missing or unreadable file,
+    invalid JSON and a document that is not an object all raise ConfigError
+    as "PATH: problem"."""
+    try:
+        text = Path(path).read_text()
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{path}: no such file") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno} ({exc.msg})"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc

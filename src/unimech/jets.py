@@ -48,6 +48,7 @@ from .errors import (
     GroupMismatch,
     SingularMatrix,
     default_tol,
+    load_json,
 )
 
 __all__ = [
@@ -512,7 +513,10 @@ def jet_from_doc(doc: dict) -> JetElement:
         raise ConfigError(
             f"group {name} expects a {m.group(2)}x{m.group(2)} base, got {base.shape}"
         )
-    return JetElement(m.group(1), base, slots, kind=doc.get("kind", "tangent"))
+    try:
+        return JetElement(m.group(1), base, slots, kind=doc.get("kind", "tangent"))
+    except ValueError as exc:  # unknown kind, base or slot outside the group
+        raise ConfigError(f"jet document: {exc}") from exc
 
 
 def save_jet(j: JetElement, path) -> None:
@@ -520,8 +524,4 @@ def save_jet(j: JetElement, path) -> None:
 
 
 def load_jet(path) -> JetElement:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-    return jet_from_doc(doc)
+    return jet_from_doc(load_json(path))

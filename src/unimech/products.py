@@ -30,7 +30,6 @@ import json
 from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +40,7 @@ from .algebra import (
     fill_entries,
     sparse_entries,
 )
-from .errors import ConfigError, DimensionError, default_tol
-
-
-class SplitVector(NamedTuple):
-    """m/h block view of a composed (co)vector."""
-
-    m: np.ndarray
-    h: np.ndarray
+from .errors import ConfigError, DimensionError, default_tol, load_json
 
 
 @dataclass(frozen=True)
@@ -107,22 +99,6 @@ class UnifiedProductData:
     @property
     def labels(self) -> tuple[str, ...]:
         return self.m_labels + self.h.labels
-
-    def split(self, x: np.ndarray) -> SplitVector:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise DimensionError(f"vector has shape {x.shape}, expected ({self.dim},)")
-        return SplitVector(m=x[: self.dim_m], h=x[self.dim_m :])
-
-    def join(self, vm: np.ndarray, vh: np.ndarray) -> np.ndarray:
-        vm = np.asarray(vm, dtype=float)
-        vh = np.asarray(vh, dtype=float)
-        if vm.shape != (self.dim_m,) or vh.shape != (self.dim_h,):
-            raise DimensionError(
-                f"blocks have shapes {vm.shape}/{vh.shape}, expected "
-                f"({self.dim_m},)/({self.dim_h},)"
-            )
-        return np.concatenate([vm, vh])
 
     @cached_property
     def field_tensor(self) -> np.ndarray:
@@ -404,10 +380,4 @@ def save_product(d: UnifiedProductData, path: str | Path) -> None:
 
 
 def load_product(path: str | Path) -> UnifiedProductData:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"failed to parse {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from exc
-    return product_from_doc(doc)
+    return product_from_doc(load_json(path))

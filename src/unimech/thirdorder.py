@@ -6,11 +6,14 @@ bracket
   [(a0,a1,a2), (b0,b1,b2)] = ([a0,b0], [a0,b1]+[a1,b0],
                               [a0,b2] + 2[a1,b1] + [a2,b0]),
 
-which is itself a cocycle double cross sum: m = tangent algebra of g
-(levels 0-1), h = an abelian copy of g (level 2), trivial action, twist
-psi(eta, (v0,v1)) = [eta, v0] and cocycle theta((v0,v1),(w0,w1)) = 2[v1,w1].
-`third_order_product` builds exactly that structure, giving an independent
-route to the same coadjoint flow that `ep3_field` writes out by hand.
+the n = 2 case of `tangent_algebra(g, n)`.  `ep3_field` is the
+Euler-Poincare contraction of that algebra's cached field tensor; the level
+equations written out with the base-algebra coadjoint are kept in the tests
+as its oracle.  The same bracket is also a cocycle double cross sum: m =
+tangent algebra of g (levels 0-1), h = an abelian copy of g (level 2),
+trivial action, twist psi(eta, (v0,v1)) = [eta, v0] and cocycle
+theta((v0,v1),(w0,w1)) = 2[v1,w1].  `third_order_product` builds exactly
+that structure, an independent route to the same coadjoint flow.
 
 The reduced equations integrate the momenta (pi0, pi1, pi2); along any
 solution the combination pi0 - pi1' + pi2'' is transported by -ad*_{eta0},
@@ -26,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import LieAlgebra, abelian, tangent_algebra
-from .dynamics import EnergySpec
+from .dynamics import EnergySpec, ep_field
 from .errors import DimensionError, SingularFiberMap, TooFewPoints, default_tol
 from .products import UnifiedProductData
 
@@ -69,23 +72,14 @@ def ep3_field(g: LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:
       dpi1/dt = -ad*_eta0 pi1 - 2 ad*_eta1 pi2
       dpi2/dt = -ad*_eta0 pi2
 
-    written directly in terms of the base-algebra coadjoint; the composed
-    double-cross-sum coadjoint gives the same field through an independent
-    code path (see third_order_product).
+    computed as one ep_field contraction of the cached tangent_algebra(g, 2);
+    the tests check it against these levels written out with g.coad, and
+    against the composed coadjoint of third_order_product.
     """
-    if spec.kind != "quadratic":
-        raise ValueError("Euler-Poincare reduction needs a quadratic energy")
-    n = g.dim
     pi = np.asarray(pi, dtype=float)
-    if pi.shape != (3 * n,):
-        raise DimensionError(f"state must have length {3 * n}, got {pi.shape}")
-    eta = spec.dual_gradient(pi)
-    e0, e1, e2 = eta[:n], eta[n : 2 * n], eta[2 * n :]
-    p0, p1, p2 = pi[:n], pi[n : 2 * n], pi[2 * n :]
-    d0 = -(g.coad(e0, p0) + g.coad(e1, p1) + g.coad(e2, p2))
-    d1 = -(g.coad(e0, p1) + 2.0 * g.coad(e1, p2))
-    d2 = -g.coad(e0, p2)
-    return np.concatenate([d0, d1, d2])
+    if pi.shape != (3 * g.dim,):
+        raise DimensionError(f"state must have length {3 * g.dim}, got {pi.shape}")
+    return ep_field(tangent_algebra(g, 2), spec, pi)
 
 
 # -- matrix realizations ------------------------------------------------------

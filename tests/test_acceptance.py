@@ -334,7 +334,7 @@ def test_criterion_8_third_order_field_matches_the_composed_route():
                 worst = max(worst, float(gap))
     _conclude(
         8,
-        "hand-written third-order field equals the composed coadjoint on 100 states",
+        "binomial third-order field equals the psi/theta composed coadjoint on 100 states",
         worst <= 1e-12,
         f"worst gap {worst:.1e}",
     )

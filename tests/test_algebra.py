@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unimech import (
     ConfigError,
@@ -102,6 +104,76 @@ def test_tangent_algebra_bracket():
         )
     assert tg.labels == ("e1", "e2", "e3", "de1", "de2", "de3")
     assert tg.validate().ok
+
+
+def _former_double(g):
+    """The g |x g tensor as tangent_algebra(g) first wrote it, block by block."""
+    n = g.dim
+    c = np.zeros((2 * n, 2 * n, 2 * n))
+    c[:n, :n, :n] = g.c
+    c[n:, :n, n:] = g.c
+    c[n:, n:, :n] = g.c
+    return c
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "heisenberg"])
+def test_first_order_tangent_algebra_is_the_former_double(name):
+    g = preset(name)
+    tg = tangent_algebra(g)
+    np.testing.assert_array_equal(tg.c, _former_double(g))
+    assert tg.labels == g.labels + tuple(f"d{lbl}" for lbl in g.labels)
+    assert tangent_algebra(g, 1) is tg
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "heisenberg"])
+def test_tangent_algebra_levels_validate_up_to_order_4(name):
+    g = preset(name)
+    for n in range(5):
+        tg = tangent_algebra(g, n)
+        assert tg.dim == (n + 1) * g.dim
+        assert tg.labels[-g.dim :] == tuple("d" * n + lbl for lbl in g.labels)
+        assert tg.validate().ok
+    np.testing.assert_array_equal(tangent_algebra(g, 0).c, g.c)
+
+
+def test_tangent_algebra_bracket_is_binomial_in_the_levels():
+    # level k of [a, b] is sum_i C(k, i) [a_i, b_(k-i)]; for n = 3 on so3
+    # the coefficients are 1; 1 1; 1 2 1; 1 3 3 1.
+    tg = tangent_algebra(preset("so3"), 3)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        a, b = rng.standard_normal((2, 4, 3))
+        got = tg.bracket(a.ravel(), b.ravel()).reshape(4, 3)
+        x = lambda i, j: np.cross(a[i], b[j])  # noqa: E731
+        want = [
+            x(0, 0),
+            x(0, 1) + x(1, 0),
+            x(0, 2) + 2 * x(1, 1) + x(2, 0),
+            x(0, 3) + 3 * x(1, 2) + 3 * x(2, 1) + x(3, 0),
+        ]
+        np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+def test_tangent_algebra_order_must_be_a_natural_number():
+    for n in (-1, 1.5, "2"):
+        with pytest.raises(ConfigError, match="tangent order"):
+            tangent_algebra(preset("so3"), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["so3", "sl2", "heisenberg"]),
+    n=st.integers(0, 4),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_tangent_coadjoint_annihilates_its_argument(name, n, seed, scale):
+    # <coad(x) mu, x> = -<mu, [x, x]> = 0
+    tg = tangent_algebra(preset(name), n)
+    rng = np.random.default_rng(seed)
+    x, mu = scale * rng.standard_normal((2, tg.dim))
+    bound = 1e-13 * np.sum(np.abs(x)) ** 2 * np.sum(np.abs(mu)) * 2**n
+    assert abs(float(tg.coad(x, mu) @ x)) <= bound
 
 
 def test_tangent_preset_accepts_name_or_algebra():
@@ -229,3 +301,9 @@ def test_load_rejects_malformed_documents(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="line"):
         load_algebra(bad)
+    with pytest.raises(ConfigError, match="no such file"):
+        load_algebra(tmp_path / "nope.json")
+    listy = tmp_path / "list.json"
+    listy.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="expected a JSON object"):
+        load_algebra(listy)

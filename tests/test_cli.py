@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from unimech import build_model, save_algebra, save_product, preset
+from unimech import cli
 from unimech.cli import main
 
 
@@ -222,6 +223,8 @@ def test_run_blow_up_exits_3(tmp_path, capsys):
         ({"energy": {"kind": "blackbox"}}, "quadratic energies only"),
         ({"energy": {"inertia": [1.0, 2.0]}}, "needs 3 entries"),
         ({"model": "kepler", "dynamics": "ep3"}, "bad kepler"),
+        ({"outputs": ["traj.csv"]}, "outputs must be an object"),
+        ({"outputs": {"report": 5}}, "outputs.report must be a path"),
     ],
 )
 def test_run_config_errors(tmp_path, capsys, overrides, fragment):
@@ -234,6 +237,19 @@ def test_run_config_errors(tmp_path, capsys, overrides, fragment):
         cfg = _write_config(tmp_path, **overrides)
     assert main(["run", str(cfg)]) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["trajectory", "report"])
+def test_run_checks_output_directories_before_integrating(tmp_path, capsys, monkeypatch, key):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated despite a missing output directory")
+
+    monkeypatch.setattr(cli, "rk4", no_integration)
+    missing = tmp_path / "nowhere" / f"{key}.out"
+    cfg = _write_config(tmp_path, outputs={key: str(missing)})
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"outputs.{key}: directory {missing.parent} does not exist" in err
 
 
 def test_run_ep3_needs_a_plain_algebra(tmp_path, capsys):

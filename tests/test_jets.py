@@ -600,7 +600,24 @@ def test_doc_errors(tmp_path):
         jet_from_doc({**good, "slots": [[["x"] * 3] * 3, good["slots"][1]]})
     with pytest.raises(ConfigError, match="numeric"):
         jet_from_doc({**good, "slots": 7})
+    # well-formed documents that JetElement itself rejects
+    with pytest.raises(ConfigError, match="unknown jet kind 'foo'"):
+        jet_from_doc({**good, "kind": "foo"})
+    with pytest.raises(ConfigError, match="base is not in SO\\(3\\)"):
+        jet_from_doc({**good, "base": (2.0 * np.eye(3)).tolist()})
+    with pytest.raises(ConfigError, match="slot 1 is not in the Lie algebra"):
+        jet_from_doc({**good, "slots": [good["slots"][0], np.eye(3).tolist()]})
+    with pytest.raises(ConfigError, match="not invertible"):
+        jet_from_doc({**good, "group": "GL3", "base": np.zeros((3, 3)).tolist()})
+    with pytest.raises(ConfigError, match="iterated jet needs"):
+        jet_from_doc({**good, "kind": "iterated"})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="line"):
         load_jet(bad)
+    with pytest.raises(ConfigError, match="no such file"):
+        load_jet(tmp_path / "nope.json")
+    listy = tmp_path / "list.json"
+    listy.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="expected a JSON object"):
+        load_jet(listy)

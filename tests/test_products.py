@@ -239,19 +239,6 @@ def test_from_subalgebra_is_degenerate_but_consistent():
     np.testing.assert_allclose(coad(d, x, mu), g.coad(x, mu), atol=0)
 
 
-def test_split_and_join():
-    d = kepler_algebra(KeplerParams(e=0.0))
-    x = np.arange(6.0)
-    part = d.split(x)
-    np.testing.assert_allclose(part.m, [0, 1, 2], atol=0)
-    np.testing.assert_allclose(part.h, [3, 4, 5], atol=0)
-    np.testing.assert_allclose(d.join(part.m, part.h), x, atol=0)
-    with pytest.raises(DimensionError):
-        d.split(np.zeros(5))
-    with pytest.raises(DimensionError):
-        d.join(np.zeros(2), np.zeros(3))
-
-
 def test_constructor_checks():
     h = abelian(2)
     with pytest.raises(DimensionError):
@@ -293,6 +280,19 @@ def test_doc_round_trip_dense_maps():
     back = product_from_doc(product_to_doc(d))
     for name in ("act", "phi", "theta", "psi"):
         np.testing.assert_allclose(getattr(back, name), getattr(d, name), atol=1e-15)
+
+
+def test_load_reports_file_problems(tmp_path):
+    with pytest.raises(ConfigError, match="no such file"):
+        load_product(tmp_path / "nope.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    with pytest.raises(ConfigError, match="invalid JSON at line 1, column 2"):
+        load_product(bad)
+    listy = tmp_path / "list.json"
+    listy.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="expected a JSON object, got list"):
+        load_product(listy)
 
 
 def test_doc_errors():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from unimech import (
     DimensionError,
     EnergySpec,
+    JetElement,
+    LieAlgebra,
     MatrixBasis,
     SingularFiberMap,
     TooFewPoints,
@@ -18,6 +21,8 @@ from unimech import (
     tangent_algebra,
     third_order_identity_residual,
     third_order_product,
+    tn_inverse,
+    tn_multiply,
     validate_axioms,
 )
 
@@ -68,6 +73,95 @@ def test_composed_bracket_is_the_graded_jet_bracket():
             ]
         )
         np.testing.assert_allclose(composed.bracket(a, b), want, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "heisenberg"])
+def test_second_order_tangent_algebra_is_the_composed_product(name):
+    # the binomial bracket and the psi/theta double cross sum are one tensor
+    g = preset(name)
+    tg = tangent_algebra(g, 2)
+    np.testing.assert_array_equal(tg.c, compose_bracket(third_order_product(g)).c)
+    assert tg.labels == third_order_product(g).labels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_jet_group_commutator_tends_to_the_tangent_bracket(n):
+    # The Lie algebra of T^nG is tangent_algebra(g, n): for jets
+    # a = (exp(s A_0), s A_1, ..., s A_n) and b alike, the group commutator
+    # a b a^-1 b^-1 is s^2 [A, B] + O(s^3); averaging +s and -s cancels the
+    # odd term, leaving O(s^2) relative error.
+    basis = MatrixBasis(np.eye(9).reshape(9, 3, 3))  # all of gl(3)
+    tg = tangent_algebra(basis.algebra, n)
+    rng = np.random.default_rng(0)
+    a_coeffs, b_coeffs = rng.standard_normal((2, n + 1, 9))
+
+    def jet(s, coeffs):
+        slots = [s * basis.matrix(c) for c in coeffs[1:]]
+        return JetElement("GL", scipy.linalg.expm(s * basis.matrix(coeffs[0])), slots)
+
+    def commutator_over_s2(s):
+        a, b = jet(s, a_coeffs), jet(s, b_coeffs)
+        c = tn_multiply(n, tn_multiply(n, a, b),
+                        tn_multiply(n, tn_inverse(n, a), tn_inverse(n, b)))
+        level0 = basis.coords(scipy.linalg.logm(c.base).real)
+        return np.concatenate([level0, *map(basis.coords, c.slots)]) / s**2
+
+    s = 1e-3
+    got = 0.5 * (commutator_over_s2(s) + commutator_over_s2(-s))
+    want = tg.bracket(a_coeffs.ravel(), b_coeffs.ravel())
+    assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
+
+
+def _ep3_by_levels(g, spec, pi):
+    """The third-order field with its levels written out in g.coad: the
+    oracle for ep3_field.  With eta = I^-1 pi,
+
+      dpi0/dt = -ad*_eta0 pi0 - ad*_eta1 pi1 - ad*_eta2 pi2
+      dpi1/dt = -ad*_eta0 pi1 - 2 ad*_eta1 pi2
+      dpi2/dt = -ad*_eta0 pi2
+    """
+    n = g.dim
+    eta = spec.dual_gradient(pi)
+    e0, e1, e2 = eta[:n], eta[n : 2 * n], eta[2 * n :]
+    p0, p1, p2 = pi[:n], pi[n : 2 * n], pi[2 * n :]
+    d0 = -(g.coad(e0, p0) + g.coad(e1, p1) + g.coad(e2, p2))
+    d1 = -(g.coad(e0, p1) + 2.0 * g.coad(e1, p2))
+    d2 = -g.coad(e0, p2)
+    return np.concatenate([d0, d1, d2])
+
+
+@pytest.mark.parametrize("name", ["so3", "sl2", "heisenberg"])
+def test_ep3_field_matches_the_level_equations(name):
+    g = preset(name)
+    rng = np.random.default_rng(42)
+    a = rng.standard_normal((9, 9))
+    specs = (
+        EnergySpec.identity(9),
+        EnergySpec.diagonal(rng.uniform(0.5, 3.0, 9)),
+        EnergySpec.quadratic(a @ a.T + 9 * np.eye(9)),
+    )
+    for spec in specs:
+        for _ in range(25):
+            pi = rng.standard_normal(9)
+            np.testing.assert_allclose(
+                ep3_field(g, spec, pi), _ep3_by_levels(g, spec, pi), rtol=0, atol=1e-13
+            )
+
+
+def test_ep3_field_contracts_the_cached_tangent_algebra(monkeypatch):
+    g = preset("so3")
+    assert tangent_algebra(g, 2) is tangent_algebra(g, 2)
+    assert tangent_algebra(g, 2).field_tensor is tangent_algebra(g, 2).field_tensor
+
+    def no_coad(self, x, mu):
+        raise AssertionError("ep3_field called LieAlgebra.coad")
+
+    monkeypatch.setattr(LieAlgebra, "coad", no_coad)
+    pi = np.random.default_rng(43).standard_normal(9)
+    np.testing.assert_array_equal(
+        ep3_field(g, EnergySpec.identity(9), pi),
+        ep_field(tangent_algebra(g, 2), EnergySpec.identity(9), pi),
+    )
 
 
 def test_ep3_field_written_out_with_cross_products():
