@@ -33,6 +33,7 @@ from .errors import (
     SingularInertia,
     SingularMatrix,
     TooFewPoints,
+    TrajectoryTooLarge,
     UnknownPreset,
     default_tol,
 )

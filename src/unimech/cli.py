@@ -184,9 +184,11 @@ def _cmd_run(args) -> int:
     integ = cfg["integrator"]
     if not isinstance(integ, dict) or "h" not in integ or "steps" not in integ:
         raise ConfigError("integrator needs 'h' and 'steps'")
-    h, steps = float(integ["h"]), int(integ["steps"])
-    if h <= 0 or steps < 1:
-        raise ConfigError("integrator needs h > 0 and steps >= 1")
+    h, steps = integ["h"], integ["steps"]
+    if isinstance(h, bool) or not isinstance(h, (int, float)) or not h > 0:
+        raise ConfigError(f"integrator needs a number h > 0, got {h!r}")
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        raise ConfigError(f"integrator needs an integer steps >= 1, got {steps!r}")
 
     functionals = {}
     for tag in cfg.get("conserve", ["hamiltonian"]):

@@ -32,7 +32,7 @@ import scipy.linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .algebra import LieAlgebra
-from .errors import DimensionError, NonFiniteState, SingularInertia
+from .errors import DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge
 from .products import UnifiedProductData
 
 __all__ = [
@@ -231,7 +231,8 @@ def rk4(
 
     Raises NonFiniteState (with .step set) as soon as a state stops being
     finite, so a blown-up run fails at the step that produced it rather than
-    at write-out time.
+    at write-out time, and TrajectoryTooLarge when the (steps + 1, n) array
+    of states cannot be allocated.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
@@ -240,7 +241,13 @@ def rk4(
     y = np.array(y0, dtype=float).ravel()
     if not np.all(np.isfinite(y)):
         raise NonFiniteState(0)
-    out = np.empty((steps + 1, y.size))
+    try:
+        out = np.empty((steps + 1, y.size))
+    except MemoryError as exc:
+        raise TrajectoryTooLarge(
+            f"cannot hold {steps} steps of a state of size {y.size}: "
+            f"{(steps + 1) * y.size * y.itemsize} bytes requested"
+        ) from exc
     out[0] = y
     for n in range(1, steps + 1):
         k1 = field(y)

@@ -46,6 +46,10 @@ class NonFiniteState(FloatingPointError):
         super().__init__(message or f"non-finite state after step {step}")
 
 
+class TrajectoryTooLarge(ValueError):
+    """The array holding every state of a run could not be allocated."""
+
+
 class GroupMismatch(ValueError):
     """Jets living in different groups (or of different order) were combined."""
 

@@ -19,12 +19,21 @@ The iterated product is base-first, a sum over set partitions:
 for (x, X) * (y, Y).  T^nG sits inside the iterated bundle through the
 embedding A -> |A| (tn_to_iterated), so the tangent product is the same sum
 over the partitions of {1..k}, read through the slot map B -> |B|.  Both
-layouts therefore run one cached term table, _terms(kind, n): each term is a
+layouts therefore run one cached term table, _plan(kind, n): each term is a
 target slot, a count, an ad-chain of slots and a head slot.  Partitions that
 land on the same slots merge, so a tangent term's count is the number of set
 partitions of {1..k} with those block sizes (partition_coefficient); summing
-the counts of slot k gives the k-th Bell number.  The inverse reads the same
-table off the element's own slots.
+the counts of slot k gives the k-th Bell number.
+
+The table is stored as arrays, one group per chain length L: the head slots
+(T,), the chain slots (T, L) and a (slots, T) scatter matrix holding
+(-1)^L * count at each term's target.  A product gathers the T head
+matrices, applies the L commutators depth by depth to the whole (T, d, d)
+stack, and scatters each group with one matrix product, so the Python
+loops run over chain depth only, never over terms.  The inverse runs the
+same table off the element's own slots, chains reversed and unsigned.
+Every JetElement, products and inverses included, is validated on
+construction in one pass over its slot stack.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -83,31 +92,48 @@ __all__ = [
 GROUP_TAGS = ("GL", "SL", "SO")
 
 
-def group_residual(group: str, g: np.ndarray) -> float:
+def group_residual(group: str, g: np.ndarray) -> float | np.ndarray:
     """How far g is from the named matrix group (0 for GL, which only needs
-    invertibility -- checked separately)."""
+    invertibility -- checked separately).  A (..., d, d) stack gives one
+    residual per matrix; a single matrix gives a float."""
+    g = np.asarray(g, dtype=float)
+    return _as_float(_group_residual(group, g, np.linalg.det(g)))
+
+
+def _group_residual(group: str, g: np.ndarray, det: float | np.ndarray) -> np.ndarray:
+    """group_residual with det(g) already at hand."""
     if group == "SO":
-        d = g.shape[0]
-        return max(
-            float(np.max(np.abs(g.T @ g - np.eye(d)))),
-            abs(float(np.linalg.det(g)) - 1.0),
-        )
+        return np.maximum(_max_abs(g.mT @ g - np.eye(g.shape[-1])), np.abs(det - 1.0))
     if group == "SL":
-        return abs(float(np.linalg.det(g)) - 1.0)
+        return np.abs(det - 1.0)
     if group == "GL":
-        return 0.0
+        return np.zeros(g.shape[:-2])
     raise ValueError(f"unknown group tag {group!r}")
 
 
-def algebra_residual(group: str, x: np.ndarray) -> float:
-    """How far x is from the Lie algebra of the named group."""
+def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
+    """How far x is from the Lie algebra of the named group.  A (..., d, d)
+    stack gives one residual per matrix; a single matrix gives a float."""
+    x = np.asarray(x, dtype=float)
     if group == "SO":
-        return float(np.max(np.abs(x + x.T), initial=0.0))
-    if group == "SL":
-        return abs(float(np.trace(x)))
-    if group == "GL":
-        return 0.0
-    raise ValueError(f"unknown group tag {group!r}")
+        res = _max_abs(x + x.mT)
+    elif group == "SL":
+        res = np.abs(x.diagonal(0, -2, -1).sum(axis=-1))
+    elif group == "GL":
+        res = np.zeros(x.shape[:-2])
+    else:
+        raise ValueError(f"unknown group tag {group!r}")
+    return _as_float(res)
+
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each matrix in a (..., d, d) stack."""
+    flat = np.abs(x).reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    return flat.max(axis=-1, initial=0.0)
+
+
+def _as_float(res: np.ndarray) -> float | np.ndarray:
+    return float(res) if res.ndim == 0 else res
 
 
 def ad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -164,20 +190,22 @@ class JetElement:
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
         # validity: base in the group, slots in the algebra
-        if abs(float(np.linalg.det(base))) < 1e-300:
+        det = np.linalg.det(base)
+        if abs(det) < 1e-300:
             raise SingularMatrix("base matrix is not invertible")
-        res = group_residual(self.group, base)
+        res = float(_group_residual(self.group, base, det))
         if res > self.tol:
             raise ValueError(
                 f"base is not in {self.group}({d}) to tol={self.tol:g} (residual {res:.3g})"
             )
-        for i, s in enumerate(slots):
-            res = algebra_residual(self.group, s)
-            if res > self.tol:
-                raise ValueError(
-                    f"slot {i} is not in the Lie algebra of {self.group}({d}) "
-                    f"to tol={self.tol:g} (residual {res:.3g})"
-                )
+        res = algebra_residual(self.group, slots)
+        bad = res > self.tol
+        if np.count_nonzero(bad):
+            i = int(bad.argmax())  # the first slot outside the algebra
+            raise ValueError(
+                f"slot {i} is not in the Lie algebra of {self.group}({d}) "
+                f"to tol={self.tol:g} (residual {res[i]:.3g})"
+            )
         base.setflags(write=False)
         slots.setflags(write=False)
         object.__setattr__(self, "base", base)
@@ -286,13 +314,22 @@ def _slot_index(subset: tuple[int, ...]) -> int:
 # -- products and inverses, both layouts -------------------------------------
 
 
+class _TermGroup(NamedTuple):
+    """The product terms whose ad-chains have one length L, as arrays."""
+
+    heads: np.ndarray  # (T,) head slot of each term
+    chains: np.ndarray  # (T, L) ad-chain slots, applied left to right
+    scatter: np.ndarray  # (n_slots, T) (-1)^L * count at each term's target
+
+
 @lru_cache(maxsize=None)
-def _terms(kind: str, n: int) -> tuple[tuple[int, int, tuple[int, ...], int], ...]:
-    """The order-n product sum as (target slot, count, chain slots, head slot)
-    terms, one per distinct slot pattern of a set partition of a target
-    subset (blocks ordered by increasing maximum).  Iterated targets are all
-    nonempty subsets of {1..n}, read through _slot_index; tangent targets
-    are {1..k}, read through B -> |B| - 1."""
+def _plan(kind: str, n: int) -> tuple[_TermGroup, ...]:
+    """The order-n product sum, grouped by chain length: one term per
+    distinct slot pattern of a set partition of a target subset (blocks
+    ordered by increasing maximum), with the number of partitions that land
+    on it.  Iterated targets are all nonempty subsets of {1..n}, read
+    through _slot_index; tangent targets are {1..k}, read through
+    B -> |B| - 1."""
     if kind == "iterated":
         targets, slot = subsets_by_slot(n), _slot_index
     else:
@@ -302,7 +339,40 @@ def _terms(kind: str, n: int) -> tuple[tuple[int, int, tuple[int, ...], int], ..
     for target in targets:
         for blocks in set_partitions(target):
             counts[slot(target), tuple(map(slot, blocks[:-1])), slot(blocks[-1])] += 1
-    return tuple((t, count, chain, head) for (t, chain, head), count in counts.items())
+    by_length: dict[int, list] = {}
+    for (target, chain, head), count in counts.items():
+        by_length.setdefault(len(chain), []).append((target, chain, head, count))
+    plan = []
+    for length, terms in sorted(by_length.items()):
+        target_slots, chains, heads, count = zip(*terms)
+        scatter = np.zeros((len(targets), len(terms)))
+        scatter[target_slots, range(len(terms))] = (-1) ** length * np.array(count)
+        # column-major, so the slots of one chain depth are contiguous
+        plan.append(_TermGroup(np.array(heads), np.array(chains, dtype=int, order="F"), scatter))
+    return tuple(plan)
+
+
+def _run_plan(plan: tuple[_TermGroup, ...], sources: np.ndarray, links: np.ndarray,
+              reverse: bool) -> np.ndarray:
+    """Sum the plan's terms over (m, d, d) slot stacks: each term's head
+    matrix taken from `sources`, pushed through its ad-chain of `links`
+    matrices (in reverse for the inverse) and scattered into its target
+    slot.  With reverse the chain signs (-1)^L are undone, leaving the bare
+    counts."""
+    m, d, _ = sources.shape
+    out = np.zeros((m, d * d))
+    for group in plan:
+        acc = sources.take(group.heads, axis=0)
+        length = group.chains.shape[1]
+        for j in range(length):
+            s = links.take(group.chains[:, length - 1 - j if reverse else j], axis=0)
+            acc = s @ acc - acc @ s
+        terms = group.scatter @ acc.reshape(len(acc), d * d)
+        if reverse and length % 2:
+            out -= terms
+        else:
+            out += terms
+    return out.reshape(m, d, d)
 
 
 def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
@@ -312,12 +382,7 @@ def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
         conj = np.linalg.solve(b.base, a.slots @ b.base)  # Ad_{y^-1} of every slot
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"base matrix is not invertible: {exc}") from exc
-    out = np.array(b.slots)
-    for target, count, chain, head in _terms(kind, n):
-        acc = conj[head]
-        for s in chain:
-            acc = ad(b.slots[s], acc)
-        out[target] += (-1) ** len(chain) * count * acc
+    out = b.slots + _run_plan(_plan(kind, n), conj, b.slots, reverse=False)
     return JetElement(a.group, a.base @ b.base, out, kind=kind, tol=max(a.tol, b.tol))
 
 
@@ -328,12 +393,7 @@ def _invert(kind: str, n: int, a: JetElement) -> JetElement:
         article = "an" if kind == "iterated" else "a"
         raise DimensionError(f"expected {article} {kind} jet of order {n}")
     base_inv = _inverse(a.base)
-    out = np.zeros_like(a.slots)
-    for target, count, chain, head in _terms(kind, n):
-        acc = a.slots[head]
-        for s in reversed(chain):
-            acc = ad(a.slots[s], acc)
-        out[target] += count * acc
+    out = _run_plan(_plan(kind, n), a.slots, a.slots, reverse=True)
     return JetElement(a.group, base_inv, -(a.base @ out @ base_inv), kind=kind, tol=a.tol)
 
 

@@ -270,6 +270,8 @@ def build_model(name: str, params: dict | None = None) -> UnifiedProductData:
     "kepler" and "tokamak" build the families above; any plain algebra
     preset name is wrapped as a product with an empty m part, so the same
     dynamics entry points apply."""
+    if not isinstance(params, (dict, type(None))):
+        raise ConfigError(f"model params must be an object, got {type(params).__name__}")
     params = dict(params or {})
     if name == "kepler":
         try:

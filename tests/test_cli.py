@@ -63,6 +63,16 @@ def test_validate_plain_algebra_document(tmp_path):
     assert main(["validate", str(path)]) == 0
 
 
+@pytest.mark.parametrize("command", ["validate", "describe"])
+@pytest.mark.parametrize("params", ["[1]", '"e"', "0.5"])
+def test_params_must_be_an_object(command, params, capsys):
+    # a non-object --params is a configuration error, for presets and families alike
+    assert main([command, "kepler", "--params", params]) == 1
+    assert "params must be an object" in capsys.readouterr().err
+    assert main([command, "so3", "--params", params]) == 1
+    assert "params must be an object" in capsys.readouterr().err
+
+
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     # a 1e-6 defect fails at the default 1e-10 but passes once UM_TOL loosens
     path = tmp_path / "rough.json"
@@ -225,6 +235,15 @@ def test_run_blow_up_exits_3(tmp_path, capsys):
         ({"model": "kepler", "dynamics": "ep3"}, "bad kepler"),
         ({"outputs": ["traj.csv"]}, "outputs must be an object"),
         ({"outputs": {"report": 5}}, "outputs.report must be a path"),
+        ({"integrator": {"h": None, "steps": 5}}, "number h > 0, got None"),
+        ({"integrator": {"h": True, "steps": 5}}, "number h > 0, got True"),
+        ({"integrator": {"h": 1e-3, "steps": 2.7}}, "integer steps >= 1, got 2.7"),
+        ({"integrator": {"h": 1e-3, "steps": True}}, "integer steps >= 1, got True"),
+        ({"integrator": {"h": 1e-3, "steps": 1e12}}, "integer steps >= 1, got 1000000000000.0"),
+        ({"integrator": {"h": 1e-3, "steps": 0}}, "integer steps >= 1, got 0"),
+        ({"integrator": {"h": 1e-3, "steps": "10"}}, "integer steps >= 1, got '10'"),
+        ({"model": {"name": "kepler", "params": [1]}}, "params must be an object, got list"),
+        ({"model": {"name": "so3", "params": "e"}}, "params must be an object, got str"),
     ],
 )
 def test_run_config_errors(tmp_path, capsys, overrides, fragment):
@@ -237,6 +256,14 @@ def test_run_config_errors(tmp_path, capsys, overrides, fragment):
         cfg = _write_config(tmp_path, **overrides)
     assert main(["run", str(cfg)]) == 1
     assert fragment in capsys.readouterr().err
+
+
+def test_run_reports_a_trajectory_too_large_to_hold(tmp_path, capsys):
+    cfg = _write_config(tmp_path, integrator={"h": 1e-3, "steps": 10**15})
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "cannot hold 1000000000000000 steps of a state of size 3" in err
+    assert "bytes requested" in err
 
 
 @pytest.mark.parametrize("key", ["trajectory", "report"])

@@ -9,6 +9,7 @@ from unimech import (
     NonFiniteState,
     SingularInertia,
     Trajectory,
+    TrajectoryTooLarge,
     build_model,
     coad,
     compose_bracket,
@@ -225,6 +226,18 @@ def test_rk4_argument_validation():
         rk4(field, np.ones(1), -0.1, 5)
     with pytest.raises(ValueError, match="at least one"):
         rk4(field, np.ones(1), 0.1, 0)
+
+
+def test_rk4_reports_a_state_array_it_cannot_allocate():
+    # 10**15 steps of a 3-vector ask for about 24 PB: refused before any write
+    with pytest.raises(TrajectoryTooLarge) as excinfo:
+        rk4(lambda y: y, np.ones(3), 0.1, 10**15)
+    assert isinstance(excinfo.value, ValueError)
+    assert str(excinfo.value) == (
+        "cannot hold 1000000000000000 steps of a state of size 3: "
+        "24000000000000024 bytes requested"
+    )
+    assert isinstance(excinfo.value.__cause__, MemoryError)
 
 
 def test_rk4_flags_nonfinite_states_with_the_step_index():

@@ -1,3 +1,6 @@
+from collections import Counter
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +31,7 @@ from unimech import (
     unit_jet,
 )
 from unimech.jets import (
+    _slot_index,
     ad,
     algebra_residual,
     compositions,
@@ -76,6 +80,49 @@ def _iterated3_by_hand(a, b):
         + ad(Y[1], ad(Y[0], w[3]))
     )
     return a.base @ b.base, (z1, z2, z21, z3, z31, z32, z321)
+
+
+@lru_cache(maxsize=None)
+def _terms_one_by_one(kind, n):
+    """The order-n product sum as (target slot, count, chain slots, head slot)
+    terms, one per distinct slot pattern of a set partition of a target
+    subset (blocks ordered by increasing maximum)."""
+    if kind == "iterated":
+        targets, slot = subsets_by_slot(n), _slot_index
+    else:
+        targets = [tuple(range(1, k + 1)) for k in range(1, n + 1)]
+        slot = lambda block: len(block) - 1
+    counts = Counter()
+    for target in targets:
+        for blocks in set_partitions(target):
+            counts[slot(target), tuple(map(slot, blocks[:-1])), slot(blocks[-1])] += 1
+    return tuple((t, count, chain, head) for (t, chain, head), count in counts.items())
+
+
+def _multiply_one_term_at_a_time(kind, n, a, b):
+    """(x, X) * (y, Y) one term and one ad per chain link at a time: the
+    oracle for the batched product kernel."""
+    conj = np.linalg.solve(b.base, a.slots @ b.base)
+    out = np.array(b.slots)
+    for target, count, chain, head in _terms_one_by_one(kind, n):
+        acc = conj[head]
+        for s in chain:
+            acc = ad(b.slots[s], acc)
+        out[target] += (-1) ** len(chain) * count * acc
+    return JetElement(a.group, a.base @ b.base, out, kind=kind, tol=max(a.tol, b.tol))
+
+
+def _invert_one_term_at_a_time(kind, n, a):
+    """The inverse one term at a time: chains read off the element's own
+    slots in reverse and unsigned, then conjugated back by the base."""
+    base_inv = np.linalg.inv(a.base)
+    out = np.zeros_like(a.slots)
+    for target, count, chain, head in _terms_one_by_one(kind, n):
+        acc = a.slots[head]
+        for s in reversed(chain):
+            acc = ad(a.slots[s], acc)
+        out[target] += count * acc
+    return JetElement(a.group, base_inv, -(a.base @ out @ base_inv), kind=kind, tol=a.tol)
 
 
 # -- combinatorial layer ------------------------------------------------------
@@ -333,6 +380,27 @@ def test_iterated_group_laws(order):
             _assert_jets_close(iterated_multiply(order, inv, a), e, atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["tangent", "iterated"])
+@pytest.mark.parametrize("group,dim", [("SO", 3), ("SL", 2), ("GL", 3)])
+def test_batched_kernels_match_the_per_term_oracle(kind, group, dim):
+    # order 0 is a bare group element: no slots, no terms
+    rng = np.random.default_rng(29)
+    if kind == "tangent":
+        mul, inv = tn_multiply, tn_inverse
+    else:
+        mul, inv = iterated_multiply, iterated_inverse
+    for order in (0, 1, 2, 3, 4):
+        for _ in range(3):
+            a = random_jet(group, dim, order, kind=kind, rng=rng)
+            b = random_jet(group, dim, order, kind=kind, rng=rng)
+            _assert_jets_close(
+                mul(order, a, b), _multiply_one_term_at_a_time(kind, order, a, b), atol=1e-13
+            )
+            _assert_jets_close(
+                inv(order, a), _invert_one_term_at_a_time(kind, order, a), atol=1e-13
+            )
+
+
 def test_tn_to_iterated_is_a_homomorphism():
     rng = np.random.default_rng(18)
     for n in (2, 3, 4):
@@ -482,10 +550,38 @@ def test_jet_validity_checks():
         JetElement("GL", eye, np.zeros((5, 3, 3)), kind="iterated")
     with pytest.raises(SingularMatrix):
         JetElement("GL", np.zeros((3, 3)))
+    with pytest.raises(SingularMatrix, match="^base matrix is not invertible$"):
+        JetElement("GL", np.diag([1.0, 2.0, 0.0]))
     with pytest.raises(ValueError, match="not in SO"):
         JetElement("SO", 2.0 * eye)
     with pytest.raises(ValueError, match="slot 0"):
         JetElement("SO", eye, [np.eye(3)])
+    # exact messages: each names the failed check and its residual
+    shear = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])  # det 1, not orthogonal
+    with pytest.raises(
+        ValueError, match=r"^base is not in SO\(3\) to tol=1e-10 \(residual 0\.5\)$"
+    ):
+        JetElement("SO", shear)
+    flip = np.diag([1.0, 1.0, -1.0])  # orthogonal, det -1
+    with pytest.raises(
+        ValueError, match=r"^base is not in SO\(3\) to tol=1e-10 \(residual 2\)$"
+    ):
+        JetElement("SO", flip)
+    with pytest.raises(
+        ValueError, match=r"^base is not in SL\(2\) to tol=1e-10 \(residual 3\)$"
+    ):
+        JetElement("SL", 2.0 * np.eye(2))
+    skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(
+        ValueError,
+        match=r"^slot 2 is not in the Lie algebra of SO\(3\) to tol=1e-10 \(residual 0\.25\)$",
+    ):
+        JetElement("SO", eye, [skew, skew, skew + np.diag([0.0, 0.125, 0.0]), np.eye(3)])
+    with pytest.raises(
+        ValueError,
+        match=r"^slot 2 is not in the Lie algebra of SL\(2\) to tol=1e-10 \(residual 1\)$",
+    ):
+        JetElement("SL", np.eye(2), np.stack([np.zeros((2, 2))] * 2 + [np.diag([1.0, 0.0])]))
     # loosening the tolerance admits a slightly off-manifold base
     rough = eye + 1e-6
     with pytest.raises(ValueError, match="not in SO"):
@@ -538,6 +634,22 @@ def test_group_and_algebra_residuals():
     assert algebra_residual("SO", skew) == 0.0
     assert algebra_residual("SL", np.diag([1.0, -1.0])) == 0.0
     assert algebra_residual("SL", np.eye(2)) == pytest.approx(2.0)
+    # a stack gives one residual per matrix, from the same formulas
+    assert isinstance(group_residual("SO", rot), float)
+    np.testing.assert_allclose(
+        group_residual("SO", np.stack([rot, 2.0 * np.eye(3), np.diag([1.0, 1.0, -1.0])])),
+        [0.0, 7.0, 2.0],
+        atol=1e-15,
+    )
+    np.testing.assert_allclose(group_residual("SL", np.stack([np.eye(2), 2.0 * np.eye(2)])), [0.0, 3.0])
+    np.testing.assert_array_equal(group_residual("GL", np.zeros((4, 2, 2))), np.zeros(4))
+    np.testing.assert_array_equal(
+        algebra_residual("SO", np.stack([skew, np.eye(2), np.zeros((2, 2))])), [0.0, 2.0, 0.0]
+    )
+    np.testing.assert_array_equal(
+        algebra_residual("SL", np.stack([np.diag([1.0, -1.0]), np.eye(2)])), [0.0, 2.0]
+    )
+    assert algebra_residual("SO", np.empty((0, 2, 2))).shape == (0,)
     with pytest.raises(ValueError, match="unknown group"):
         group_residual("SP", np.eye(2))
     with pytest.raises(ValueError, match="unknown group"):

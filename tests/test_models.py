@@ -233,6 +233,9 @@ def test_build_model_error_paths():
         build_model("tokamak", {"b_i": 1.0, "typo": 2.0})
     with pytest.raises(ConfigError, match="preset name or a LieAlgebra"):
         build_model("tokamak", {"base": 17})
+    for params in ([1], "e", 0.5):
+        with pytest.raises(ConfigError, match="params must be an object"):
+            build_model("kepler", params)
     with pytest.raises(UnknownPreset):
         build_model("su5")
     with pytest.raises(UnknownPreset):
