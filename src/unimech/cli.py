@@ -5,15 +5,16 @@
   unimech run CONFIG.json       integrate a reduced flow, write csv/json
 
 MODEL is a preset name ("kepler", "tokamak", "so3", ...) or a path to a
-JSON document (product or algebra form).  Exit codes: 0 success, 1 bad
-configuration or usage, 2 validation failure, 3 numerical blow-up during
-integration.  The UM_TOL environment variable overrides the default
-tolerance used by every constructor.
+JSON document (product or algebra form); --params applies to preset names
+only.  Exit codes: 0 success, 1 bad configuration or usage, 2 validation
+failure, 3 numerical blow-up during integration.  The UM_TOL environment
+variable overrides the default tolerance used by every constructor.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -49,6 +50,8 @@ def _resolve_model(node, params: dict | None = None) -> UnifiedProductData:
     an inline document, or a path to one."""
     if isinstance(node, str):
         if node.endswith(".json") or Path(node).exists():
+            if params is not None:
+                raise ConfigError(f"--params applies to preset names, not to document {node}")
             return _model_from_doc(load_json(node))
         return build_model(node, params)
     if isinstance(node, dict):
@@ -240,7 +243,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every main() call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="unimech",
         description="Cocycle double cross sum algebras and their reduced flows.",
@@ -261,7 +267,11 @@ def main(argv=None) -> int:
     p_desc.add_argument("--params", help="JSON object of preset parameters")
     p_desc.set_defaults(func=_cmd_describe)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, UnknownPreset, ValueError) as exc:

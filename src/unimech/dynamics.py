@@ -17,6 +17,8 @@ independent construction the tests check these fields against.
 
 Fields here take and return flat coordinate vectors; the integrator is a
 plain fixed-step RK4, which is all the acceptance experiments require.
+`EnergySpec.dual_gradient` takes one momentum or an (m, n) stack of them,
+so a check along a whole trajectory makes one solve instead of m.
 """
 
 from __future__ import annotations
@@ -132,29 +134,42 @@ class EnergySpec:
         return fd_gradient(self.f, x, self.fd_eps)
 
     def dual_gradient(self, mu: np.ndarray) -> np.ndarray:
-        """delta H / delta mu.  Quadratic: the velocity I^-1 mu.
+        """delta H / delta mu, for one momentum (n,) or a stack (m, n) of
+        them, row by row.  Quadratic: the velocity I^-1 mu.
 
-        LAPACK potrs solves on the stored Cholesky factor directly, as
-        scipy.linalg.cho_solve(..., check_finite=False) does but without its
+        A quadratic energy makes one LAPACK potrs call on the stored
+        Cholesky factor, with the rows of a stack as its right-hand sides
+        (mu.T, which is mu itself for one momentum).  That is what
+        scipy.linalg.cho_solve(..., check_finite=False) does, without its
         per-call wrapping: the factorization was validated at construction,
-        and a non-finite mu should propagate (the integrator detects blown-up
-        states itself) rather than crash inside the solver."""
+        and a non-finite mu should propagate (the integrator detects
+        blown-up states itself) rather than crash inside the solver.  A
+        blackbox energy takes one fd_gradient per row."""
         mu = np.asarray(mu, dtype=float)
         if self.kind == "quadratic":
-            if mu.shape != self.inertia.shape[:1]:
+            n = self.inertia.shape[0]
+            if mu.ndim not in (1, 2) or mu.shape[-1] != n:
+                raise DimensionError(
+                    f"mu has shape {mu.shape}, expected ({n},) or (m, {n})"
+                )
+            c, lower = self._cho
+            x, info = _POTRS(c, mu.T, lower=lower)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of internal potrs")
+            return x.T
+        if mu.ndim not in (1, 2):
+            raise DimensionError(f"mu has shape {mu.shape}, expected (n,) or (m, n)")
+        grads = [fd_gradient(self.f, row, self.fd_eps) for row in np.atleast_2d(mu)]
+        return np.array(grads).reshape(mu.shape)
+
+    def hamiltonian(self, mu: np.ndarray) -> float:
+        """H(mu) of one momentum."""
+        mu = np.asarray(mu, dtype=float)
+        if self.kind == "quadratic":
+            if mu.ndim != 1:
                 raise DimensionError(
                     f"mu has shape {mu.shape}, expected ({self.inertia.shape[0]},)"
                 )
-            c, lower = self._cho
-            x, info = _POTRS(c, mu, lower=lower)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of internal potrs")
-            return x
-        return fd_gradient(self.f, mu, self.fd_eps)
-
-    def hamiltonian(self, mu: np.ndarray) -> float:
-        mu = np.asarray(mu, dtype=float)
-        if self.kind == "quadratic":
             return 0.5 * float(mu @ self.dual_gradient(mu))
         return float(self.f(mu))
 
@@ -170,7 +185,7 @@ def ep_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, pi: np.ndarra
         raise ValueError("Euler-Poincare reduction needs a quadratic energy")
     tensor = d.field_tensor
     pi = _state(tensor, pi)
-    return tensor @ np.outer(spec.dual_gradient(pi), pi).ravel()
+    return tensor @ (spec.dual_gradient(pi)[:, None] * pi).ravel()
 
 
 def lp_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, mu: np.ndarray) -> np.ndarray:
@@ -180,7 +195,7 @@ def lp_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, mu: np.ndarra
     dH/dmu in place of I^-1 pi."""
     tensor = d.field_tensor
     mu = _state(tensor, mu)
-    return -(tensor @ np.outer(spec.dual_gradient(mu), mu).ravel())
+    return -(tensor @ (spec.dual_gradient(mu)[:, None] * mu).ravel())
 
 
 def _state(tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -239,7 +254,7 @@ def rk4(
     if steps < 1:
         raise ValueError("need at least one step")
     y = np.array(y0, dtype=float).ravel()
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteState(0)
     try:
         out = np.empty((steps + 1, y.size))
@@ -255,7 +270,7 @@ def rk4(
         k3 = field(y + 0.5 * h * k2)
         k4 = field(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NonFiniteState(n)
         out[n] = y
     times = h * np.arange(steps + 1)

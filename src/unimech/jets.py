@@ -132,6 +132,11 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return flat.max(axis=-1, initial=0.0)
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    # count_nonzero is cheaper than .all() on the small arrays of one jet
+    return np.count_nonzero(np.isfinite(x)) == x.size
+
+
 def _as_float(res: np.ndarray) -> float | np.ndarray:
     return float(res) if res.ndim == 0 else res
 
@@ -189,19 +194,25 @@ class JetElement:
                 raise DimensionError(
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
-        # validity: base in the group, slots in the algebra
+        # validity: finite entries, base in the group, slots in the algebra.
+        # Each comparison asks for the good case, so a NaN residual fails it.
+        if not _all_finite(base):
+            raise ValueError("base has a non-finite entry")
+        if not _all_finite(slots):
+            i = int(np.isfinite(slots).reshape(len(slots), -1).all(axis=1).argmin())
+            raise ValueError(f"slot {i} has a non-finite entry")
         det = np.linalg.det(base)
-        if abs(det) < 1e-300:
+        if not abs(det) >= 1e-300:
             raise SingularMatrix("base matrix is not invertible")
         res = float(_group_residual(self.group, base, det))
-        if res > self.tol:
+        if not res <= self.tol:
             raise ValueError(
                 f"base is not in {self.group}({d}) to tol={self.tol:g} (residual {res:.3g})"
             )
         res = algebra_residual(self.group, slots)
-        bad = res > self.tol
-        if np.count_nonzero(bad):
-            i = int(bad.argmax())  # the first slot outside the algebra
+        ok = res <= self.tol
+        if np.count_nonzero(ok) < len(ok):
+            i = int(ok.argmin())  # the first slot outside the algebra
             raise ValueError(
                 f"slot {i} is not in the Lie algebra of {self.group}({d}) "
                 f"to tol={self.tol:g} (residual {res[i]:.3g})"

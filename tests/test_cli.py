@@ -73,6 +73,17 @@ def test_params_must_be_an_object(command, params, capsys):
     assert "params must be an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "describe"])
+def test_params_are_refused_on_a_document_path(tmp_path, capsys, command):
+    # a document carries its own structure; parameters for it would be ignored
+    path = tmp_path / "kepler.json"
+    save_product(build_model("kepler", {"e": 0.5}), path)
+    assert main([command, str(path), "--params", '{"e": 0.9}']) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --params applies to preset names, not to document {path}\n"
+    assert captured.out == ""
+
+
 def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     # a 1e-6 defect fails at the default 1e-10 but passes once UM_TOL loosens
     path = tmp_path / "rough.json"

@@ -107,6 +107,42 @@ def test_quadratic_energy_rejects_a_wrong_length_momentum():
             spec.hamiltonian(bad)
 
 
+def _energies(rng, n):
+    a = rng.standard_normal((n, n))
+    return {
+        "diagonal": EnergySpec.diagonal(rng.uniform(0.5, 2.0, n)),
+        "full": EnergySpec.quadratic(a @ a.T + n * np.eye(n)),
+        "blackbox": EnergySpec.blackbox(lambda mu: float(np.sum(np.cos(mu)) + mu @ mu)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "full", "blackbox"])
+def test_dual_gradient_of_a_stack_is_the_row_by_row_solve(kind):
+    rng = np.random.default_rng(17)
+    spec = _energies(rng, 9)[kind]
+    for m in (1, 2, 51):
+        mu = rng.standard_normal((m, 9))
+        stacked = spec.dual_gradient(mu)
+        assert stacked.shape == (m, 9)
+        rows = np.array([spec.dual_gradient(row) for row in mu])
+        np.testing.assert_allclose(stacked, rows, rtol=1e-13, atol=1e-15)
+    assert spec.dual_gradient(np.empty((0, 9))).shape == (0, 9)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "full", "blackbox"])
+def test_dual_gradient_rejects_other_shapes(kind):
+    spec = _energies(np.random.default_rng(18), 9)[kind]
+    bad = [np.array(1.0), np.ones((2, 3, 9))]
+    if kind != "blackbox":  # a blackbox energy has no fixed length
+        bad.append(np.ones((4, 10)))
+    for mu in bad:
+        with pytest.raises(DimensionError, match="expected \\(.*\\) or \\(m, "):
+            spec.dual_gradient(mu)
+    if kind != "blackbox":  # H takes one momentum, not a stack
+        with pytest.raises(DimensionError, match="expected \\(9,\\)"):
+            spec.hamiltonian(np.ones((9, 9)))
+
+
 def test_ep_field_reproduces_the_euler_top():
     g = preset("so3")
     inertia = np.array([1.0, 2.0, 3.0])

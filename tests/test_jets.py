@@ -589,6 +589,25 @@ def test_jet_validity_checks():
     JetElement("SO", rough, tol=1e-3)
 
 
+def test_jets_reject_non_finite_entries():
+    # NaN fails every residual comparison and GL has no residual at all, so
+    # these would otherwise construct without error
+    skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    cases = [
+        ("SO", np.eye(3), [np.full((3, 3), np.nan)], "slot 0"),
+        ("SO", np.full((3, 3), np.nan), [], "base"),
+        ("GL", np.full((3, 3), np.inf), [], "base"),
+        ("GL", np.eye(3), [skew, np.diag([1.0, -np.inf, 0.0]), skew], "slot 1"),
+        ("SL", np.eye(3), [skew, skew, np.full((3, 3), np.nan)], "slot 2"),
+    ]
+    for group, base, slots, where in cases:
+        with pytest.raises(ValueError, match=f"^{where} has a non-finite entry$"):
+            JetElement(group, base, slots)
+        doc = {"group": f"{group}3", "base": base.tolist(), "slots": [s.tolist() for s in slots]}
+        with pytest.raises(ConfigError, match=f"^jet document: {where} has a non-finite entry$"):
+            jet_from_doc(doc)
+
+
 def test_jet_properties_and_immutability():
     j = unit_jet("SO", 3, 2)
     assert j.dim == 3 and j.order == 2 and j.kind == "tangent"

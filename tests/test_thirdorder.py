@@ -273,6 +273,83 @@ def test_identity_residual_vanishes_at_equilibria():
     )
 
 
+# The per-point loop the vectorized check replaced, kept as its oracle: one
+# dict-driven stencil sum, one dual_gradient solve and one g.coad per point.
+_D1 = {2: -1.0, 1: 8.0, -1: -8.0, -2: 1.0}  # / 12h
+_D2 = {2: -1.0, 1: 16.0, 0: -30.0, -1: 16.0, -2: -1.0}  # / 12h^2
+_D3 = {3: -1.0, 2: 8.0, 1: -13.0, -1: 13.0, -2: -8.0, -3: 1.0}  # / 8h^3
+
+
+def _stencil(series, i, weights, denom):
+    return sum(w * series[i + off] for off, w in weights.items()) / denom
+
+
+def _residual_point_by_point(g, spec, traj):
+    n = g.dim
+    states, h = traj.states, traj.h
+    p0, p1, p2 = states[:, :n], states[:, n : 2 * n], states[:, 2 * n :]
+    out = np.empty(len(states) - 6)
+    for idx, i in enumerate(range(3, len(states) - 3)):
+        eta0 = spec.dual_gradient(states[i])[:n]
+        inner = p0[i] - _stencil(p1, i, _D1, 12.0 * h) + _stencil(p2, i, _D2, 12.0 * h * h)
+        d_inner = (
+            _stencil(p0, i, _D1, 12.0 * h)
+            - _stencil(p1, i, _D2, 12.0 * h * h)
+            + _stencil(p2, i, _D3, 8.0 * h**3)
+        )
+        out[idx] = np.max(np.abs(d_inner + g.coad(eta0, inner)), initial=0.0)
+    return out
+
+
+def _identity_case(case):
+    """(algebra, energy of the check, trajectory) for one oracle case."""
+    rng = np.random.default_rng(5)
+    so3, ident = preset("so3"), EnergySpec.identity(9)
+    if case == "proportional":  # criterion 7's run
+        p0, p1 = rng.standard_normal(3), rng.standard_normal(3)
+        pi0 = np.concatenate([p0, p1, 0.7 * p1])
+        return so3, ident, rk4(lambda y: ep3_field(so3, ident, y), pi0, 1e-3, 2000)
+    if case == "full_spd_inertia":
+        sl2 = preset("sl2")
+        a = rng.standard_normal((9, 9))
+        full = EnergySpec.quadratic(a @ a.T / 9 + np.eye(9))
+        return sl2, full, rk4(lambda y: ep3_field(sl2, full, y), rng.standard_normal(9), 2e-3, 300)
+    rng.standard_normal(6)  # the obstructed run of the test above
+    obstructed = rk4(lambda y: ep3_field(so3, ident, y), rng.standard_normal(9), 1e-3, 400)
+    if case == "obstructed":
+        return so3, ident, obstructed
+    # the identity energy as a blackbox: one fd_gradient per interior point
+    black = EnergySpec.blackbox(lambda mu: 0.5 * float(mu @ mu))
+    return so3, black, Trajectory(obstructed.times[:120], obstructed.states[:120])
+
+
+@pytest.mark.parametrize("case", ["proportional", "obstructed", "full_spd_inertia", "blackbox"])
+def test_identity_residual_matches_the_point_by_point_oracle(case):
+    g, spec, traj = _identity_case(case)
+    res = third_order_identity_residual(g, spec, traj)
+    ref = _residual_point_by_point(g, spec, traj)
+    assert res.shape == ref.shape == (len(traj) - 6,)
+    assert np.max(np.abs(res - ref)) <= 1e-12 * np.max(np.abs(ref)) + 1e-15
+
+
+def test_identity_residual_makes_one_stacked_solve(monkeypatch):
+    # a structural guard, not a timing gate: the whole trajectory is one
+    # dual_gradient call, whatever its length
+    g = preset("so3")
+    spec = EnergySpec.identity(9)
+    traj = rk4(lambda y: ep3_field(g, spec, y), np.linspace(-1.0, 1.0, 9), 1e-3, 100)
+    calls = []
+    solve = EnergySpec.dual_gradient
+
+    def counting(self, mu):
+        calls.append(np.shape(mu))
+        return solve(self, mu)
+
+    monkeypatch.setattr(EnergySpec, "dual_gradient", counting)
+    third_order_identity_residual(g, spec, traj)
+    assert calls == [(len(traj) - 6, 9)]
+
+
 def test_identity_residual_input_checks():
     g = preset("so3")
     spec = EnergySpec.identity(9)
