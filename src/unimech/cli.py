@@ -223,7 +223,10 @@ def _cmd_run(args) -> int:
     try:
         traj = rk4(field, y0, h, steps, labels=tuple(labels))
     except NonFiniteState as exc:
-        print(f"error: state became non-finite at step {exc.step}", file=sys.stderr)
+        print(
+            f"error: state became non-finite at step {exc.step} in component {exc.component}",
+            file=sys.stderr,
+        )
         return 3
 
     report = conservation_report(traj, functionals)

@@ -10,10 +10,17 @@ Hamiltonian/Lagrangian side; for quadratic energies and identity inertia the
 two trajectories coincide up to time reversal.  Either flow conserves the
 energy pointwise because <coad(x) mu, x> = -<mu, [x, x]> = 0.
 
-Each field evaluation is one contraction of the composed structure tensor,
-flattened once per structure and cached on it (`field_tensor`).  The paper's
-blockwise coadjoint `products.coad`, assembled from six dual maps, is the
-independent construction the tests check these fields against.
+The composed structure tensor is flattened once per structure and cached on
+it (`field_tensor`, T).  For a quadratic energy the field is a homogeneous
+quadratic in the state, T @ vec(I^-1 pi (x) pi) = K @ vec(pi (x) pi), so
+the inverse inertia is folded into T once, K[k, i*n + j] =
+sum_a T[k, a*n + j] (I^-1)[a, i], and each field evaluation is one
+contraction of K with no solve.  The spec keeps one folded tensor, keyed by
+the identity of the T it was folded from.  A blackbox energy has no I^-1
+to fold: its Lie-Poisson field contracts T with the finite-difference
+dH/dmu.  The paper's blockwise coadjoint `products.coad`, assembled from
+six dual maps, is the independent construction the tests check these
+fields against.
 
 Fields here take and return flat coordinate vectors; the integrator is a
 plain fixed-step RK4, which is all the acceptance experiments require.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping
@@ -79,12 +87,13 @@ class EnergySpec:
     f: Callable[[np.ndarray], float] | None = None
     fd_eps: float = 1e-6
     _cho: tuple = field(init=False, repr=False, compare=False)
+    _fold: tuple = field(init=False, repr=False, compare=False, default=(None, None))
 
     def __post_init__(self) -> None:
         if self.kind == "quadratic":
             if self.inertia is None:
                 raise ValueError("quadratic energy needs an inertia matrix")
-            inertia = np.asarray(self.inertia, dtype=float)
+            inertia = np.array(self.inertia, dtype=float)  # a private copy, frozen below
             if inertia.ndim != 2 or inertia.shape[0] != inertia.shape[1]:
                 raise ValueError(f"inertia must be square, got shape {inertia.shape}")
             if np.max(np.abs(inertia - inertia.T), initial=0.0) > _SYM_TOL:
@@ -173,28 +182,55 @@ class EnergySpec:
             return 0.5 * float(mu @ self.dual_gradient(mu))
         return float(self.f(mu))
 
+    def _folded(self, tensor: np.ndarray) -> np.ndarray:
+        """The field tensor `tensor` (n, n*n) with I^-1 folded in:
+        K[k, i*n + j] = sum_a tensor[k, a*n + j] (I^-1)[a, i], so that
+        K @ vec(pi (x) pi) == tensor @ vec(I^-1 pi (x) pi).
+
+        Built with one stacked solve and one einsum the first time it is
+        asked for `tensor`, then kept as the spec's single cached entry,
+        keyed by the identity of `tensor`; another tensor replaces it."""
+        key, k = self._fold
+        if key is not tensor:
+            n = tensor.shape[0]
+            if self.inertia.shape[0] != n:
+                raise DimensionError(
+                    f"inertia is {self.inertia.shape[0]}x{self.inertia.shape[0]}, "
+                    f"the state has length {n}"
+                )
+            # row i of the stacked solve is I^-1 e_i, i.e. (I^-1)[:, i]
+            inv_rows = self.dual_gradient(np.eye(n))
+            k = np.einsum("kaj,ia->kij", tensor.reshape(n, n, n), inv_rows).reshape(n, n * n)
+            k.setflags(write=False)
+            object.__setattr__(self, "_fold", (tensor, k))
+        return k
+
 
 def ep_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:
     """Right-hand side of the Euler-Poincare equation dpi/dt = -coad(xi) pi
     with xi = I^-1 pi.  Requires a quadratic energy (the inertia defines the
     Legendre transform).
 
-    One contraction of the cached composed tensor `d.field_tensor`; it agrees
-    with the blockwise six-map `products.coad`, which the tests check."""
+    One contraction of pi (x) pi with `d.field_tensor` with I^-1 folded in
+    (built once and cached on the spec); it agrees with the blockwise six-map
+    `products.coad`, which the tests check."""
     if spec.kind != "quadratic":
         raise ValueError("Euler-Poincare reduction needs a quadratic energy")
     tensor = d.field_tensor
     pi = _state(tensor, pi)
-    return tensor @ (spec.dual_gradient(pi)[:, None] * pi).ravel()
+    return spec._folded(tensor) @ (pi[:, None] * pi).ravel()
 
 
 def lp_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, mu: np.ndarray) -> np.ndarray:
     """Right-hand side of the Lie-Poisson equation dmu/dt = +coad(dH/dmu) mu.
 
-    The negative of the Euler-Poincare contraction of `d.field_tensor`, with
-    dH/dmu in place of I^-1 pi."""
+    The negative of the Euler-Poincare contraction: of the folded tensor for
+    a quadratic energy, and of `d.field_tensor` with the finite-difference
+    dH/dmu in place of I^-1 mu for a blackbox one."""
     tensor = d.field_tensor
     mu = _state(tensor, mu)
+    if spec.kind == "quadratic":
+        return -(spec._folded(tensor) @ (mu[:, None] * mu).ravel())
     return -(tensor @ (spec.dual_gradient(mu)[:, None] * mu).ravel())
 
 
@@ -214,8 +250,8 @@ class Trajectory:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
+        times = np.array(self.times, dtype=float)
+        states = np.array(self.states, dtype=float)
         if states.ndim != 2 or times.ndim != 1 or len(times) != len(states):
             raise ValueError("times and states rows must line up")
         labels = tuple(self.labels) or tuple(f"x{i + 1}" for i in range(states.shape[1]))
@@ -244,18 +280,28 @@ def rk4(
 ) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta.
 
-    Raises NonFiniteState (with .step set) as soon as a state stops being
-    finite, so a blown-up run fails at the step that produced it rather than
-    at write-out time, and TrajectoryTooLarge when the (steps + 1, n) array
-    of states cannot be allocated.
+    Raises NonFiniteState as soon as a state stops being finite, so a
+    blown-up run fails at the step that produced it rather than at write-out
+    time; it carries .step, .component (the label of the first non-finite
+    entry) and .last_finite (the state before, None at step 0).  Raises
+    TrajectoryTooLarge when the (steps + 1, n) array of states cannot be
+    allocated.
+
+    The four stages share one (4, n) array and the update is one
+    y + weights @ k.  The per-step finiteness test is math.isfinite(y.sum()),
+    confirmed entry by entry only when the sum is not finite, so a finite
+    state whose sum overflows is not flagged.
     """
     if not h > 0:
         raise ValueError("step size must be positive")
     if steps < 1:
         raise ValueError("need at least one step")
     y = np.array(y0, dtype=float).ravel()
+    labels = tuple(labels) or tuple(f"x{i + 1}" for i in range(y.size))
+    if len(labels) != y.size:
+        raise ValueError("one label per state component")
     if not np.isfinite(y).all():
-        raise NonFiniteState(0)
+        raise _non_finite(0, y, None, labels)
     try:
         out = np.empty((steps + 1, y.size))
     except MemoryError as exc:
@@ -264,17 +310,27 @@ def rk4(
             f"{(steps + 1) * y.size * y.itemsize} bytes requested"
         ) from exc
     out[0] = y
+    half = 0.5 * h
+    weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
+    k = np.empty((4, y.size))
     for n in range(1, steps + 1):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
-            raise NonFiniteState(n)
+        k[0] = field(y)
+        k[1] = field(y + half * k[0])
+        k[2] = field(y + half * k[1])
+        k[3] = field(y + h * k[2])
+        y = y + weights @ k
+        if not math.isfinite(y.sum()) and not np.isfinite(y).all():
+            raise _non_finite(n, y, out[n - 1].copy(), labels)
         out[n] = y
     times = h * np.arange(steps + 1)
     return Trajectory(times=times, states=out, labels=labels)
+
+
+def _non_finite(
+    step: int, y: np.ndarray, last_finite: np.ndarray | None, labels: tuple[str, ...]
+) -> NonFiniteState:
+    component = labels[int(np.isfinite(y).argmin())]
+    return NonFiniteState(step, component=component, last_finite=last_finite)
 
 
 def conservation_report(

@@ -39,11 +39,19 @@ class SingularInertia(ValueError):
 
 
 class NonFiniteState(FloatingPointError):
-    """Integration produced a NaN or infinity."""
+    """Integration produced a NaN or infinity.
 
-    def __init__(self, step: int, message: str | None = None):
+    .step is the step that produced it (0: the initial state), .component
+    the label of the first non-finite entry and .last_finite the state
+    before that step (None when unknown or at step 0)."""
+
+    def __init__(self, step: int, message: str | None = None, *,
+                 component: str | None = None, last_finite=None):
         self.step = step
-        super().__init__(message or f"non-finite state after step {step}")
+        self.component = component
+        self.last_finite = last_finite
+        where = f" in component {component}" if component is not None else ""
+        super().__init__(message or f"non-finite state after step {step}{where}")
 
 
 class TrajectoryTooLarge(ValueError):

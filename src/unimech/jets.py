@@ -174,7 +174,7 @@ class JetElement:
             raise ValueError(f"unknown group tag {self.group!r}")
         if self.kind not in ("tangent", "iterated"):
             raise ValueError(f"unknown jet kind {self.kind!r}")
-        base = np.asarray(self.base, dtype=float)
+        base = np.array(self.base, dtype=float)  # a private copy, frozen below
         if base.ndim != 2 or base.shape[0] != base.shape[1]:
             raise DimensionError(f"base must be a square matrix, got {base.shape}")
         d = base.shape[0]

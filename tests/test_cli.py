@@ -228,7 +228,9 @@ def test_run_blow_up_exits_3(tmp_path, capsys):
     )
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["run", str(cfg)]) == 3
-    assert "state became non-finite at step" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "state became non-finite at step" in err
+    assert err.endswith("state became non-finite at step 2 in component e1\n")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unimech import (
     DimensionError,
@@ -14,14 +16,30 @@ from unimech import (
     coad,
     compose_bracket,
     conservation_report,
+    ep3_field,
     ep_field,
     fd_gradient,
     lp_field,
     preset,
     rk4,
+    tangent_algebra,
+    third_order_product,
     write_report_json,
     write_trajectory_csv,
 )
+
+
+def _spd(rng, n):
+    a = rng.standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def _inertia(kind, rng, n):
+    if kind == "identity":
+        return np.eye(n)
+    if kind == "diagonal":
+        return np.diag(rng.uniform(0.5, 2.0, n))
+    return _spd(rng, n)
 
 
 def test_fd_gradient_on_a_smooth_function():
@@ -197,6 +215,137 @@ def test_fields_on_a_product_match_the_composed_algebra_route():
             np.testing.assert_allclose(lp_field(d, spec, mu), reference, atol=1e-12)
 
 
+@pytest.mark.parametrize("inertia", ["identity", "diagonal", "full_spd"])
+@pytest.mark.parametrize(
+    "model", ["kepler", "tokamak/so3", "tokamak/sl2", "ep3/so3", "ep3/sl2"]
+)
+def test_folded_fields_match_the_blockwise_coadjoint(model, inertia):
+    """The folded contraction against the paper's six-map coad, with the
+    velocity I^-1 pi from an explicit solve."""
+    rng = np.random.default_rng(11)
+    family, _, base = model.partition("/")
+    if family == "kepler":
+        d = build_model("kepler", {"e": 0.7, "m": 1.3, "k": 0.8})
+    elif family == "tokamak":
+        d = build_model("tokamak", {"base": base, "b_i": 0.6})
+    else:
+        g = preset(base)
+        d = third_order_product(g)
+    spec = EnergySpec.quadratic(_inertia(inertia, rng, d.dim))
+    for _ in range(20):
+        pi = rng.standard_normal(d.dim)
+        reference = coad(d, np.linalg.solve(spec.inertia, pi), pi)
+        atol = 1e-12 * (pi @ pi)
+        if family == "ep3":
+            np.testing.assert_allclose(ep3_field(g, spec, pi), -reference, rtol=0, atol=atol)
+            continue
+        np.testing.assert_allclose(ep_field(d, spec, pi), -reference, rtol=0, atol=atol)
+        np.testing.assert_allclose(lp_field(d, spec, pi), reference, rtol=0, atol=atol)
+
+
+def test_folded_tensor_follows_the_structure_it_is_asked_for():
+    """One spec alternated between structures of the same dimension gives
+    each its own field: the single cached entry never goes stale."""
+    rng = np.random.default_rng(12)
+    so3, sl2 = preset("so3"), preset("sl2")
+    tok_so3, tok_sl2 = (build_model("tokamak", {"base": b}) for b in ("so3", "sl2"))
+    for first, second in (
+        ((so3, so3.coad), (sl2, sl2.coad)),
+        (
+            (tok_so3, lambda x, mu: coad(tok_so3, x, mu)),
+            (tok_sl2, lambda x, mu: coad(tok_sl2, x, mu)),
+        ),
+    ):
+        spec = EnergySpec.quadratic(_spd(rng, first[0].dim))
+        for d, reference in (first, second, second, first, first, second):
+            pi = rng.standard_normal(d.dim)
+            xi = np.linalg.solve(spec.inertia, pi)
+            np.testing.assert_allclose(ep_field(d, spec, pi), -reference(xi, pi), atol=1e-12)
+            np.testing.assert_allclose(lp_field(d, spec, pi), reference(xi, pi), atol=1e-12)
+
+
+def test_quadratic_fields_make_no_solve_once_folded(monkeypatch):
+    """Structural: after the first call (one stacked (n, n) solve that
+    builds the folded tensor) a quadratic field makes no dual_gradient
+    call."""
+    calls = []
+    original = EnergySpec.dual_gradient
+
+    def counting(self, mu):
+        calls.append(np.shape(mu))
+        return original(self, mu)
+
+    monkeypatch.setattr(EnergySpec, "dual_gradient", counting)
+    rng = np.random.default_rng(13)
+    kepler = build_model("kepler", {"e": 0.5})
+    tokamak = build_model("tokamak", {"base": "so3"})
+    so3 = preset("so3")
+    for field, n in (
+        (lambda spec, y: ep_field(kepler, spec, y), 6),
+        (lambda spec, y: lp_field(tokamak, spec, y), 12),
+        (lambda spec, y: ep3_field(so3, spec, y), 9),
+    ):
+        spec = EnergySpec.quadratic(_spd(rng, n))
+        field(spec, rng.standard_normal(n))
+        assert calls == [(n, n)]
+        calls.clear()
+        for _ in range(5):
+            field(spec, rng.standard_normal(n))
+        assert calls == []
+
+
+def test_folded_fields_reject_an_inertia_of_another_size():
+    spec = EnergySpec.identity(4)
+    for field in (ep_field, lp_field):
+        with pytest.raises(DimensionError, match="inertia is 4x4, the state has length 3"):
+            field(preset("so3"), spec, np.ones(3))
+
+
+def test_energy_spec_keeps_a_private_copy_of_the_inertia():
+    so3 = preset("so3")
+    inertia = np.diag([1.0, 2.0, 3.0])
+    for spec in (EnergySpec.quadratic(inertia), EnergySpec(kind="quadratic", inertia=inertia)):
+        pi = np.array([0.3, -1.0, 0.5])
+        before = ep_field(so3, spec, pi)
+        inertia[0, 0] = 5.0  # the caller's array stays writeable
+        assert spec.inertia[0, 0] == 1.0
+        assert not spec.inertia.flags.writeable
+        np.testing.assert_array_equal(ep_field(so3, spec, pi), before)
+        inertia[0, 0] = 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    structure=st.sampled_from(
+        ["so3", "sl2", "heisenberg", "kepler", "tokamak", "tangent2"]
+    ),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_folded_fields_are_orthogonal_to_the_velocity(structure, seed):
+    # <coad(xi) pi, xi> = 0 with xi = I^-1 pi, so both fields are tangent to
+    # the energy level set, for any SPD inertia and any state
+    rng = np.random.default_rng(seed)
+    base = ("so3", "sl2", "heisenberg")[seed % 3]
+    if structure == "kepler":
+        d = build_model(
+            "kepler",
+            {"e": rng.uniform(-2, 2), "m": rng.uniform(0.5, 2), "k": rng.uniform(0.5, 2)},
+        )
+    elif structure == "tokamak":
+        d = build_model("tokamak", {"base": base, "b_i": rng.uniform(-3, 3)})
+    elif structure == "tangent2":
+        d = tangent_algebra(preset(base), 2)
+    else:
+        d = preset(structure)
+    a = rng.standard_normal((d.dim, d.dim))
+    spec = EnergySpec.quadratic(a @ a.T + rng.uniform(0.1, 2.0) * np.eye(d.dim))
+    pi = rng.standard_normal(d.dim)
+    xi = np.linalg.solve(spec.inertia, pi)
+    bound = 1e-12 * (pi @ pi) * np.linalg.norm(np.linalg.inv(spec.inertia), 2)
+    for field in (ep_field, lp_field):
+        assert abs(field(d, spec, pi) @ xi) <= bound
+
+
 def test_fields_reject_a_wrong_length_state():
     for d in (build_model("kepler", {"e": 0.5}), preset("so3")):
         spec = EnergySpec.identity(d.dim)
@@ -280,12 +429,48 @@ def test_rk4_flags_nonfinite_states_with_the_step_index():
     with pytest.raises(NonFiniteState) as excinfo:
         rk4(lambda y: y, np.array([np.inf]), 0.1, 3)
     assert excinfo.value.step == 0
+    assert excinfo.value.component == "x1"
+    assert excinfo.value.last_finite is None
 
     # quadratic blow-up: overflow on the very first update
     with np.errstate(over="ignore"), pytest.raises(NonFiniteState) as excinfo:
         rk4(lambda y: y**2, np.array([1e200]), 1.0, 10)
     assert excinfo.value.step == 1
     assert "step 1" in str(excinfo.value)
+    assert excinfo.value.component == "x1"
+    np.testing.assert_array_equal(excinfo.value.last_finite, [1e200])
+
+    # the first non-finite component is named by its label
+    with pytest.raises(NonFiniteState) as excinfo:
+        rk4(lambda y: y, np.array([1.0, np.nan, np.inf]), 0.1, 3, labels=("p", "q", "r"))
+    assert (excinfo.value.step, excinfo.value.component) == (0, "q")
+    assert str(excinfo.value) == "non-finite state after step 0 in component q"
+
+    # only the second component blows up (y2 = 1/(1 - t) past t = 1), at step 5
+    def growing(y):
+        return np.array([0.0, y[1] ** 2])
+
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteState) as excinfo:
+        rk4(growing, np.array([1.0, 1.0]), 0.4, 10, labels=("a", "b"))
+    assert (excinfo.value.step, excinfo.value.component) == (5, "b")
+    assert excinfo.value.last_finite[0] == 1.0 and np.isfinite(excinfo.value.last_finite[1])
+
+    # a finite state whose sum overflows is not flagged
+    with np.errstate(over="ignore"):
+        traj = rk4(lambda y: np.zeros_like(y), np.array([1e308, 1e308]), 0.1, 3)
+    np.testing.assert_array_equal(traj.states, np.full((4, 2), 1e308))
+
+
+def test_rk4_makes_four_field_calls_per_step():
+    calls = 0
+
+    def field(y):
+        nonlocal calls
+        calls += 1
+        return -y
+
+    rk4(field, np.ones(3), 0.1, 7)
+    assert calls == 28
 
 
 def test_trajectory_checks_and_defaults():
@@ -298,6 +483,15 @@ def test_trajectory_checks_and_defaults():
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 3)), labels=("a",))
     single = Trajectory(times=np.array([2.0]), states=np.ones((1, 2)))
     assert single.h == 0.0
+
+
+def test_trajectory_keeps_private_copies():
+    times, states = np.array([0.0, 1.0]), np.zeros((2, 3))
+    traj = Trajectory(times=times, states=states)
+    times[1] = 5.0  # the caller's arrays stay writeable
+    states[0, 0] = 7.0
+    assert traj.times[1] == 1.0 and traj.states[0, 0] == 0.0
+    assert not traj.times.flags.writeable and not traj.states.flags.writeable
 
 
 def test_rigid_body_long_run_conserves_casimir_and_energy():

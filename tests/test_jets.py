@@ -536,6 +536,19 @@ def test_act_and_twist_closed_forms():
 # -- container checks ----------------------------------------------------------
 
 
+def test_jet_keeps_private_copies_of_its_arrays():
+    base = np.eye(3)
+    slots = np.zeros((2, 3, 3))
+    a = JetElement("SO", base, slots)
+    b = JetElement("SO", base, list(slots))
+    base[0, 0] = 2.0  # the caller's arrays stay writeable
+    slots[0, 0, 1] = 1.0
+    for jet in (a, b):
+        np.testing.assert_array_equal(jet.base, np.eye(3))
+        np.testing.assert_array_equal(jet.slots, np.zeros((2, 3, 3)))
+        assert not jet.base.flags.writeable and not jet.slots.flags.writeable
+
+
 def test_jet_validity_checks():
     eye = np.eye(3)
     with pytest.raises(ValueError, match="unknown group tag"):
