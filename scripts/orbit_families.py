@@ -41,8 +41,8 @@ def main() -> None:
                 traj,
                 {
                     "H": spec.hamiltonian,
-                    "v": lambda y: float(y[:3] @ y[:3]),
-                    "eta": lambda y: float(y[3:] @ y[3:]),
+                    "v": lambda s: (s[:, None, :3] @ s[:, :3, None]).ravel(),
+                    "eta": lambda s: (s[:, None, 3:] @ s[:, 3:, None]).ravel(),
                 },
             )
             print(

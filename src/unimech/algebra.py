@@ -114,7 +114,12 @@ class LieAlgebra:
         """Max over basis triples of |[[e_i,e_j],e_l] + cyclic|."""
         if self.dim == 0:
             return 0.0
-        t = np.einsum("kml,mij->kijl", self.c, self.c)
+        # t[k, l, i, j] = sum_m c[k, m, l] c[m, i, j], the (k, l)-(i, j) product of
+        # two flattenings: one BLAS matmul.  The cyclic sum runs over the last three
+        # axes, so their order does not change the maximum.
+        n = self.dim
+        c = self.c
+        t = (c.transpose(0, 2, 1).reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
         cyc = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
         return float(np.max(np.abs(cyc)))
 

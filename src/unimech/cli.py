@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .dynamics import (
     write_report_json,
     write_trajectory_csv,
 )
-from .errors import ConfigError, NonFiniteState, UnknownPreset, load_json
+from .errors import ConfigError, NonFiniteState, UnknownPreset, load_json, parse_json
 from .models import build_model
 from .products import (
     UnifiedProductData,
@@ -89,7 +88,7 @@ def _print_validation(d: UnifiedProductData) -> bool:
 
 
 def _cmd_validate(args) -> int:
-    params = json.loads(args.params) if args.params else None
+    params = parse_json(args.params, "--params") if args.params else None
     d = _resolve_model(args.model, params)
     ok = _print_validation(d)
     print("result: ok" if ok else "result: FAIL")
@@ -97,7 +96,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_describe(args) -> int:
-    params = json.loads(args.params) if args.params else None
+    params = parse_json(args.params, "--params") if args.params else None
     d = _resolve_model(args.model, params)
     print(f"dim_m={d.dim_m} dim_h={d.dim_h} total={d.dim}")
     print("m labels:", " ".join(d.m_labels) if d.dim_m else "(empty)")
@@ -150,7 +149,9 @@ def _block_functionals(kind: str, d: UnifiedProductData, g, dim: int) -> dict:
         blocks.append(("h", d.dim_m, d.dim))
 
     def norm_sq(lo, hi):
-        return lambda y: float(np.dot(y[lo:hi], y[lo:hi]))
+        # a batched matmul over the (m, n) states; each row gets the dot
+        # product y[lo:hi] @ y[lo:hi] computes, so the values match one-row calls
+        return lambda s: (s[:, None, lo:hi] @ s[:, lo:hi, None]).ravel()
 
     return {f"norm_sq_{name}": norm_sq(lo, hi) for name, lo, hi in blocks}
 
@@ -279,9 +280,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, UnknownPreset, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except json.JSONDecodeError as exc:
-        print(f"error: invalid JSON ({exc})", file=sys.stderr)
         return 1
 
 

@@ -24,8 +24,12 @@ fields against.
 
 Fields here take and return flat coordinate vectors; the integrator is a
 plain fixed-step RK4, which is all the acceptance experiments require.
-`EnergySpec.dual_gradient` takes one momentum or an (m, n) stack of them,
-so a check along a whole trajectory makes one solve instead of m.
+The stages after it work on the whole trajectory at once.
+`EnergySpec.dual_gradient` and `EnergySpec.hamiltonian` take one momentum
+or an (m, n) stack of them, so a check along a whole trajectory makes one
+solve instead of m.  `conservation_report` calls each functional once on
+the (m, n) array of states and expects its m values back, and
+`write_trajectory_csv` formats the rows as Python floats in one pass.
 """
 
 from __future__ import annotations
@@ -171,16 +175,24 @@ class EnergySpec:
         grads = [fd_gradient(self.f, row, self.fd_eps) for row in np.atleast_2d(mu)]
         return np.array(grads).reshape(mu.shape)
 
-    def hamiltonian(self, mu: np.ndarray) -> float:
-        """H(mu) of one momentum."""
+    def hamiltonian(self, mu: np.ndarray) -> float | np.ndarray:
+        """H(mu) of one momentum (n,), a float, or of each row of an (m, n)
+        stack, an (m,) array; other shapes raise DimensionError.
+
+        A quadratic energy makes one stacked dual_gradient solve and a
+        row-wise dot (a batched matmul, the same dot product as one row's
+        mu @ v).  A blackbox energy calls f once per row."""
         mu = np.asarray(mu, dtype=float)
         if self.kind == "quadratic":
-            if mu.ndim != 1:
-                raise DimensionError(
-                    f"mu has shape {mu.shape}, expected ({self.inertia.shape[0]},)"
-                )
-            return 0.5 * float(mu @ self.dual_gradient(mu))
-        return float(self.f(mu))
+            v = self.dual_gradient(mu)
+            if mu.ndim == 1:
+                return 0.5 * float(mu @ v)
+            return 0.5 * (mu[:, None, :] @ v[:, :, None]).ravel()
+        if mu.ndim == 1:
+            return float(self.f(mu))
+        if mu.ndim != 2:
+            raise DimensionError(f"mu has shape {mu.shape}, expected (n,) or (m, n)")
+        return np.array([float(self.f(row)) for row in mu])
 
     def _folded(self, tensor: np.ndarray) -> np.ndarray:
         """The field tensor `tensor` (n, n*n) with I^-1 folded in:
@@ -334,18 +346,26 @@ def _non_finite(
 
 
 def conservation_report(
-    traj: Trajectory, functionals: Mapping[str, Callable[[np.ndarray], float]]
+    traj: Trajectory, functionals: Mapping[str, Callable[[np.ndarray], np.ndarray]]
 ) -> dict:
     """Drift summary for each named functional along a trajectory.
 
-    Relative drift is normalized by max(|initial value|, 1e-30) so exactly
-    conserved zero values do not divide by zero.
+    Each functional is called once, on the whole (m, n) `traj.states`, and
+    must return its m values, one per state (`EnergySpec.hamiltonian` takes
+    such a stack); any other shape raises DimensionError.  Relative drift is
+    normalized by max(|initial value|, 1e-30) so exactly conserved zero
+    values do not divide by zero.
     """
     if len(traj) == 0:
         raise ValueError("conservation report needs a nonempty trajectory")
     report: dict[str, dict[str, float]] = {}
     for name, func in functionals.items():
-        values = np.array([func(row) for row in traj.states], dtype=float)
+        values = np.asarray(func(traj.states), dtype=float)
+        if values.shape != (len(traj),):
+            raise DimensionError(
+                f"functional {name!r} returned shape {values.shape} for "
+                f"{len(traj)} states, expected ({len(traj)},)"
+            )
         initial = values[0]
         drift = np.max(np.abs(values - initial), initial=0.0)
         scale = max(abs(initial), 1e-30)
@@ -359,18 +379,26 @@ def conservation_report(
 
 # -- plain-text outputs ----------------------------------------------------
 #
-# CSV: one header row ("t" then the state labels), '%.17g' everywhere so
-# round-tripping through text is exact for doubles.  JSON reports are dumped
-# with sorted keys to keep reruns diffable.
+# CSV: one header row ("t" then the state labels, quoted by csv.writer where
+# needed), '%.17g' everywhere so round-tripping through text is exact for
+# doubles.  JSON reports are dumped with sorted keys to keep reruns diffable.
+
+_CSV_BLOCK_ROWS = 1 << 16  # rows formatted per write, bounding the text held at once
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
+    """The header through csv.writer, then the body formatted one
+    '%.17g,...\\r\\n' % row per row of Python floats and written in one call
+    per block of rows (one call for up to 65536 rows).  Numbers never need
+    csv quoting, so this is the text csv.writer would write."""
     path = Path(path)
+    table = np.column_stack((traj.times, traj.states))
+    line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t",) + traj.labels)
-        for t, row in zip(traj.times, traj.states):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+        csv.writer(fh).writerow(("t",) + traj.labels)
+        for lo in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[lo:lo + _CSV_BLOCK_ROWS].tolist()
+            fh.write("".join([line % tuple(row) for row in block]))
 
 
 def write_report_json(report: dict, path: str | Path) -> None:

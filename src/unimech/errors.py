@@ -82,6 +82,17 @@ class ConfigError(ValueError):
     """Run configuration is missing keys, has bad values, or failed to parse."""
 
 
+def parse_json(text: str, source) -> object:
+    """The JSON value in `text`; invalid JSON raises ConfigError as
+    "SOURCE: invalid JSON at line L, column C (problem)"."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{source}: invalid JSON at line {exc.lineno}, column {exc.colno} ({exc.msg})"
+        ) from exc
+
+
 def load_json(path) -> dict:
     """The JSON object stored at `path`.  A missing or unreadable file,
     invalid JSON and a document that is not an object all raise ConfigError
@@ -92,12 +103,7 @@ def load_json(path) -> dict:
         raise ConfigError(f"{path}: no such file") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read ({exc.strerror})") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno} ({exc.msg})"
-        ) from exc
+    doc = parse_json(text, path)
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc

@@ -256,6 +256,29 @@ def test_jacobi_residual_flags_broken_tensor():
     assert not g.validate().ok
 
 
+def _jacobi_residual_by_einsum(c):
+    """The Jacobiator as a naive einsum, then its cyclic sum: the oracle."""
+    if c.shape[0] == 0:
+        return 0.0
+    t = np.einsum("kml,mij->kijl", c, c)
+    cyc = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
+    return float(np.max(np.abs(cyc)))
+
+
+@pytest.mark.parametrize("dim", range(13))
+def test_jacobi_residual_matches_the_einsum_oracle(dim):
+    rng = np.random.default_rng(100 + dim)
+    for _ in range(3):
+        a = rng.standard_normal((dim,) * 3)
+        # antisymmetric and almost never Lie, then not even antisymmetric
+        for g in (LieAlgebra(dim=dim, c=a - a.swapaxes(1, 2)),
+                  LieAlgebra(dim=dim, c=a, strict=False)):
+            want = _jacobi_residual_by_einsum(g.c)
+            if dim >= 3:
+                assert want > 1e-3
+            np.testing.assert_allclose(g.jacobi_residual(), want, rtol=1e-12, atol=0.0)
+
+
 def test_zero_dimensional_algebra():
     g = abelian(0)
     assert g.dim == 0

@@ -74,6 +74,18 @@ def test_params_must_be_an_object(command, params, capsys):
 
 
 @pytest.mark.parametrize("command", ["validate", "describe"])
+@pytest.mark.parametrize("params,where,problem", [
+    ("{bad", "line 1, column 2", "Expecting property name enclosed in double quotes"),
+    ('{"e": 0.5}\n]', "line 2, column 1", "Extra data"),
+])
+def test_params_must_be_valid_json(command, params, where, problem, capsys):
+    assert main([command, "kepler", "--params", params]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --params: invalid JSON at {where} ({problem})\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "describe"])
 def test_params_are_refused_on_a_document_path(tmp_path, capsys, command):
     # a document carries its own structure; parameters for it would be ignored
     path = tmp_path / "kepler.json"

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -156,9 +157,14 @@ def test_dual_gradient_rejects_other_shapes(kind):
     for mu in bad:
         with pytest.raises(DimensionError, match="expected \\(.*\\) or \\(m, "):
             spec.dual_gradient(mu)
-    if kind != "blackbox":  # H takes one momentum, not a stack
-        with pytest.raises(DimensionError, match="expected \\(9,\\)"):
-            spec.hamiltonian(np.ones((9, 9)))
+        with pytest.raises(DimensionError, match="expected \\(.*\\) or \\(m, "):
+            spec.hamiltonian(mu)
+    # H of an (m, n) stack is H of each row
+    stack = np.random.default_rng(19).standard_normal((9, 9))
+    values = spec.hamiltonian(stack)
+    assert values.shape == (9,)
+    np.testing.assert_allclose(values, [spec.hamiltonian(row) for row in stack],
+                               rtol=1e-13, atol=1e-15)
 
 
 def test_ep_field_reproduces_the_euler_top():
@@ -499,7 +505,7 @@ def test_rigid_body_long_run_conserves_casimir_and_energy():
     spec = EnergySpec.diagonal([1.0, 2.0, 3.0])
     traj = rk4(lambda y: lp_field(g, spec, y), np.array([1.0, 0.2, -0.5]), 1e-3, 10_000)
     report = conservation_report(
-        traj, {"casimir": lambda m: float(m @ m), "energy": spec.hamiltonian}
+        traj, {"casimir": lambda m: np.sum(m * m, axis=1), "energy": spec.hamiltonian}
     )
     assert report["casimir"]["max_rel_drift"] < 1e-10
     assert report["energy"]["max_rel_drift"] < 1e-10
@@ -511,7 +517,7 @@ def test_conservation_report_values_and_scaling():
     states = np.column_stack([np.arange(4.0), np.zeros(4)])
     traj = Trajectory(times=times, states=states)
     report = conservation_report(
-        traj, {"first": lambda row: row[0], "second": lambda row: row[1]}
+        traj, {"first": lambda s: s[:, 0], "second": lambda s: s[:, 1]}
     )
     assert report["first"] == {
         "initial": 0.0,
@@ -524,6 +530,74 @@ def test_conservation_report_values_and_scaling():
     empty = Trajectory(times=np.zeros(0), states=np.zeros((0, 2)))
     with pytest.raises(ValueError, match="nonempty"):
         conservation_report(empty, {"any": lambda row: 0.0})
+
+
+def _conservation_report_row_by_row(traj, functionals):
+    """The per-row report: each functional called on one state at a time.
+    The oracle for the stacked conservation_report."""
+    report = {}
+    for name, func in functionals.items():
+        values = np.array([func(row) for row in traj.states], dtype=float)
+        drift = np.max(np.abs(values - values[0]), initial=0.0)
+        report[name] = {
+            "initial": float(values[0]),
+            "max_abs_drift": float(drift),
+            "max_rel_drift": float(drift / max(abs(values[0]), 1e-30)),
+        }
+    return report
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "full", "blackbox"])
+def test_stacked_conservation_report_matches_the_row_by_row_one(kind):
+    rng = np.random.default_rng(23)
+    spec = _energies(rng, 9)[kind]
+    states = rng.standard_normal((60, 9))
+    traj = Trajectory(times=0.01 * np.arange(60), states=states)
+    stacked = conservation_report(traj, {"H": spec.hamiltonian})
+    oracle = _conservation_report_row_by_row(traj, {"H": spec.hamiltonian})
+    bound = 4 * np.finfo(float).eps * abs(oracle["H"]["initial"])
+    assert abs(stacked["H"]["initial"] - oracle["H"]["initial"]) <= bound
+    assert abs(stacked["H"]["max_abs_drift"] - oracle["H"]["max_abs_drift"]) <= bound
+
+
+def test_conservation_report_rejects_a_functional_of_the_wrong_shape():
+    traj = Trajectory(times=np.arange(4.0), states=np.ones((4, 2)))
+    for bad, shape in ((lambda s: s[0], "(2,)"), (lambda s: s, "(4, 2)"),
+                       (lambda s: 1.0, "()")):
+        with pytest.raises(DimensionError) as exc:
+            conservation_report(traj, {"ok": lambda s: s[:, 0], "bad": bad})
+        assert f"functional 'bad' returned shape {shape} for 4 states" in str(exc.value)
+
+
+def _write_csv_with_csv_writer(traj, path):
+    """The csv.writer loop, one formatted row at a time: the oracle for
+    write_trajectory_csv."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t",) + traj.labels)
+        for t, row in zip(traj.times, traj.states):
+            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+
+
+def test_trajectory_csv_is_byte_identical_to_the_csv_writer_loop(tmp_path):
+    rng = np.random.default_rng(24)
+    edge = np.array([[-0.0, 5e-324, 1e300], [-1e300, -5e-324, 0.0],
+                     [np.inf, -np.inf, np.nan], [0.1, 1.0 / 3.0, -2.5e-8]])
+    trajs = [
+        Trajectory(times=np.arange(4.0) - 1.5, states=edge,
+                   labels=("a,b", 'say "hi"', 'both, "x"')),
+        Trajectory(times=np.zeros(1), states=np.zeros((1, 1))),
+    ]
+    for m, n in ((2, 3), (41, 12), (2**16 + 3, 1), (300, 9)):  # 2**16 + 3: more than one block
+        scales = 10.0 ** rng.integers(-300, 300, (m, n))
+        trajs.append(Trajectory(times=rng.uniform(0, 10, m),
+                                states=rng.standard_normal((m, n)) * scales))
+    for traj in trajs:
+        fast, oracle = tmp_path / "fast.csv", tmp_path / "oracle.csv"
+        write_trajectory_csv(traj, fast)
+        _write_csv_with_csv_writer(traj, oracle)
+        assert fast.read_bytes() == oracle.read_bytes()
+    assert fast.read_bytes().count(b"\r\n") == 301
 
 
 def test_trajectory_csv_round_trips_exactly(tmp_path):

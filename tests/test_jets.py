@@ -298,6 +298,51 @@ def test_inverse_round_trip_property(seed):
     )
 
 
+_LAYOUTS = {
+    "tangent": (tn_multiply, tn_inverse),
+    "iterated": (iterated_multiply, iterated_inverse),
+}
+_GROUPS = [("SO", 3), ("SL", 2), ("GL", 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    group_dim=st.sampled_from(_GROUPS),
+    order=st.integers(min_value=1, max_value=4),
+    kind=st.sampled_from(sorted(_LAYOUTS)),
+    scale=st.floats(min_value=0.05, max_value=0.5),
+)
+def test_jet_group_laws_property(seed, group_dim, order, kind, scale):
+    # associativity, the unit on both sides and the inverse on both sides
+    group, dim = group_dim
+    mul, inv = _LAYOUTS[kind]
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_jet(group, dim, order, kind=kind, rng=rng, scale=scale) for _ in range(3))
+    e = unit_jet(group, dim, order, kind=kind)
+    _assert_jets_close(mul(order, mul(order, a, b), c), mul(order, a, mul(order, b, c)), atol=1e-9)
+    _assert_jets_close(mul(order, a, e), a, atol=1e-10)
+    _assert_jets_close(mul(order, e, a), a, atol=1e-10)
+    a_inv = inv(order, a)
+    _assert_jets_close(mul(order, a, a_inv), e, atol=1e-10)
+    _assert_jets_close(mul(order, a_inv, a), e, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    group_dim=st.sampled_from(_GROUPS),
+    scale=st.floats(min_value=0.05, max_value=0.5),
+)
+def test_t3_factorize_round_trip_property(seed, group_dim, scale):
+    group, dim = group_dim
+    j = random_jet(group, dim, 3, kind="iterated", rng=np.random.default_rng(seed), scale=scale)
+    quad, t = t3_factorize(j)
+    assert t.group == group and t.kind == "tangent" and t.order == 3
+    recon = iterated_multiply(3, g4_embed(*quad, group=group, tol=j.tol), t3_embed(t))
+    _assert_jets_close(recon, j, atol=1e-10)
+
+
 def test_inverse_closed_form_at_third_order():
     rng = np.random.default_rng(14)
     a = random_jet("SL", 2, 3, rng=rng)
