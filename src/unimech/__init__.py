@@ -28,6 +28,7 @@ from .errors import (
     DimensionError,
     FactorizationError,
     GroupMismatch,
+    JetValidationError,
     NonFiniteState,
     SingularFiberMap,
     SingularInertia,

@@ -62,6 +62,19 @@ class GroupMismatch(ValueError):
     """Jets living in different groups (or of different order) were combined."""
 
 
+class JetValidationError(ValueError):
+    """A jet's base lies off its group, or a slot off its Lie algebra.
+
+    .where is "base" or the index of the first bad slot, .residual the
+    residual that failed its tolerance (inf for a non-finite entry).  The
+    message is the place followed by `problem`."""
+
+    def __init__(self, where: str | int, residual: float, problem: str):
+        self.where = where
+        self.residual = residual
+        super().__init__(f"{where if where == 'base' else f'slot {where}'} {problem}")
+
+
 class SingularMatrix(ValueError):
     """A group element could not be inverted."""
 

@@ -19,21 +19,17 @@ The iterated product is base-first, a sum over set partitions:
 for (x, X) * (y, Y).  T^nG sits inside the iterated bundle through the
 embedding A -> |A| (tn_to_iterated), so the tangent product is the same sum
 over the partitions of {1..k}, read through the slot map B -> |B|.  Both
-layouts therefore run one cached term table, _plan(kind, n): each term is a
-target slot, a count, an ad-chain of slots and a head slot.  Partitions that
-land on the same slots merge, so a tangent term's count is the number of set
-partitions of {1..k} with those block sizes (partition_coefficient); summing
-the counts of slot k gives the k-th Bell number.
-
-The table is stored as arrays, one group per chain length L: the head slots
-(T,), the chain slots (T, L) and a (slots, T) scatter matrix holding
-(-1)^L * count at each term's target.  A product gathers the T head
-matrices, applies the L commutators depth by depth to the whole (T, d, d)
-stack, and scatters each group with one matrix product, so the Python
-loops run over chain depth only, never over terms.  The inverse runs the
-same table off the element's own slots, chains reversed and unsigned.
-Every JetElement, products and inverses included, is validated on
-construction in one pass over its slot stack.
+layouts therefore run one cached trie, _trie(kind, n, reverse): its nodes
+are the distinct (head slot, ad-chain prefix) pairs, stored depth by depth
+with a parent node and a link slot, so terms that share a prefix share its
+commutators (T^4G needs 11).  A (slots, nodes) scatter matrix holds each
+term's weight, (-1)^(l-1) times the number of partitions that land on it; the
+unsigned counts of tangent slot k sum to the k-th Bell number.  A product
+fills one (nodes, d, d) buffer with one commutator pass per depth and
+scatters it with one matrix product; the inverse runs the reversed,
+unsigned trie off the element's own slots.  Every JetElement, products and
+inverses included, is validated on construction, each check one reduction
+over the base or the slot stack when it holds.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -55,6 +51,7 @@ from .errors import (
     DimensionError,
     FactorizationError,
     GroupMismatch,
+    JetValidationError,
     SingularMatrix,
     default_tol,
     load_json,
@@ -103,9 +100,9 @@ def group_residual(group: str, g: np.ndarray) -> float | np.ndarray:
 def _group_residual(group: str, g: np.ndarray, det: float | np.ndarray) -> np.ndarray:
     """group_residual with det(g) already at hand."""
     if group == "SO":
-        return np.maximum(_max_abs(g.mT @ g - np.eye(g.shape[-1])), np.abs(det - 1.0))
+        return np.maximum(_max_abs(g.mT @ g - np.eye(g.shape[-1])), abs(det - 1.0))
     if group == "SL":
-        return np.abs(det - 1.0)
+        return abs(det - 1.0)
     if group == "GL":
         return np.zeros(g.shape[:-2])
     raise ValueError(f"unknown group tag {group!r}")
@@ -116,9 +113,9 @@ def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
     stack gives one residual per matrix; a single matrix gives a float."""
     x = np.asarray(x, dtype=float)
     if group == "SO":
-        res = _max_abs(x + x.mT)
+        res = _max_abs(_algebra_defect(group, x))
     elif group == "SL":
-        res = np.abs(x.diagonal(0, -2, -1).sum(axis=-1))
+        res = np.abs(_algebra_defect(group, x))
     elif group == "GL":
         res = np.zeros(x.shape[:-2])
     else:
@@ -126,15 +123,15 @@ def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
     return _as_float(res)
 
 
+def _algebra_defect(group: str, x: np.ndarray) -> np.ndarray:
+    """What vanishes on the Lie algebra: x + x^T for SO, the trace for SL."""
+    return x + x.mT if group == "SO" else x.diagonal(0, -2, -1).sum(axis=-1)
+
+
 def _max_abs(x: np.ndarray) -> np.ndarray:
     """Largest entry magnitude of each matrix in a (..., d, d) stack."""
     flat = np.abs(x).reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
     return flat.max(axis=-1, initial=0.0)
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    # count_nonzero is cheaper than .all() on the small arrays of one jet
-    return np.count_nonzero(np.isfinite(x)) == x.size
 
 
 def _as_float(res: np.ndarray) -> float | np.ndarray:
@@ -159,8 +156,11 @@ class JetElement:
 
     With no slots this is a plain group element.  The order is inferred from
     the slot count: kind "tangent" has `order` slots, kind "iterated" has
-    2**order - 1.  Construction checks that the base lies in the tagged
-    group and every slot in its Lie algebra, to `tol`.
+    2**order - 1.  Construction checks that every entry is finite, that the
+    base lies in the tagged group to `tol` and that each slot x lies in its
+    Lie algebra to `tol * max(1, max|x|)`; a failure is a JetValidationError
+    naming the base or the first bad slot (SingularMatrix for a singular
+    base).
     """
 
     group: str
@@ -194,29 +194,33 @@ class JetElement:
                 raise DimensionError(
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
-        # validity: finite entries, base in the group, slots in the algebra.
-        # Each comparison asks for the good case, so a NaN residual fails it.
-        if not _all_finite(base):
-            raise ValueError("base has a non-finite entry")
-        if not _all_finite(slots):
-            i = int(np.isfinite(slots).reshape(len(slots), -1).all(axis=1).argmin())
-            raise ValueError(f"slot {i} has a non-finite entry")
+        # validity: finite entries, base in the group, slots in the algebra,
+        # each one reduction when it holds (a worst slot within tol passes at
+        # any scale); only a failure looks closer.  Each comparison asks for
+        # the good case, so a NaN residual fails it.
+        if not math.isfinite(base.sum() + slots.sum()):  # finite entries may overflow it
+            finite = np.isfinite(np.concatenate((base[None], slots))).reshape(len(slots) + 1, -1)
+            i = int(finite.all(axis=1).argmin()) - 1  # -1 is the base
+            if not finite.all():
+                raise JetValidationError(i if i >= 0 else "base", math.inf,
+                                         "has a non-finite entry")
         det = np.linalg.det(base)
         if not abs(det) >= 1e-300:
             raise SingularMatrix("base matrix is not invertible")
         res = float(_group_residual(self.group, base, det))
         if not res <= self.tol:
-            raise ValueError(
-                f"base is not in {self.group}({d}) to tol={self.tol:g} (residual {res:.3g})"
-            )
-        res = algebra_residual(self.group, slots)
-        ok = res <= self.tol
-        if np.count_nonzero(ok) < len(ok):
-            i = int(ok.argmin())  # the first slot outside the algebra
-            raise ValueError(
-                f"slot {i} is not in the Lie algebra of {self.group}({d}) "
-                f"to tol={self.tol:g} (residual {res[i]:.3g})"
-            )
+            raise JetValidationError("base", res, f"is not in {self.group}({d}) to "
+                                     f"tol={self.tol:g} (residual {res:.3g})")
+        if self.group != "GL" and not (
+            np.abs(_algebra_defect(self.group, slots)).max(initial=0.0) <= self.tol
+        ):
+            res = algebra_residual(self.group, slots)
+            ok = res <= self.tol * np.maximum(_max_abs(slots), 1.0)
+            i = int(ok.argmin())
+            if not ok[i]:
+                raise JetValidationError(i, float(res[i]), f"is not in the Lie algebra of "
+                                         f"{self.group}({d}) to tol={self.tol:g} "
+                                         f"(residual {res[i]:.3g})")
         base.setflags(write=False)
         slots.setflags(write=False)
         object.__setattr__(self, "base", base)
@@ -325,65 +329,61 @@ def _slot_index(subset: tuple[int, ...]) -> int:
 # -- products and inverses, both layouts -------------------------------------
 
 
-class _TermGroup(NamedTuple):
-    """The product terms whose ad-chains have one length L, as arrays."""
-
-    heads: np.ndarray  # (T,) head slot of each term
-    chains: np.ndarray  # (T, L) ad-chain slots, applied left to right
-    scatter: np.ndarray  # (n_slots, T) (-1)^L * count at each term's target
-
-
 @lru_cache(maxsize=None)
-def _plan(kind: str, n: int) -> tuple[_TermGroup, ...]:
-    """The order-n product sum, grouped by chain length: one term per
-    distinct slot pattern of a set partition of a target subset (blocks
-    ordered by increasing maximum), with the number of partitions that land
-    on it.  Iterated targets are all nonempty subsets of {1..n}, read
-    through _slot_index; tangent targets are {1..k}, read through
-    B -> |B| - 1."""
+def _trie(kind: str, n: int, reverse: bool) -> tuple[tuple, np.ndarray]:
+    """The order-n product sum: one term per set partition of a target
+    subset (blocks ordered by increasing maximum), its last block the head
+    and the others the links, applied in order (reversed for the inverse).
+    Iterated targets are the nonempty subsets of {1..n}, read through
+    _slot_index; tangent targets are {1..k}, read through B -> |B| - 1.
+
+    The terms form a trie of (head slot, link prefix) nodes.  Depth 0 is the
+    m slots, each heading its one-block term; deeper nodes follow depth by
+    depth, so a parent precedes its node.  Returns (levels, scatter): per
+    depth >= 1 the parent node and link slot of each node, and the
+    (m, nodes) summed weight of the terms ending at each node, a term with
+    L links weighing (-1)^L in the product and 1 in the inverse."""
     if kind == "iterated":
         targets, slot = subsets_by_slot(n), _slot_index
     else:
         targets = [tuple(range(1, k + 1)) for k in range(1, n + 1)]
         slot = lambda block: len(block) - 1
-    counts: Counter = Counter()
+    weights: Counter = Counter()
     for target in targets:
         for blocks in set_partitions(target):
-            counts[slot(target), tuple(map(slot, blocks[:-1])), slot(blocks[-1])] += 1
-    by_length: dict[int, list] = {}
-    for (target, chain, head), count in counts.items():
-        by_length.setdefault(len(chain), []).append((target, chain, head, count))
-    plan = []
-    for length, terms in sorted(by_length.items()):
-        target_slots, chains, heads, count = zip(*terms)
-        scatter = np.zeros((len(targets), len(terms)))
-        scatter[target_slots, range(len(terms))] = (-1) ** length * np.array(count)
-        # column-major, so the slots of one chain depth are contiguous
-        plan.append(_TermGroup(np.array(heads), np.array(chains, dtype=int, order="F"), scatter))
-    return tuple(plan)
+            chain = tuple(map(slot, blocks[:-1]))
+            path = (slot(blocks[-1]),) + (chain[::-1] if reverse else chain)
+            weights[slot(target), path] += 1 if reverse else (-1) ** len(chain)
+    nodes = sorted({path[:k] for _, path in weights for k in range(1, len(path) + 1)},
+                   key=lambda path: (len(path), path))
+    index = {path: i for i, path in enumerate(nodes)}
+    levels = []
+    for depth in range(2, max(map(len, nodes), default=0) + 1):
+        level = [path for path in nodes if len(path) == depth]
+        levels.append((np.array([index[path[:-1]] for path in level]),
+                       np.array([path[-1] for path in level])))
+    scatter = np.zeros((len(targets), len(nodes)))
+    for (target, path), weight in weights.items():
+        scatter[target, index[path]] = weight
+    return tuple(levels), scatter
 
 
-def _run_plan(plan: tuple[_TermGroup, ...], sources: np.ndarray, links: np.ndarray,
-              reverse: bool) -> np.ndarray:
-    """Sum the plan's terms over (m, d, d) slot stacks: each term's head
-    matrix taken from `sources`, pushed through its ad-chain of `links`
-    matrices (in reverse for the inverse) and scattered into its target
-    slot.  With reverse the chain signs (-1)^L are undone, leaving the bare
-    counts."""
+def _run_trie(trie: tuple, sources: np.ndarray, links: np.ndarray) -> np.ndarray:
+    """The trie's terms over (m, d, d) slot stacks: depth 0 holds `sources`,
+    each deeper node is ad_{links[slot]} of its parent, and one matrix
+    product scatters the weighted nodes into their targets."""
+    levels, scatter = trie
     m, d, _ = sources.shape
-    out = np.zeros((m, d * d))
-    for group in plan:
-        acc = sources.take(group.heads, axis=0)
-        length = group.chains.shape[1]
-        for j in range(length):
-            s = links.take(group.chains[:, length - 1 - j if reverse else j], axis=0)
-            acc = s @ acc - acc @ s
-        terms = group.scatter @ acc.reshape(len(acc), d * d)
-        if reverse and length % 2:
-            out -= terms
-        else:
-            out += terms
-    return out.reshape(m, d, d)
+    nodes = scatter.shape[1]
+    buf = np.empty((nodes, d, d))
+    buf[:m] = sources
+    lo = m
+    for parents, slots in levels:
+        p = buf.take(parents, axis=0)
+        s = links.take(slots, axis=0)
+        np.subtract(s @ p, p @ s, out=buf[lo:lo + len(parents)])
+        lo += len(parents)
+    return (scatter @ buf.reshape(nodes, d * d)).reshape(m, d, d)
 
 
 def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
@@ -393,18 +393,18 @@ def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
         conj = np.linalg.solve(b.base, a.slots @ b.base)  # Ad_{y^-1} of every slot
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"base matrix is not invertible: {exc}") from exc
-    out = b.slots + _run_plan(_plan(kind, n), conj, b.slots, reverse=False)
+    out = b.slots + _run_trie(_trie(kind, n, False), conj, b.slots)
     return JetElement(a.group, a.base @ b.base, out, kind=kind, tol=max(a.tol, b.tol))
 
 
 def _invert(kind: str, n: int, a: JetElement) -> JetElement:
-    """The product's term table read off the element's own slots, chains in
+    """The product's terms read off the element's own slots, chains in
     reverse and unsigned, then conjugated back by the base and negated."""
     if a.kind != kind or a.order != n:
         article = "an" if kind == "iterated" else "a"
         raise DimensionError(f"expected {article} {kind} jet of order {n}")
     base_inv = _inverse(a.base)
-    out = _run_plan(_plan(kind, n), a.slots, a.slots, reverse=True)
+    out = _run_trie(_trie(kind, n, True), a.slots, a.slots)
     return JetElement(a.group, base_inv, -(a.base @ out @ base_inv), kind=kind, tol=a.tol)
 
 

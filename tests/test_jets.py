@@ -11,6 +11,7 @@ from unimech import (
     DimensionError,
     GroupMismatch,
     JetElement,
+    JetValidationError,
     SingularMatrix,
     act_and_twist,
     g4_embed,
@@ -32,6 +33,7 @@ from unimech import (
 )
 from unimech.jets import (
     _slot_index,
+    _trie,
     ad,
     algebra_residual,
     compositions,
@@ -434,7 +436,7 @@ def test_batched_kernels_match_the_per_term_oracle(kind, group, dim):
         mul, inv = tn_multiply, tn_inverse
     else:
         mul, inv = iterated_multiply, iterated_inverse
-    for order in (0, 1, 2, 3, 4):
+    for order in (0, 1, 2, 3, 4, 5) if kind == "tangent" else (0, 1, 2, 3, 4):
         for _ in range(3):
             a = random_jet(group, dim, order, kind=kind, rng=rng)
             b = random_jet(group, dim, order, kind=kind, rng=rng)
@@ -444,6 +446,37 @@ def test_batched_kernels_match_the_per_term_oracle(kind, group, dim):
             _assert_jets_close(
                 inv(order, a), _invert_one_term_at_a_time(kind, order, a), atol=1e-13
             )
+
+
+@pytest.mark.parametrize("kind", ["tangent", "iterated"])
+def test_term_trie_structure(kind):
+    # the trie holds exactly the oracle's terms, its nodes depth by depth
+    for n in range(6):
+        m = n if kind == "tangent" else 2**n - 1
+        for reverse in (False, True):
+            levels, scatter = _trie(kind, n, reverse)
+            assert scatter.shape[0] == m
+            paths = [(k,) for k in range(m)]  # depth 0: every slot heads a term
+            above, lo = 0, m
+            for parents, links in levels:
+                # each parent lies one depth up, so it precedes its node
+                assert np.all((above <= parents) & (parents < lo))
+                assert np.all((0 <= links) & (links < m))
+                paths += [paths[p] + (s,) for p, s in zip(parents, links)]
+                above, lo = lo, lo + len(parents)
+            assert len(paths) == scatter.shape[1] == len(set(paths))
+            got = {(t, paths[i]): w for (t, i), w in np.ndenumerate(scatter) if w}
+            want = Counter()
+            for target, count, chain, head in _terms_one_by_one(kind, n):
+                steps = chain[::-1] if reverse else chain
+                want[target, (head,) + steps] += count if reverse else (-1) ** len(chain) * count
+            assert got == dict(want)
+        # the unsigned counts of a target are its number of set partitions
+        counts = _trie(kind, n, True)[1].sum(axis=1)
+        sizes = range(1, n + 1) if kind == "tangent" else map(len, subsets_by_slot(n))
+        assert counts.tolist() == [BELL[k] for k in sizes]
+    if kind == "tangent":
+        assert sum(len(parents) for parents, _ in _trie(kind, 4, False)[0]) == 11
 
 
 def test_tn_to_iterated_is_a_homomorphism():
@@ -664,6 +697,53 @@ def test_jets_reject_non_finite_entries():
         doc = {"group": f"{group}3", "base": base.tolist(), "slots": [s.tolist() for s in slots]}
         with pytest.raises(ConfigError, match=f"^jet document: {where} has a non-finite entry$"):
             jet_from_doc(doc)
+
+
+def test_slots_are_judged_relative_to_their_scale():
+    # a product of slots of size ~100 carries rounding residuals of ~1e-9
+    # in its third slot: inside tol * max|x|, outside the bare tol
+    rng = np.random.default_rng(30)
+    for _ in range(20):
+        a, b = (random_jet("SO", 3, 3, rng=rng) for _ in range(2))
+        a, b = a.replace_slots(100.0 * a.slots), b.replace_slots(100.0 * b.slots)
+        prod = tn_multiply(3, a, b)
+        want = _multiply_one_term_at_a_time("tangent", 3, a, b)
+        np.testing.assert_allclose(prod.slots, want.slots, atol=1e-13 * np.abs(want.slots).max())
+    skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    bump = np.diag([0.0, 1.0, 0.0])  # x + x^T gains 2 * its weight
+    # a slot of size 1e6 is judged against 1e-10 * 1e6, one below size 1
+    # against the bare 1e-10
+    JetElement("SO", np.eye(3), [1e-3 * skew + 2.5e-11 * bump, 1e6 * skew + 2.5e-5 * bump])
+    with pytest.raises(JetValidationError, match=r"^slot 1 .* \(residual 0\.0002\)$"):
+        JetElement("SO", np.eye(3), [skew, 1e6 * skew + 1e-4 * bump])
+    with pytest.raises(JetValidationError, match=r"^slot 0 .* \(residual 2e-10\)$"):
+        JetElement("SO", np.eye(3), [1e-3 * skew + 1e-10 * bump, 1e6 * skew])
+
+
+def test_jet_validation_errors_name_where_and_residual():
+    eye = np.eye(3)
+    skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    shear = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    cases = [
+        (("SO", shear), "base", 0.5),
+        (("SO", np.diag([1.0, 1.0, -1.0])), "base", 2.0),
+        (("SL", 2.0 * np.eye(2)), "base", 3.0),
+        (("SO", eye, [skew, skew, skew + np.diag([0.0, 0.125, 0.0]), eye]), 2, 0.25),
+        (("SL", np.eye(2), [np.zeros((2, 2)), np.diag([1.0, 0.0])]), 1, 1.0),
+        (("GL", np.full((3, 3), np.inf)), "base", np.inf),
+        (("GL", eye, [skew, np.diag([1.0, np.nan, 0.0])]), 1, np.inf),
+    ]
+    for args, where, residual in cases:
+        with pytest.raises(JetValidationError) as err:
+            JetElement(*args)
+        assert err.value.where == where
+        assert err.value.residual == pytest.approx(residual)
+    with pytest.raises(SingularMatrix) as err:
+        JetElement("GL", np.zeros((3, 3)))
+    assert not isinstance(err.value, JetValidationError)
+    doc = {"group": "SO3", "base": shear.tolist(), "slots": []}
+    with pytest.raises(ConfigError, match=r"^jet document: base is not in SO\(3\)"):
+        jet_from_doc(doc)
 
 
 def test_jet_properties_and_immutability():
