@@ -63,9 +63,7 @@ from .models import (
     TokamakParams,
     build_model,
     kepler_algebra,
-    kepler_regression,
     tokamak_algebra,
-    tokamak_regression,
 )
 from .products import (
     AxiomReport,

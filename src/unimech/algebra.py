@@ -11,8 +11,10 @@ Conventions used throughout the package:
 Antisymmetry of c in its last two indices is enforced at construction (pass
 strict=False to build a deliberately broken tensor for diagnostics; validate()
 will report the violation).  The Jacobi identity is never enforced at
-construction -- validate() reports its residual so that near-miss tensors can
-be examined rather than rejected.
+construction -- validate() builds the Jacobiator and reports it, so that
+near-miss tensors can be examined rather than rejected.  It is judged against
+tol * max(1, max|c|)**2, the scale of its rounding error, so a large-scale
+basis is not read as a defect.
 """
 
 from __future__ import annotations
@@ -110,36 +112,49 @@ class LieAlgebra:
             return 0.0
         return float(np.max(np.abs(self.c + self.c.swapaxes(1, 2))))
 
-    def jacobi_residual(self) -> float:
-        """Max over basis triples of |[[e_i,e_j],e_l] + cyclic|."""
-        if self.dim == 0:
-            return 0.0
-        # t[k, l, i, j] = sum_m c[k, m, l] c[m, i, j], the (k, l)-(i, j) product of
-        # two flattenings: one BLAS matmul.  The cyclic sum runs over the last three
-        # axes, so their order does not change the maximum.
+    def jacobiator(self) -> np.ndarray:
+        """J[k, i, j, l] = ([[e_i, e_j], e_l] + cyclic)_k, over all basis triples."""
         n = self.dim
         c = self.c
-        t = (c.transpose(0, 2, 1).reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
-        cyc = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
-        return float(np.max(np.abs(cyc)))
+        # t[k, l, i, j] = sum_m c[k, m, l] c[m, i, j], the (k, l)-(i, j) product of
+        # two flattenings: one BLAS matmul.  Reordered to [[e_i, e_j], e_l]_k, its
+        # cyclic sum over (i, j, l) is the Jacobiator.
+        t = (c.transpose(0, 2, 1).reshape(n * n, n) @ c.reshape(n, n * n))
+        t = t.reshape(n, n, n, n).transpose(0, 2, 3, 1)
+        return t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
+
+    def jacobi_residual(self) -> float:
+        """Max over basis triples of |[[e_i,e_j],e_l] + cyclic|."""
+        return float(np.max(np.abs(self.jacobiator()), initial=0.0))
 
     def validate(self) -> "AlgebraReport":
+        """Antisymmetry against tol; the Jacobiator against
+        tol * max(1, max|c|)**2, the scale of a product of two brackets."""
         anti = self.antisymmetry_residual()
-        jac = self.jacobi_residual()
+        jacobiator = self.jacobiator()
+        jac = float(np.max(np.abs(jacobiator), initial=0.0))
+        jacobi_tol = self.tol * max(1.0, float(np.max(np.abs(self.c), initial=0.0))) ** 2
         return AlgebraReport(
             antisymmetry=anti,
             jacobi=jac,
             tol=self.tol,
-            ok=(anti <= self.tol and jac <= self.tol),
+            jacobi_tol=jacobi_tol,
+            ok=(anti <= self.tol and jac <= jacobi_tol),
+            jacobiator=jacobiator,
         )
 
 
 @dataclass(frozen=True)
 class AlgebraReport:
+    """Residuals of a structure tensor and the thresholds they were judged
+    against; `jacobiator` is the full J[k, i, j, l] behind `jacobi`."""
+
     antisymmetry: float
     jacobi: float
     tol: float
+    jacobi_tol: float
     ok: bool
+    jacobiator: np.ndarray = field(repr=False, compare=False)
 
 
 # -- constructions ------------------------------------------------------------

@@ -23,7 +23,6 @@ from unimech import (
     g4_embed,
     iterated_inverse,
     iterated_multiply,
-    kepler_regression,
     lp_field,
     partition_coefficient,
     preset,
@@ -36,11 +35,11 @@ from unimech import (
     third_order_product,
     tn_inverse,
     tn_multiply,
-    tokamak_regression,
     unit_jet,
     validate_axioms,
 )
 from unimech.jets import ad
+from model_equations import kepler_regression, tokamak_regression
 
 
 def _conclude(num: int, desc: str, ok: bool, detail: str = "") -> None:

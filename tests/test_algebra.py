@@ -11,6 +11,8 @@ from unimech import (
     abelian,
     algebra_from_doc,
     algebra_to_doc,
+    build_model,
+    compose_bracket,
     from_sparse_entries,
     load_algebra,
     preset,
@@ -330,3 +332,27 @@ def test_load_rejects_malformed_documents(tmp_path):
     listy.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="expected a JSON object"):
         load_algebra(listy)
+
+
+def _rebased(c, s, seed=0):
+    """c in the basis e'_i = sum_b P[b, i] e_b with P = s (I + 0.3 N)."""
+    n = c.shape[0]
+    p = s * (np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n)))
+    return np.einsum("ka,abd,bi,dj->kij", np.linalg.inv(p), c, p, p)
+
+
+def test_jacobi_is_judged_against_the_scale_of_the_structure():
+    # a large-scale basis of a Lie algebra leaves a Jacobi rounding residual
+    # far above the absolute tol, but tiny against max|c|**2
+    composed = compose_bracket(build_model("tokamak", {"base": "so3"}))
+    c = _rebased(composed.c, 1e3)
+    c = 0.5 * (c - c.swapaxes(1, 2))
+    report = LieAlgebra(composed.dim, c).validate()
+    assert report.jacobi > 1e-10
+    assert report.jacobi_tol == report.tol * np.max(np.abs(c)) ** 2
+    assert report.ok
+    # a relative defect of 1e-6 in one bracket at the same scale still fails
+    bent = c.copy()
+    bent[0, 1, 2] += 1e-6 * np.max(np.abs(c))
+    bent[0, 2, 1] -= 1e-6 * np.max(np.abs(c))
+    assert not LieAlgebra(composed.dim, bent).validate().ok

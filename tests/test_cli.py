@@ -38,7 +38,7 @@ def test_validate_kepler(capsys):
     assert main(["validate", "kepler", "--params", '{"e": 0.5}']) == 0
     out = capsys.readouterr().out
     assert "result: ok" in out
-    assert out.count("[ok]") == 9  # six axioms + h checks + composed jacobi
+    assert out.count("[ok]") == 10  # eight axioms + h antisymmetry + composed jacobi
     assert "axiom cocycle_jacobi" in out
 
 

@@ -12,14 +12,19 @@ from unimech import (
     compose_bracket,
     ep_field,
     kepler_algebra,
-    kepler_regression,
     lp_field,
     preset,
     tokamak_algebra,
-    tokamak_regression,
     validate_axioms,
 )
-from unimech.models import kepler_ep_rhs, kepler_lp_rhs, tokamak_ep_rhs, tokamak_lp_rhs
+from model_equations import (
+    kepler_ep_rhs,
+    kepler_lp_rhs,
+    kepler_regression,
+    tokamak_ep_rhs,
+    tokamak_lp_rhs,
+    tokamak_regression,
+)
 
 
 def _spd_spec(dim, rng):

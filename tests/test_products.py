@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from unimech import (
     LieAlgebra,
     UnifiedProductData,
     abelian,
+    build_model,
     coad,
     compose_bracket,
     from_subalgebra,
@@ -19,8 +21,10 @@ from unimech import (
     product_from_doc,
     product_to_doc,
     save_product,
+    third_order_product,
     validate_axioms,
 )
+from unimech.cli import main
 from unimech.models import KeplerParams, kepler_algebra
 from unimech.products import (
     act_star_h,
@@ -156,6 +160,8 @@ def test_axioms_pass_on_kepler():
         "twist_derivation",
         "m_jacobi",
         "cocycle_jacobi",
+        "action_representation",
+        "h_jacobi",
     }
 
 
@@ -224,6 +230,155 @@ def test_witness_matches_independent_argmax():
     labels = ("u1", "u2", "u3")
     assert report.witnesses["m_jacobi"] == tuple(labels[q] for q in idx)
     assert abs(report.residuals["m_jacobi"] - np.max(np.abs(by_hand))) < 1e-12
+
+
+def _axiom_residuals_by_einsum(d):
+    """Five axioms as hand-derived einsum identities in the structure maps:
+    the oracle for the Jacobiator blocks validate_axioms reads.  Each value
+    is (residual tensor, its "m"/"h" axes)."""
+    a, p, t, s, H = d.act, d.phi, d.theta, d.psi, d.h.c
+    # n|>phi(v1,v2) = phi(n|>v1, v2) + phi(v1, n|>v2) + psi(n,v1)|>v2 - psi(n,v2)|>v1
+    r2 = (
+        np.einsum("kam,mij->kaij", a, p)
+        - np.einsum("kmj,mai->kaij", p, a)
+        - np.einsum("kim,maj->kaij", p, a)
+        - np.einsum("kcj,cai->kaij", a, s)
+        + np.einsum("kci,caj->kaij", a, s)
+    )
+    # [n, theta(v1,v2)]_h = theta(n|>v1, v2) + theta(v1, n|>v2)
+    #   + psi(psi(n,v1), v2) - psi(psi(n,v2), v1) - psi(n, phi(v1,v2))
+    r3 = (
+        np.einsum("cad,dij->caij", H, t)
+        - np.einsum("cmj,mai->caij", t, a)
+        - np.einsum("cim,maj->caij", t, a)
+        - np.einsum("cdj,dai->caij", s, s)
+        + np.einsum("cdi,daj->caij", s, s)
+        + np.einsum("cam,mij->caij", s, p)
+    )
+    # psi([n1,n2], v) = [n1, psi(n2,v)] + [psi(n1,v), n2] + psi(n1, n2|>v) - psi(n2, n1|>v)
+    r4 = (
+        np.einsum("cdj,dab->cabj", s, H)
+        - np.einsum("cad,dbj->cabj", H, s)
+        - np.einsum("cdb,daj->cabj", H, s)
+        - np.einsum("cam,mbj->cabj", s, a)
+        + np.einsum("cbm,maj->cabj", s, a)
+    )
+    # cyclic sum of phi(phi(v1,v2), v3) + theta(v1,v2)|>v3 = 0
+    j5 = np.einsum("kml,mij->kijl", p, p) + np.einsum("kcl,cij->kijl", a, t)
+    r5 = j5 + j5.transpose(0, 2, 3, 1) + j5.transpose(0, 3, 1, 2)
+    # cyclic sum of psi(theta(v1,v2), v3) + theta(phi(v1,v2), v3) = 0
+    j6 = np.einsum("cdl,dij->cijl", s, t) + np.einsum("cml,mij->cijl", t, p)
+    r6 = j6 + j6.transpose(0, 2, 3, 1) + j6.transpose(0, 3, 1, 2)
+    return {
+        "action_derivation": (r2, "mhmm"),
+        "cocycle_action_compat": (r3, "hhmm"),
+        "twist_derivation": (r4, "hhhm"),
+        "m_jacobi": (r5, "mmmm"),
+        "cocycle_jacobi": (r6, "hmmm"),
+    }
+
+
+def _perturbed(d, seed, scale):
+    """d with dense random noise of the given scale on phi, theta, act and
+    psi, phi and theta kept antisymmetric."""
+    rng = np.random.default_rng(seed)
+    noise = {name: scale * rng.standard_normal(getattr(d, name).shape)
+             for name in ("phi", "theta", "act", "psi")}
+    for name in ("phi", "theta"):
+        noise[name] = noise[name] - noise[name].swapaxes(1, 2)
+    return dataclasses.replace(d, **{k: getattr(d, k) + v for k, v in noise.items()})
+
+
+_ORACLE_MODELS = {
+    "kepler": lambda: kepler_algebra(KeplerParams(e=1.0, m=1.5)),
+    "tokamak/so3": lambda: build_model("tokamak", {"base": "so3", "b_i": 0.5}),
+    "tokamak/sl2": lambda: build_model("tokamak", {"base": "sl2", "b_i": 1.0}),
+    "third_order/so3": lambda: third_order_product(preset("so3")),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_ORACLE_MODELS))
+@pytest.mark.parametrize("scale", [0.0, 1e-6, 0.3])
+def test_jacobiator_blocks_match_the_einsum_oracle(model, scale):
+    """Each hand-derived axiom is one block of the composed Jacobiator: same
+    maximum, and the witness sits on a maximal oracle entry."""
+    for seed in range(3):
+        d = _perturbed(_ORACLE_MODELS[model](), seed, scale)
+        report = validate_axioms(d)
+        offset = {"m": 0, "h": d.dim_m}
+        for name, (want, axes) in _axiom_residuals_by_einsum(d).items():
+            peak = float(np.max(np.abs(want)))
+            np.testing.assert_allclose(report.residuals[name], peak, rtol=1e-12, atol=1e-14)
+            idx = tuple(d.labels.index(label) - offset[a]
+                        for label, a in zip(report.witnesses[name], axes))
+            assert abs(want[idx]) >= peak * (1 - 1e-12) - 1e-14, (name, idx)
+
+
+def _twice_adjoint():
+    """so3 acting on R^3 by twice its adjoint action: every hand-derived
+    axiom holds, but 2 ad is no representation, so the bracket is not Lie."""
+    h = preset("so3")
+    return UnifiedProductData(
+        dim_m=3, h=h, act=2.0 * h.c, phi=np.zeros((3, 3, 3)),
+        theta=np.zeros((3, 3, 3)), psi=np.zeros((3, 3, 3)),
+    )
+
+
+def test_twice_the_adjoint_action_is_rejected():
+    d = _twice_adjoint()
+    assert all(np.max(np.abs(r)) == 0.0 for r, _ in _axiom_residuals_by_einsum(d).values())
+    report = validate_axioms(d)
+    assert not report.ok
+    assert report.residuals["action_representation"] == 2.0
+    assert len(report.witnesses["action_representation"]) == 4
+    assert report.jacobi == compose_bracket(d).jacobi_residual() == 2.0
+
+
+def test_cli_names_the_failed_representation_axiom(tmp_path, capsys):
+    path = tmp_path / "twice_adjoint.json"
+    save_product(_twice_adjoint(), path)
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert re.search(
+        r"^axiom action_representation +residual 2\.000e\+00  \[FAIL\]"
+        r"  worst at \((\w+,){3}\w+\)$", out, re.MULTILINE
+    ), out
+    assert "result: FAIL" in out
+
+
+_PROPERTY_MODELS = (
+    lambda: kepler_algebra(KeplerParams(e=0.7)),
+    lambda: build_model("tokamak", {"base": "sl2", "b_i": 0.5}),
+    lambda: build_model("tokamak", {"base": "heisenberg", "b_i": 1.0}),
+    lambda: third_order_product(preset("sl2")),
+    lambda: from_subalgebra(preset("so3")),
+    _twice_adjoint,
+    lambda: _random_product(3, 2, 2),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    model=st.integers(0, len(_PROPERTY_MODELS) - 1),
+    target=st.sampled_from(["phi", "theta", "act", "psi", "h"]),
+    scale=st.sampled_from([0.0, 1e-13, 1e-11, 1e-8, 1e-2]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_axioms_hold_iff_the_composed_bracket_is_lie(model, target, scale, seed):
+    d = _PROPERTY_MODELS[model]()
+    noise = scale * np.random.default_rng(seed).standard_normal(
+        (d.h.c if target == "h" else getattr(d, target)).shape
+    )
+    if target in ("phi", "theta", "h"):
+        noise = noise - noise.swapaxes(1, 2)
+    if target == "h":
+        d = dataclasses.replace(d, h=LieAlgebra(d.dim_h, d.h.c + noise, labels=d.h.labels))
+    else:
+        d = dataclasses.replace(d, **{target: getattr(d, target) + noise})
+    report = validate_axioms(d)
+    composed = compose_bracket(d).validate()
+    assert report.ok == composed.ok
+    np.testing.assert_allclose(report.jacobi, composed.jacobi, rtol=1e-12, atol=0.0)
 
 
 def test_from_subalgebra_is_degenerate_but_consistent():
