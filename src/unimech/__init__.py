@@ -40,18 +40,16 @@ from .errors import (
 )
 from .jets import (
     JetElement,
-    act_and_twist,
-    g4_embed,
+    complement_embed,
+    iterated_factorize,
     iterated_inverse,
     iterated_multiply,
     jet_from_doc,
     jet_to_doc,
     load_jet,
     partition_coefficient,
-    quad_product_parts,
     random_jet,
     save_jet,
-    t3_embed,
     t3_factorize,
     tn_inverse,
     tn_multiply,

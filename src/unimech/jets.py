@@ -30,6 +30,12 @@ scatters it with one matrix product; the inverse runs the reversed,
 unsigned trie off the element's own slots.  Every JetElement, products and
 inverses included, is validated on construction, each check one reduction
 over the base or the slot stack when it holds.
+
+Every iterated jet factorizes as complement_embed(n, q) * tn_to_iterated(t):
+q puts 2^n - 1 - n algebra elements on each slot but the top subsets
+{n-k+1..n}, over the identity.  iterated_factorize solves for (q, t) level
+by level on the same trie.  The cocycle gamma(qa, qb) of the matched pair is
+the T^nG part t of the product of two embedded complements.
 """
 
 from __future__ import annotations
@@ -74,11 +80,9 @@ __all__ = [
     "iterated_multiply",
     "iterated_inverse",
     "tn_to_iterated",
-    "t3_embed",
-    "g4_embed",
+    "complement_embed",
+    "iterated_factorize",
     "t3_factorize",
-    "quad_product_parts",
-    "act_and_twist",
     "random_jet",
     "jet_to_doc",
     "jet_from_doc",
@@ -386,15 +390,20 @@ def _run_trie(trie: tuple, sources: np.ndarray, links: np.ndarray) -> np.ndarray
     return (scatter @ buf.reshape(nodes, d * d)).reshape(m, d, d)
 
 
-def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
-    """(x, X) * (y, Y): Y plus the signed, counted ad_Y-chains of Ad_{y^-1} X."""
-    _check_pair(a, b, kind, n)
+def _product_slots(kind: str, n: int, a: JetElement, b: JetElement) -> np.ndarray:
+    """Slots of (x, X) * (y, Y): Y plus the signed, counted ad_Y-chains of
+    Ad_{y^-1} X."""
     try:
         conj = np.linalg.solve(b.base, a.slots @ b.base)  # Ad_{y^-1} of every slot
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix(f"base matrix is not invertible: {exc}") from exc
-    out = b.slots + _run_trie(_trie(kind, n, False), conj, b.slots)
-    return JetElement(a.group, a.base @ b.base, out, kind=kind, tol=max(a.tol, b.tol))
+    return b.slots + _run_trie(_trie(kind, n, False), conj, b.slots)
+
+
+def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
+    _check_pair(a, b, kind, n)
+    return JetElement(a.group, a.base @ b.base, _product_slots(kind, n, a, b), kind=kind,
+                      tol=max(a.tol, b.tol))
 
 
 def _invert(kind: str, n: int, a: JetElement) -> JetElement:
@@ -441,90 +450,77 @@ def tn_to_iterated(j: JetElement) -> JetElement:
     return JetElement(j.group, j.base, slots, kind="iterated", tol=j.tol)
 
 
-def t3_embed(j: JetElement) -> JetElement:
-    """Embed a third-order tangent jet into the triple iterated bundle,
-    slot pattern (xi1, xi1, xi2, xi1, xi2, xi2, xi3)."""
-    if j.order != 3:
-        raise DimensionError(f"expected order 3, got {j.order}")
-    return tn_to_iterated(j)
+@lru_cache(maxsize=None)
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per slot its subset size; the slot of each top subset {n-k+1..n},
+    k = 1..n; and every other slot, in slot order."""
+    sizes = np.array([len(subset) for subset in subsets_by_slot(n)], dtype=int)
+    tops = np.array([2**n - 2 ** (n - k) - 1 for k in range(1, n + 1)], dtype=int)
+    return sizes, tops, np.setdiff1d(np.arange(2**n - 1), tops)
 
 
-def g4_embed(
-    x1: np.ndarray,
-    x2: np.ndarray,
-    x21: np.ndarray,
-    x31: np.ndarray,
-    group: str = "GL",
-    tol: float | None = None,
+def complement_embed(
+    n: int, q: np.ndarray, group: str = "GL", tol: float | None = None
 ) -> JetElement:
-    """Embed a quadruple of algebra elements into the triple iterated bundle
-    over the identity, slot pattern (X1, X2, X21, 0, X31, 0, 0)."""
-    x1 = np.asarray(x1, dtype=float)
-    d = x1.shape[0]
-    zero = np.zeros((d, d))
-    slots = (x1, x2, x21, zero, x31, zero, zero)
-    kw = {} if tol is None else {"tol": tol}
-    return JetElement(group, np.eye(d), slots, kind="iterated", **kw)
+    """Embed 2^n - 1 - n algebra elements into the n-fold iterated bundle
+    over the identity: q fills every slot but the top subsets {n-k+1..n},
+    in slot order.  For n = 3 the slots are (X1, X2, X21, 0, X31, 0, 0)."""
+    q = np.asarray(q, dtype=float)
+    count = 2**n - 1 - n
+    if q.ndim != 3 or len(q) != count or q.shape[1] != q.shape[2]:
+        raise DimensionError(f"order {n} needs {count} square algebra elements, "
+                             f"got shape {q.shape}")
+    slots = np.zeros((2**n - 1,) + q.shape[1:])
+    slots[_layout(n)[2]] = q
+    return JetElement(group, np.eye(q.shape[1]), slots, kind="iterated",
+                      tol=default_tol() if tol is None else tol)
+
+
+def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
+    """Split an n-fold iterated jet as complement_embed(n, q) * tn_to_iterated(t).
+
+    Returns (q, t), t a tangent jet of order n over the base x of j.  Slot A
+    of the product is T_A + W_A + linked_A, with W = Ad_{x^-1} q, T the slots
+    of tn_to_iterated(t) and the linked terms (two or more blocks) reading
+    only smaller subsets.  So the levels solve in turn: one trie run gives
+    the linked terms of size k, the top subset gives t_k and the other
+    size-k subsets their W.
+
+    The round trip must hold to max(tol, 1e-10) * max(1, max|base|,
+    max|slots|) of j, else FactorizationError.  Its slots are compared, not
+    validated as a jet: close to j they lie in the algebra as j does, while
+    a jet check would judge the rounding of the factors' larger slots
+    against each output slot's own size.
+    """
+    if j.kind != "iterated" or j.order != n:
+        raise DimensionError(f"expected an iterated jet of order {n}")
+    s, x = j.slots, j.base
+    sizes, tops, free = _layout(n)
+    trie = _trie("iterated", n, False)
+    w = np.zeros_like(s)  # Ad_{x^-1} q
+    tt = np.zeros_like(s)  # tn_to_iterated(t).slots
+    rest = s  # the slots less their linked terms; level 1 has none
+    for k, top in enumerate(tops, start=1):
+        if k > 1:
+            rest = s - (_run_trie(trie, w, tt) - w)
+        level = sizes == k
+        tt[level] = rest[top]
+        w[level] = rest[level] - rest[top]  # exactly zero on the top slot
+    q = x @ w[free] @ _inverse(x)
+    t = JetElement(j.group, x, tt[tops], kind="tangent", tol=j.tol)
+    recon = _product_slots(  # over the base I @ x == x
+        "iterated", n, complement_embed(n, q, group=j.group, tol=j.tol), tn_to_iterated(t)
+    )
+    err = float(_max_abs(recon - s).max(initial=0.0))
+    limit = max(j.tol, 1e-10) * float(max(1.0, _max_abs(x), _max_abs(s).max(initial=0.0)))
+    if not err <= limit:
+        raise FactorizationError(f"round-trip residual {err:.3g} exceeds {limit:.3g}")
+    return q, t
 
 
 def t3_factorize(j: JetElement) -> tuple[np.ndarray, JetElement]:
-    """Split a triple-iterated jet as (embedded quadruple) * (embedded T^3G).
-
-    Returns (quad, t) with quad an array of the four algebra elements
-    (X1, X2, X21, X31) and t a tangent jet of order 3 over the same base, so
-    that iterated_multiply(3, g4_embed(*quad), t3_embed(t)) reproduces the
-    input.  The round trip is verified; FactorizationError means the
-    reconstruction missed, which cannot happen for a genuine triple jet.
-    """
-    if j.kind != "iterated" or j.order != 3:
-        raise DimensionError("expected an iterated jet of order 3")
-    s = j.slots  # order: 1, 2, 21, 3, 31, 32, 321
-    x = j.base
-    x_inv = _inverse(x)
-
-    def push(z: np.ndarray) -> np.ndarray:  # Ad_x
-        return x @ z @ x_inv
-
-    t1 = s[3]
-    t2 = s[5]
-    t3 = s[6] + ad(s[3], s[4] - s[5])
-    quad = np.stack(
-        [
-            push(s[0] - s[3]),
-            push(s[1] - s[3]),
-            push(s[2] - s[5] + ad(s[3], s[1] - s[3])),
-            push(s[4] - s[5]),
-        ]
-    )
-    t = JetElement(j.group, x, (t1, t2, t3), kind="tangent", tol=j.tol)
-    recon = iterated_multiply(3, g4_embed(*quad, group=j.group, tol=j.tol), t3_embed(t))
-    err = max(
-        float(np.max(np.abs(recon.base - j.base))),
-        float(np.max(np.abs(recon.slots - j.slots))),
-    )
-    if err > max(j.tol, 1e-10):
-        raise FactorizationError(f"round-trip residual {err:.3g} exceeds tolerance")
-    return quad, t
-
-
-def quad_product_parts(
-    quad_a: np.ndarray, quad_b: np.ndarray, group: str = "GL"
-) -> tuple[np.ndarray, JetElement]:
-    """Multiply two embedded quadruples and factorize the result.
-
-    The quad part is the twisted sum of the two quadruples; the tangent part
-    is the group cocycle of the decomposition (base identity, first two
-    slots zero for genuine quadruples)."""
-    prod = iterated_multiply(3, g4_embed(*quad_a, group=group), g4_embed(*quad_b, group=group))
-    return t3_factorize(prod)
-
-
-def act_and_twist(t: JetElement, quad: np.ndarray) -> tuple[np.ndarray, JetElement]:
-    """Move an embedded quadruple across an embedded third-order jet:
-    factorize t * quad as quad' * t'.  Returns (quad', t'), the action on
-    the quadruple and the twisted jet."""
-    prod = iterated_multiply(3, t3_embed(t), g4_embed(*quad, group=t.group, tol=t.tol))
-    return t3_factorize(prod)
+    """iterated_factorize at order 3: q is (X1, X2, X21, X31)."""
+    return iterated_factorize(3, j)
 
 
 # -- sampling and serialization ----------------------------------------------

@@ -103,10 +103,14 @@ class UnifiedProductData:
         return self.m_labels + self.h.labels
 
     @cached_property
+    def composed(self) -> LieAlgebra:
+        """compose_bracket(self), built once per structure."""
+        return compose_bracket(self)
+
+    @property
     def field_tensor(self) -> np.ndarray:
-        """compose_bracket(self).field_tensor, built once: the composed
-        coadjoint as one (dim, dim*dim) contraction."""
-        return compose_bracket(self).field_tensor
+        """The composed coadjoint as one (dim, dim*dim) contraction."""
+        return self.composed.field_tensor
 
 
 def from_subalgebra(h: LieAlgebra) -> UnifiedProductData:
@@ -198,11 +202,10 @@ def validate_axioms(d: UnifiedProductData) -> AxiomReport:
     """Evaluate the compatibility axioms of the structure maps.
 
     Residuals are max-abs over all basis tuples.  Besides the antisymmetry
-    of phi and theta, each axiom is one block of the Jacobiator of
-    compose_bracket(d), so `.ok` holds iff the composed bracket is a Lie
-    algebra.
+    of phi and theta, each axiom is one block of the Jacobiator of the
+    composed bracket d.composed, so `.ok` holds iff it is a Lie algebra.
     """
-    composed = compose_bracket(d).validate()
+    composed = d.composed.validate()
     labels = d.labels
     span = {"m": slice(0, d.dim_m), "h": slice(d.dim_m, d.dim)}
     res: dict[str, float] = {}

@@ -17,24 +17,24 @@ from unimech import (
     EnergySpec,
     build_model,
     coad,
+    complement_embed,
     compose_bracket,
     ep3_field,
     ep_field,
-    g4_embed,
+    iterated_factorize,
     iterated_inverse,
     iterated_multiply,
     lp_field,
     partition_coefficient,
     preset,
-    quad_product_parts,
     random_jet,
     rk4,
-    t3_embed,
     t3_factorize,
     third_order_identity_residual,
     third_order_product,
     tn_inverse,
     tn_multiply,
+    tn_to_iterated,
     unit_jet,
     validate_axioms,
 )
@@ -275,7 +275,7 @@ def test_criterion_6_factorization_round_trips_and_cocycle_slots():
     for _ in range(100):
         j = random_jet("GL", 3, 3, kind="iterated", rng=rng)
         quad, t = t3_factorize(j)
-        recon = iterated_multiply(3, g4_embed(*quad, tol=j.tol), t3_embed(t))
+        recon = iterated_multiply(3, complement_embed(3, quad, tol=j.tol), tn_to_iterated(t))
         worst_rt = max(
             worst_rt,
             float(np.max(np.abs(recon.base - j.base))),
@@ -285,7 +285,9 @@ def test_criterion_6_factorization_round_trips_and_cocycle_slots():
     for _ in range(20):
         qa = rng.standard_normal((4, 3, 3))
         qb = rng.standard_normal((4, 3, 3))
-        _, gamma = quad_product_parts(qa, qb)
+        _, gamma = iterated_factorize(
+            3, iterated_multiply(3, complement_embed(3, qa), complement_embed(3, qb))
+        )
         worst_gamma = max(
             worst_gamma,
             float(np.max(np.abs(gamma.slots[0]))),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from unimech import build_model, save_algebra, save_product, preset
-from unimech import cli
+from unimech import cli, products
 from unimech.cli import main
 
 
@@ -215,6 +215,26 @@ def test_run_is_deterministic(tmp_path, capsys):
         outputs.append((csv_path.read_bytes(), json_path.read_bytes()))
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("model,dynamics,dim", [
+    ("so3", "lp", 3), ({"name": "kepler", "params": {"e": 0.5}}, "ep", 6)], ids=["so3", "kepler"])
+def test_run_composes_the_structure_once(tmp_path, capsys, monkeypatch, model, dynamics, dim):
+    # validation and the flow share one composed tensor per run
+    calls = []
+    compose = products.compose_bracket
+
+    def counted(d):
+        calls.append(d)
+        return compose(d)
+
+    monkeypatch.setattr(products, "compose_bracket", counted)
+    cfg = _write_config(tmp_path, model=model, dynamics=dynamics, energy=None,
+                        initial=[0.1] * dim, integrator={"h": 1e-3, "steps": 20})
+    for runs in (1, 2):
+        assert main(["run", str(cfg)]) == 0
+        assert len(calls) == runs
+    capsys.readouterr()
 
 
 def test_run_validates_before_integrating(tmp_path, capsys):

@@ -9,28 +9,28 @@ from hypothesis import strategies as st
 from unimech import (
     ConfigError,
     DimensionError,
+    FactorizationError,
     GroupMismatch,
     JetElement,
     JetValidationError,
     SingularMatrix,
-    act_and_twist,
-    g4_embed,
+    complement_embed,
+    iterated_factorize,
     iterated_inverse,
     iterated_multiply,
     jet_from_doc,
     jet_to_doc,
     load_jet,
     partition_coefficient,
-    quad_product_parts,
     random_jet,
     save_jet,
-    t3_embed,
     t3_factorize,
     tn_inverse,
     tn_multiply,
     tn_to_iterated,
     unit_jet,
 )
+from unimech import jets
 from unimech.jets import (
     _slot_index,
     _trie,
@@ -334,14 +334,17 @@ def test_jet_group_laws_property(seed, group_dim, order, kind, scale):
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     group_dim=st.sampled_from(_GROUPS),
+    order=st.integers(min_value=1, max_value=4),
     scale=st.floats(min_value=0.05, max_value=0.5),
 )
-def test_t3_factorize_round_trip_property(seed, group_dim, scale):
+def test_iterated_factorize_round_trip_property(seed, group_dim, order, scale):
     group, dim = group_dim
-    j = random_jet(group, dim, 3, kind="iterated", rng=np.random.default_rng(seed), scale=scale)
-    quad, t = t3_factorize(j)
-    assert t.group == group and t.kind == "tangent" and t.order == 3
-    recon = iterated_multiply(3, g4_embed(*quad, group=group, tol=j.tol), t3_embed(t))
+    rng = np.random.default_rng(seed)
+    j = random_jet(group, dim, order, kind="iterated", rng=rng, scale=scale)
+    q, t = iterated_factorize(order, j)
+    assert t.group == group and t.kind == "tangent" and t.order == order
+    recon = iterated_multiply(order, complement_embed(order, q, group=group, tol=j.tol),
+                              tn_to_iterated(t))
     _assert_jets_close(recon, j, atol=1e-10)
 
 
@@ -496,34 +499,76 @@ def test_tn_to_iterated_is_a_homomorphism():
         tn_to_iterated(unit_jet("SO", 3, 2, kind="iterated"))
 
 
+def _t3_factorize_by_hand(j):
+    """The order-3 factorization j = complement_embed(3, q) * tn_to_iterated(t)
+    with its slot formulas derived by hand.  Returns q = (X1, X2, X21, X31)
+    and the tangent slots (t1, t2, t3)."""
+    s = j.slots  # order: 1, 2, 21, 3, 31, 32, 321
+    x = j.base
+    push = lambda z: x @ z @ np.linalg.inv(x)  # Ad_x
+    t = np.stack([s[3], s[5], s[6] + ad(s[3], s[4] - s[5])])
+    q = np.stack([
+        push(s[0] - s[3]),
+        push(s[1] - s[3]),
+        push(s[2] - s[5] + ad(s[3], s[1] - s[3])),
+        push(s[4] - s[5]),
+    ])
+    return q, t
+
+
+def _complement_product(n, qa, qb, group="GL"):
+    return iterated_multiply(n, complement_embed(n, qa, group=group),
+                             complement_embed(n, qb, group=group))
+
+
 def test_t3_embed_slot_pattern():
+    # T^3G sits in the triple bundle as (xi1, xi1, xi2, xi1, xi2, xi2, xi3)
     rng = np.random.default_rng(19)
     j = random_jet("SL", 2, 3, rng=rng)
-    emb = t3_embed(j)
+    emb = tn_to_iterated(j)
     assert emb.kind == "iterated" and emb.order == 3
     xi1, xi2, xi3 = j.slots
     for got, want in zip(emb.slots, (xi1, xi1, xi2, xi1, xi2, xi2, xi3)):
         np.testing.assert_allclose(got, want)
-    with pytest.raises(DimensionError, match="order 3"):
-        t3_embed(random_jet("SL", 2, 2, rng=rng))
 
 
 def test_g4_embed_layout():
+    # the order-3 complement g^4 sits in the triple bundle as (X1, X2, X21, 0, X31, 0, 0)
     rng = np.random.default_rng(20)
-    x1, x2, x21, x31 = rng.standard_normal((4, 3, 3))
-    emb = g4_embed(x1, x2, x21, x31)
+    q = rng.standard_normal((4, 3, 3))
+    x1, x2, x21, x31 = q
+    emb = complement_embed(3, q)
     assert emb.kind == "iterated" and emb.order == 3
     np.testing.assert_allclose(emb.base, np.eye(3))
     zero = np.zeros((3, 3))
     for got, want in zip(emb.slots, (x1, x2, x21, zero, x31, zero, zero)):
         np.testing.assert_allclose(got, want)
     _assert_jets_close(
-        g4_embed(zero, zero, zero, zero),
+        complement_embed(3, np.zeros((4, 3, 3))),
         unit_jet("GL", 3, 3, kind="iterated"),
         atol=0.0,
     )
     with pytest.raises(ValueError, match="Lie algebra"):
-        g4_embed(np.eye(3), zero, zero, zero, group="SO")
+        complement_embed(3, np.stack([np.eye(3), zero, zero, zero]), group="SO")
+
+
+def test_complement_embed_layout_at_every_order():
+    # q fills the slots of every subset but {n-k+1..n}, in slot order
+    rng = np.random.default_rng(26)
+    for n in range(1, 6):
+        q = rng.standard_normal((2**n - 1 - n, 2, 2))
+        emb = complement_embed(n, q, group="GL")
+        np.testing.assert_array_equal(emb.base, np.eye(2))
+        tops = {tuple(range(n - k + 1, n + 1)) for k in range(1, n + 1)}
+        free = [i for i, subset in enumerate(subsets_by_slot(n)) if subset not in tops]
+        np.testing.assert_array_equal(emb.slots[free], q)
+        assert not np.any(np.delete(emb.slots, free, axis=0))
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (2, 0), (2, 2), (3, 3), (3, 5), (4, 4)])
+def test_complement_embed_rejects_a_wrong_count(n, count):
+    with pytest.raises(DimensionError, match=f"order {n} needs {2**n - 1 - n}"):
+        complement_embed(n, np.zeros((count, 3, 3)))
 
 
 @pytest.mark.parametrize("group,dim", [("GL", 3), ("SO", 3), ("SL", 2)])
@@ -535,28 +580,58 @@ def test_t3_factorize_round_trips(group, dim):
         assert quad.shape == (4, dim, dim)
         assert t.kind == "tangent" and t.order == 3
         np.testing.assert_allclose(t.base, j.base)
-        recon = iterated_multiply(
-            3, g4_embed(*quad, group=group, tol=j.tol), t3_embed(t)
-        )
-        _assert_jets_close(recon, j, atol=1e-10)
+        embedded = (complement_embed(3, quad, group=group, tol=j.tol), tn_to_iterated(t))
+        _assert_jets_close(iterated_multiply(3, *embedded), j, atol=1e-10)
         # and through the longhand product, so the check does not lean on
         # the same multiply routine the factorization itself used
-        base, slots = _iterated3_by_hand(g4_embed(*quad, group=group, tol=j.tol), t3_embed(t))
+        base, slots = _iterated3_by_hand(*embedded)
         np.testing.assert_allclose(base, j.base, atol=1e-10)
         np.testing.assert_allclose(np.stack(slots), j.slots, atol=1e-10)
 
 
-def test_t3_factorize_on_the_pure_pieces():
-    rng = np.random.default_rng(22)
-    t = random_jet("SO", 3, 3, rng=rng)
-    quad, t_back = t3_factorize(t3_embed(t))
-    np.testing.assert_allclose(quad, 0.0, atol=1e-12)
-    _assert_jets_close(t_back, t, atol=1e-12)
+@pytest.mark.parametrize("group,dim", [("GL", 3), ("SO", 3), ("SL", 2)])
+def test_iterated_factorize_matches_the_hand_formulas_at_order_3(group, dim):
+    rng = np.random.default_rng(27)
+    for _ in range(10):
+        j = random_jet(group, dim, 3, kind="iterated", rng=rng)
+        q, t = iterated_factorize(3, j)
+        q_hand, t_hand = _t3_factorize_by_hand(j)
+        np.testing.assert_allclose(q, q_hand, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(t.slots, t_hand, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(t.base, j.base)
+        q3, t3 = t3_factorize(j)
+        np.testing.assert_array_equal(q3, q)
+        np.testing.assert_array_equal(t3.slots, t.slots)
 
-    q = rng.standard_normal((4, 3, 3))
-    quad_back, t_part = t3_factorize(g4_embed(*q))
-    np.testing.assert_allclose(quad_back, q, atol=1e-12)
-    _assert_jets_close(t_part, unit_jet("GL", 3, 3), atol=1e-12)
+
+@pytest.mark.parametrize("group,dim", [("GL", 3), ("SO", 3), ("SL", 2)])
+def test_iterated_factorize_round_trips(group, dim):
+    rng = np.random.default_rng(28)
+    for n in range(1, 6):
+        for _ in range(3):
+            j = random_jet(group, dim, n, kind="iterated", rng=rng)
+            q, t = iterated_factorize(n, j)
+            assert q.shape == (2**n - 1 - n, dim, dim)
+            assert t.group == group and t.kind == "tangent" and t.order == n
+            np.testing.assert_array_equal(t.base, j.base)
+            recon = iterated_multiply(n, complement_embed(n, q, group=group, tol=j.tol),
+                                      tn_to_iterated(t))
+            _assert_jets_close(recon, j, atol=1e-10)
+
+
+def test_iterated_factorize_on_the_pure_pieces():
+    # T^nG factorizes as (0, t) and the complement as (q, unit), at every order
+    rng = np.random.default_rng(22)
+    for n in range(1, 6):
+        t = random_jet("SO", 3, n, rng=rng)
+        q, t_back = iterated_factorize(n, tn_to_iterated(t))
+        np.testing.assert_allclose(q, 0.0, atol=1e-12)
+        _assert_jets_close(t_back, t, atol=1e-12)
+
+        q = rng.standard_normal((2**n - 1 - n, 3, 3))
+        q_back, t_part = iterated_factorize(n, complement_embed(n, q))
+        np.testing.assert_allclose(q_back, q, atol=1e-12)
+        _assert_jets_close(t_part, unit_jet("GL", 3, n), atol=1e-12)
 
 
 def test_t3_factorize_rejects_other_layouts():
@@ -566,11 +641,44 @@ def test_t3_factorize_rejects_other_layouts():
         t3_factorize(unit_jet("SO", 3, 2, kind="iterated"))
 
 
+@pytest.mark.parametrize("scale", [1e3, 1e4])
+@pytest.mark.parametrize("group,dim", [("GL", 3), ("SO", 3), ("SL", 2)])
+def test_factorization_judges_the_round_trip_against_the_jet_scale(group, dim, scale):
+    # rounding in the reconstruction grows with the slots; a valid jet of
+    # any size must still factorize
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        j = random_jet(group, dim, 3, kind="iterated", rng=rng)
+        j = j.replace_slots(scale * j.slots)
+        q, t = t3_factorize(j)
+        # the longhand product: a validated one may reject the factors' product
+        # (their slots grow like powers of the jet's, see ROADMAP item 3)
+        base, slots = _iterated3_by_hand(complement_embed(3, q, group=group, tol=j.tol),
+                                         tn_to_iterated(t))
+        size = max(1.0, np.max(np.abs(j.base)), np.max(np.abs(j.slots)))
+        np.testing.assert_allclose(base, j.base, rtol=0, atol=1e-10 * size)
+        np.testing.assert_allclose(np.stack(slots), j.slots, rtol=0, atol=1e-10 * size)
+
+
+def test_factorization_raises_when_the_round_trip_misses(monkeypatch):
+    product_slots = jets._product_slots
+
+    def off_by_1e_6(*args):
+        slots = product_slots(*args)
+        slots[-1] += 1e-6
+        return slots
+
+    monkeypatch.setattr(jets, "_product_slots", off_by_1e_6)
+    j = random_jet("GL", 3, 3, kind="iterated", rng=np.random.default_rng(30))
+    with pytest.raises(FactorizationError, match=r"round-trip residual 1e-06 exceeds"):
+        iterated_factorize(3, j)
+
+
 def test_quad_product_twisted_sum_and_cocycle():
     rng = np.random.default_rng(23)
     A = rng.standard_normal((4, 3, 3))
     B = rng.standard_normal((4, 3, 3))
-    phi, gamma = quad_product_parts(A, B)
+    phi, gamma = iterated_factorize(3, _complement_product(3, A, B))
     expected = np.stack(
         [A[0] + B[0], A[1] + B[1], A[2] + B[2] - ad(B[0], A[1]), A[3] + B[3]]
     )
@@ -582,14 +690,27 @@ def test_quad_product_twisted_sum_and_cocycle():
     assert np.max(np.abs(ad(B[1], A[3]))) > 1e-3
 
 
+def test_cocycle_lies_over_the_identity_with_a_zero_first_slot():
+    # gamma(qa, qb), the T^nG part of a product of two complements
+    rng = np.random.default_rng(31)
+    for n in range(2, 6):
+        qa, qb = rng.standard_normal((2, 2**n - 1 - n, 3, 3))
+        _, gamma = iterated_factorize(n, _complement_product(n, qa, qb))
+        assert gamma.kind == "tangent" and gamma.order == n
+        np.testing.assert_allclose(gamma.base, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(gamma.slots[0], 0.0, atol=1e-12)
+
+
 def test_act_and_twist_closed_forms():
+    # moving a complement across an embedded T^3G: t * quad = quad' * t'
     rng = np.random.default_rng(24)
     t = random_jet("GL", 3, 3, rng=rng)
     x = t.base
     xi = t.slots
     quad = rng.standard_normal((4, 3, 3))
     m1, m2, m21, m31 = quad
-    moved, twisted = act_and_twist(t, quad)
+    embedded = complement_embed(3, quad, group=t.group, tol=t.tol)
+    moved, twisted = iterated_factorize(3, iterated_multiply(3, tn_to_iterated(t), embedded))
 
     push = lambda z: x @ z @ np.linalg.inv(x)
     np.testing.assert_allclose(moved[0], push(m1), atol=1e-10)
