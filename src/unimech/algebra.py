@@ -253,21 +253,11 @@ def tangent_algebra(g: LieAlgebra, n: int = 1) -> LieAlgebra:
     return cache[n]
 
 
-def _so3() -> LieAlgebra:
-    c = np.zeros((3, 3, 3))
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                c[k, i, j] = _levi_civita(k, i, j)
-    return LieAlgebra(dim=3, c=c, labels=("e1", "e2", "e3"))
-
-
-def _levi_civita(a: int, b: int, c: int) -> float:
-    if (a, b, c) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        return 1.0
-    if (a, b, c) in ((0, 2, 1), (2, 1, 0), (1, 0, 2)):
-        return -1.0
-    return 0.0
+def _so3(labels: tuple[str, ...] = ("e1", "e2", "e3")) -> LieAlgebra:
+    # the cross product: [e_i, e_j] = sum_k eps_kij e_k
+    return from_sparse_entries(
+        3, [(0, 1, 2, 1.0), (1, 0, 2, -1.0), (2, 0, 1, 1.0)], labels=labels
+    )
 
 
 def _sl2() -> LieAlgebra:

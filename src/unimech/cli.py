@@ -131,7 +131,7 @@ def _resolve_energy(node, dim: int) -> EnergySpec:
     raise ConfigError(f"inertia must be 'identity', a diagonal or a {dim}x{dim} matrix")
 
 
-def _block_functionals(kind: str, d: UnifiedProductData, g, dim: int) -> dict:
+def _block_functionals(kind: str, d: UnifiedProductData, g) -> dict:
     if kind == "ep3":
         n = g.dim
         blocks = [("pi0", 0, n), ("pi1", n, 2 * n), ("pi2", 2 * n, 3 * n)]
@@ -192,7 +192,7 @@ def _cmd_run(args) -> int:
         if tag in ("hamiltonian", "energy"):
             functionals[tag] = spec.hamiltonian
         elif tag == "norm_sq_block":
-            functionals.update(_block_functionals(kind, d, g, dim))
+            functionals.update(_block_functionals(kind, d, g))
         else:
             raise ConfigError(f"unknown conserved-quantity tag {tag!r}")
     outputs = cfg.get("outputs", {})

@@ -11,24 +11,25 @@ two trajectories coincide up to time reversal.  Either flow conserves the
 energy pointwise because <coad(x) mu, x> = -<mu, [x, x]> = 0.
 
 The composed structure tensor is flattened once per structure and cached on
-it (`field_tensor`, T).  For a quadratic energy the field is a homogeneous
-quadratic in the state, T @ vec(I^-1 pi (x) pi) = K @ vec(pi (x) pi), so
-the inverse inertia is folded into T once, K[k, i*n + j] =
-sum_a T[k, a*n + j] (I^-1)[a, i], and each field evaluation is one
-contraction of K with no solve.  The spec keeps one folded tensor, keyed by
-the identity of the T it was folded from.  A blackbox energy has no I^-1
-to fold: its Lie-Poisson field contracts T with the finite-difference
-dH/dmu.  The paper's blockwise coadjoint `products.coad`, assembled from
-six dual maps, is the independent construction the tests check these
-fields against.
+it (`field_tensor`, T).  A quadratic energy forms its inverse inertia
+X = I^-1 once, from the Cholesky factor, at construction; every use of
+I^-1 reads that X.  The field is a homogeneous quadratic in the state,
+T @ vec(X pi (x) pi) = K @ vec(pi (x) pi), so X is folded into T once,
+K[k, i*n + j] = sum_a T[k, a*n + j] X[a, i], and each field evaluation is
+one contraction of K.  The spec keeps one folded tensor, keyed by the
+identity of the T it was folded from.  A blackbox energy has no I^-1 to
+fold: its Lie-Poisson field contracts T with the finite-difference dH/dmu
+of `fd_gradient`.  The paper's blockwise coadjoint `products.coad`,
+assembled from six dual maps, is the independent construction the tests
+check these fields against.
 
 Fields here take and return flat coordinate vectors; the integrator is a
 plain fixed-step RK4, which is all the acceptance experiments require.
 The stages after it work on the whole trajectory at once.
 `EnergySpec.dual_gradient` and `EnergySpec.hamiltonian` take one momentum
 or an (m, n) stack of them, so a check along a whole trajectory makes one
-solve instead of m.  `conservation_report` calls each functional once on
-the (m, n) array of states and expects its m values back, and
+product with X instead of m.  `conservation_report` calls each functional
+once on the (m, n) array of states and expects its m values back, and
 `write_trajectory_csv` formats the rows as Python floats in one pass.
 """
 
@@ -43,7 +44,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .algebra import LieAlgebra
 from .errors import DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge
@@ -62,7 +62,6 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
-_POTRS = get_lapack_funcs("potrs", dtype=np.float64)
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -90,7 +89,7 @@ class EnergySpec:
     inertia: np.ndarray | None = None
     f: Callable[[np.ndarray], float] | None = None
     fd_eps: float = 1e-6
-    _cho: tuple = field(init=False, repr=False, compare=False)
+    _inv: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
     _fold: tuple = field(init=False, repr=False, compare=False, default=(None, None))
 
     def __post_init__(self) -> None:
@@ -106,15 +105,16 @@ class EnergySpec:
                 cho = scipy.linalg.cho_factor(inertia)
             except scipy.linalg.LinAlgError as exc:
                 raise SingularInertia(f"inertia is not positive definite: {exc}") from exc
+            inv = scipy.linalg.cho_solve(cho, np.eye(len(inertia)), check_finite=False)
             inertia.setflags(write=False)
+            inv.setflags(write=False)
             object.__setattr__(self, "inertia", inertia)
-            object.__setattr__(self, "_cho", cho)
+            object.__setattr__(self, "_inv", inv)
         elif self.kind == "blackbox":
             if self.f is None or not callable(self.f):
                 raise ValueError("blackbox energy needs a callable f")
             if not self.fd_eps > 0:
                 raise ValueError("fd_eps must be positive")
-            object.__setattr__(self, "_cho", ())
         else:
             raise ValueError(f"unknown energy kind {self.kind!r}")
 
@@ -148,16 +148,11 @@ class EnergySpec:
 
     def dual_gradient(self, mu: np.ndarray) -> np.ndarray:
         """delta H / delta mu, for one momentum (n,) or a stack (m, n) of
-        them, row by row.  Quadratic: the velocity I^-1 mu.
-
-        A quadratic energy makes one LAPACK potrs call on the stored
-        Cholesky factor, with the rows of a stack as its right-hand sides
-        (mu.T, which is mu itself for one momentum).  That is what
-        scipy.linalg.cho_solve(..., check_finite=False) does, without its
-        per-call wrapping: the factorization was validated at construction,
-        and a non-finite mu should propagate (the integrator detects
-        blown-up states itself) rather than crash inside the solver.  A
-        blackbox energy takes one fd_gradient per row."""
+        them, row by row.  Quadratic: the velocity I^-1 mu, one product
+        mu @ X.T with the inverse inertia X formed at construction (X @ mu,
+        the orientation the folded tensor uses); a non-finite mu propagates,
+        the integrator detects blown-up states itself.  A blackbox energy
+        takes one fd_gradient per row."""
         mu = np.asarray(mu, dtype=float)
         if self.kind == "quadratic":
             n = self.inertia.shape[0]
@@ -165,11 +160,7 @@ class EnergySpec:
                 raise DimensionError(
                     f"mu has shape {mu.shape}, expected ({n},) or (m, {n})"
                 )
-            c, lower = self._cho
-            x, info = _POTRS(c, mu.T, lower=lower)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of internal potrs")
-            return x.T
+            return mu @ self._inv.T
         if mu.ndim not in (1, 2):
             raise DimensionError(f"mu has shape {mu.shape}, expected (n,) or (m, n)")
         grads = [fd_gradient(self.f, row, self.fd_eps) for row in np.atleast_2d(mu)]
@@ -179,7 +170,7 @@ class EnergySpec:
         """H(mu) of one momentum (n,), a float, or of each row of an (m, n)
         stack, an (m,) array; other shapes raise DimensionError.
 
-        A quadratic energy makes one stacked dual_gradient solve and a
+        A quadratic energy makes one stacked dual_gradient product and a
         row-wise dot (a batched matmul, the same dot product as one row's
         mu @ v).  A blackbox energy calls f once per row."""
         mu = np.asarray(mu, dtype=float)
@@ -195,13 +186,13 @@ class EnergySpec:
         return np.array([float(self.f(row)) for row in mu])
 
     def _folded(self, tensor: np.ndarray) -> np.ndarray:
-        """The field tensor `tensor` (n, n*n) with I^-1 folded in:
-        K[k, i*n + j] = sum_a tensor[k, a*n + j] (I^-1)[a, i], so that
-        K @ vec(pi (x) pi) == tensor @ vec(I^-1 pi (x) pi).
+        """The field tensor `tensor` (n, n*n) with X = I^-1 folded in:
+        K[k, i*n + j] = sum_a tensor[k, a*n + j] X[a, i], so that
+        K @ vec(pi (x) pi) == tensor @ vec(X pi (x) pi).
 
-        Built with one stacked solve and one einsum the first time it is
-        asked for `tensor`, then kept as the spec's single cached entry,
-        keyed by the identity of `tensor`; another tensor replaces it."""
+        Built with one einsum the first time it is asked for `tensor`, then
+        kept as the spec's single cached entry, keyed by the identity of
+        `tensor`; another tensor replaces it."""
         key, k = self._fold
         if key is not tensor:
             n = tensor.shape[0]
@@ -210,9 +201,7 @@ class EnergySpec:
                     f"inertia is {self.inertia.shape[0]}x{self.inertia.shape[0]}, "
                     f"the state has length {n}"
                 )
-            # row i of the stacked solve is I^-1 e_i, i.e. (I^-1)[:, i]
-            inv_rows = self.dual_gradient(np.eye(n))
-            k = np.einsum("kaj,ia->kij", tensor.reshape(n, n, n), inv_rows).reshape(n, n * n)
+            k = np.einsum("kaj,ai->kij", tensor.reshape(n, n, n), self._inv).reshape(n, n * n)
             k.setflags(write=False)
             object.__setattr__(self, "_fold", (tensor, k))
         return k

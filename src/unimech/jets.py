@@ -393,10 +393,7 @@ def _run_trie(trie: tuple, sources: np.ndarray, links: np.ndarray) -> np.ndarray
 def _product_slots(kind: str, n: int, a: JetElement, b: JetElement) -> np.ndarray:
     """Slots of (x, X) * (y, Y): Y plus the signed, counted ad_Y-chains of
     Ad_{y^-1} X."""
-    try:
-        conj = np.linalg.solve(b.base, a.slots @ b.base)  # Ad_{y^-1} of every slot
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"base matrix is not invertible: {exc}") from exc
+    conj = _inverse(b.base) @ a.slots @ b.base  # Ad_{y^-1} of every slot, one inversion
     return b.slots + _run_trie(_trie(kind, n, False), conj, b.slots)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, from_sparse_entries, preset
+from .algebra import LieAlgebra, _so3, preset
 from .errors import ConfigError, UnknownPreset
 from .products import UnifiedProductData, from_subalgebra
 
@@ -63,16 +63,9 @@ class KeplerParams:
         return 2.0 * self.e / (self.m**3 * self.k**2)
 
 
-def _rotation_algebra(labels: tuple[str, str, str]) -> LieAlgebra:
-    # cross-product bracket in the given labels
-    return from_sparse_entries(
-        3, [(0, 1, 2, 1.0), (1, 0, 2, -1.0), (2, 0, 1, 1.0)], labels=labels
-    )
-
-
 def kepler_algebra(params: KeplerParams) -> UnifiedProductData:
     """R^3 (+) so(3) with eta |> v = eta x v and theta(v, w) = coupling v x w."""
-    h = _rotation_algebra(("eta1", "eta2", "eta3"))
+    h = _so3(("eta1", "eta2", "eta3"))
     eps = h.c  # Levi-Civita tensor
     return UnifiedProductData(
         dim_m=3,

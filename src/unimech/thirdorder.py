@@ -15,6 +15,11 @@ trivial action, twist psi(eta, (v0,v1)) = [eta, v0] and cocycle
 theta((v0,v1),(w0,w1)) = 2[v1,w1].  `third_order_product` builds exactly
 that structure, an independent route to the same coadjoint flow.
 
+The Euler-Lagrange equations on T(T^2 G), `el_t_t2g_field`, reduce to the
+same algebras: their ad* terms are the coadjoints of tangent_algebra(g, 1)
+at the base velocities and of tangent_algebra(g, 2) at the fiber
+velocities, and every partial of L is one `dynamics.fd_gradient`.
+
 The reduced equations integrate the momenta (pi0, pi1, pi2); along any
 solution the combination pi0 - pi1' + pi2'' is transported by -ad*_{eta0},
 which `third_order_identity_residual` checks with finite differences, in
@@ -30,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import LieAlgebra, abelian, tangent_algebra
-from .dynamics import EnergySpec, ep_field
+from .dynamics import EnergySpec, ep_field, fd_gradient
 from .errors import DimensionError, SingularFiberMap, TooFewPoints, default_tol
 from .products import UnifiedProductData
 
@@ -168,57 +173,41 @@ def el_t_t2g_field(
       d/dt dL_eta1 = dL_xi1 - ad*_xi1 dL_xi2 - ad*_eta0 dL_eta1 - 2 ad*_eta1 dL_eta2
       d/dt dL_eta2 = dL_xi2 - ad*_eta0 dL_eta2
 
-    All derivatives of L are central finite differences along basis
-    directions (the group slot moves along g exp(s E_a)), so the output
-    carries O(fd_eps^2) truncation error.  When L does not depend on g, xi1,
-    xi2, the equations reduce to the third-order Euler-Poincare flow.
+    The ad* terms are two coadjoints of tangent algebras: that of
+    tangent_algebra(g, 1) at (xi1, xi2) on (dL_xi1, dL_xi2), which gives the
+    xi terms of levels 0 and 1, and that of tangent_algebra(g, 2) at
+    (eta0, eta1, eta2) on (dL_eta0, dL_eta1, dL_eta2), which gives the eta
+    terms of all three levels.
+
+    Each partial of L is one `fd_gradient` along the basis directions: the
+    velocity slots move additively and the group slot moves as
+    g expm(basis.matrix(c)), so the output carries O(fd_eps^2) truncation
+    error.  When L does not depend on g, xi1, xi2, the equations reduce to
+    the third-order Euler-Poincare flow.
     """
-    g, xi1, xi2, eta0, eta1, eta2 = state
-    alg = basis.algebra
+    args = [np.asarray(a, dtype=float) for a in state]
+    xi1, xi2, eta0, eta1, eta2 = (basis.coords(a) for a in args[1:])
     n = basis.dim
 
-    def grad_slot(k: int) -> np.ndarray:
-        args = [np.asarray(a, dtype=float) for a in state]
-        out = np.empty(n)
-        for a in range(n):
-            bump = fd_eps * basis.mats[a]
-            hi, lo = list(args), list(args)
-            hi[k] = args[k] + bump
-            lo[k] = args[k] - bump
-            out[a] = (L(*hi) - L(*lo)) / (2.0 * fd_eps)
-        return out
+    def partial(k: int) -> np.ndarray:
+        def moved(c: np.ndarray) -> float:
+            shifted = list(args)
+            step = basis.matrix(c)
+            shifted[k] = args[0] @ scipy.linalg.expm(step) if k == 0 else args[k] + step
+            return L(*shifted)
 
-    def grad_group() -> np.ndarray:
-        args = [np.asarray(a, dtype=float) for a in state]
-        out = np.empty(n)
-        for a in range(n):
-            step = scipy.linalg.expm(fd_eps * basis.mats[a])
-            hi, lo = list(args), list(args)
-            hi[0] = args[0] @ step
-            lo[0] = args[0] @ np.linalg.inv(step)
-            out[a] = (L(*hi) - L(*lo)) / (2.0 * fd_eps)
-        return out
+        return fd_gradient(moved, np.zeros(n), fd_eps)
 
-    gg = grad_group()
-    g_xi1, g_xi2 = grad_slot(1), grad_slot(2)
-    g_e0, g_e1, g_e2 = grad_slot(3), grad_slot(4), grad_slot(5)
-    cxi1, cxi2 = basis.coords(xi1), basis.coords(xi2)
-    ce0, ce1 = basis.coords(eta0), basis.coords(eta1)
-    ce2 = basis.coords(eta2)
-
-    def astar(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        return alg.coad(x, mu)
-
-    d0 = (
-        gg
-        - astar(cxi1, g_xi1)
-        - astar(cxi2, g_xi2)
-        - astar(ce0, g_e0)
-        - astar(ce1, g_e1)
-        - astar(ce2, g_e2)
+    dg, dxi1, dxi2, *deta = (partial(k) for k in range(6))
+    xi_terms = tangent_algebra(basis.algebra, 1).coad(
+        np.concatenate((xi1, xi2)), np.concatenate((dxi1, dxi2))
     )
-    d1 = g_xi1 - astar(cxi1, g_xi2) - astar(ce0, g_e1) - 2.0 * astar(ce1, g_e2)
-    d2 = g_xi2 - astar(ce0, g_e2)
+    eta_terms = tangent_algebra(basis.algebra, 2).coad(
+        np.concatenate((eta0, eta1, eta2)), np.concatenate(deta)
+    )
+    d0 = dg - xi_terms[:n] - eta_terms[:n]
+    d1 = dxi1 - xi_terms[n:] - eta_terms[n : 2 * n]
+    d2 = dxi2 - eta_terms[2 * n :]
     return d0, d1, d2
 
 
@@ -250,7 +239,7 @@ def third_order_identity_residual(
 
     One array pass over the interior: each stencil is a sum of shifted
     slices, eta0 at every interior state comes from one stacked
-    `spec.dual_gradient` solve, and ad*_eta0 is one contraction with the
+    `spec.dual_gradient` product, and ad*_eta0 is one contraction with the
     cached `g.field_tensor`.
     """
     n = g.dim

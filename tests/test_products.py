@@ -381,6 +381,41 @@ def test_axioms_hold_iff_the_composed_bracket_is_lie(model, target, scale, seed)
     np.testing.assert_allclose(report.jacobi, composed.jacobi, rtol=1e-12, atol=0.0)
 
 
+def _random_valid_structure(kind, base, rng):
+    if kind == "kepler":
+        params = {"e": rng.uniform(-2, 2), "m": rng.uniform(0.5, 2), "k": rng.uniform(0.5, 2)}
+        return build_model("kepler", params)
+    if kind == "tokamak":
+        return build_model("tokamak", {"base": base, "b_i": rng.uniform(-3, 3)})
+    if kind == "third_order":
+        return third_order_product(preset(base))
+    return from_subalgebra(preset(base))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["kepler", "tokamak", "preset", "third_order"]),
+    base=st.sampled_from(["so3", "sl2", "heisenberg"]),
+    x_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    mu_scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_field_tensor_is_the_blockwise_coadjoint_on_valid_structures(
+    kind, base, x_scale, mu_scale, seed
+):
+    # field_tensor @ vec(x (x) mu) == -coad(x, mu) and <coad(x, mu), x> = 0,
+    # each judged against the summed magnitude of the terms it adds up
+    rng = np.random.default_rng(seed)
+    d = _random_valid_structure(kind, base, rng)
+    assert validate_axioms(d).ok
+    x = x_scale * rng.standard_normal(d.dim)
+    mu = mu_scale * rng.standard_normal(d.dim)
+    blockwise = coad(d, x, mu)
+    terms = np.abs(d.field_tensor) @ np.abs(np.outer(x, mu)).ravel()
+    assert np.all(np.abs(d.field_tensor @ np.outer(x, mu).ravel() + blockwise) <= 1e-13 * terms)
+    assert abs(blockwise @ x) <= 1e-13 * (terms @ np.abs(x))
+
+
 def test_from_subalgebra_is_degenerate_but_consistent():
     g = preset("sl2")
     d = from_subalgebra(g)

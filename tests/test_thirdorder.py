@@ -386,7 +386,7 @@ def test_sl2_basis_structure_constants():
     np.testing.assert_allclose(basis.algebra.c, preset("sl2").c, atol=1e-13)
 
 
-def test_nonorthogonal_basis_round_trip():
+def _nonorthogonal_gl2() -> MatrixBasis:
     mats = np.array(
         [
             [[1.0, 0.0], [0.0, 0.0]],
@@ -395,7 +395,11 @@ def test_nonorthogonal_basis_round_trip():
             [[0.0, 0.0], [0.0, 1.0]],
         ]
     )
-    basis = MatrixBasis(mats)
+    return MatrixBasis(mats)
+
+
+def test_nonorthogonal_basis_round_trip():
+    basis = _nonorthogonal_gl2()
     assert basis.labels == ("E1", "E2", "E3", "E4")
     rng = np.random.default_rng(35)
     for _ in range(10):
@@ -497,16 +501,23 @@ def test_el_field_group_gradient_is_left_trivialized():
     np.testing.assert_allclose(d2, 0.0, atol=1e-8)
 
 
-def test_el_field_full_display_with_analytic_gradients():
+@pytest.mark.parametrize(
+    "make_basis", [MatrixBasis.so3, MatrixBasis.sl2, _nonorthogonal_gl2], ids=["so3", "sl2", "gl2"]
+)
+def test_el_field_full_display_with_analytic_gradients(make_basis):
     # Every term active at once: group potential, linear xi costs, quadratic
-    # fiber costs.  The three displayed rows are assembled by hand from the
-    # analytic gradients and compared against the finite-difference version.
-    basis = MatrixBasis.so3()
-    alg = preset("so3")
+    # fiber costs, at a random group base.  The three displayed rows are
+    # assembled by hand from the analytic gradients and the base coadjoint,
+    # and compared against the finite-difference version.
+    basis = make_basis()
+    alg = basis.algebra
+    n, d = basis.dim, basis.mats.shape[1]
+    flat = basis.mats.reshape(n, -1)
+    gram = flat @ flat.T  # Frobenius pairing of the basis: dL/dc of 1/2 |matrix(c)|^2
     rng = np.random.default_rng(39)
-    a_mat = rng.standard_normal((3, 3))
-    m1 = basis.matrix(rng.standard_normal(3))
-    m2 = basis.matrix(rng.standard_normal(3))
+    a_mat = rng.standard_normal((d, d))
+    m1 = basis.matrix(rng.standard_normal(n))
+    m2 = basis.matrix(rng.standard_normal(n))
 
     def L(g, xi1, xi2, e0, e1, e2):
         return (
@@ -516,16 +527,16 @@ def test_el_field_full_display_with_analytic_gradients():
             + 0.5 * float(np.sum(e0 * e0) + np.sum(e1 * e1) + np.sum(e2 * e2))
         )
 
-    coords = rng.standard_normal((5, 3))
+    coords = rng.standard_normal((5, n))
     cxi1, cxi2, c0, c1, c2 = coords
-    gmat = np.eye(3)
+    gmat = scipy.linalg.expm(basis.matrix(rng.standard_normal(n)))
     state = (gmat,) + tuple(basis.matrix(v) for v in coords)
     d0, d1, d2 = el_t_t2g_field(L, state, basis)
 
     gg = np.array([float(np.sum(a_mat * (gmat @ e))) for e in basis.mats])
     gx1 = np.array([float(np.sum(m1 * e)) for e in basis.mats])
     gx2 = np.array([float(np.sum(m2 * e)) for e in basis.mats])
-    ge = [2.0 * c0, 2.0 * c1, 2.0 * c2]  # Frobenius factor on the hat basis
+    ge = [gram @ c0, gram @ c1, gram @ c2]
     want0 = (
         gg
         - alg.coad(cxi1, gx1)
