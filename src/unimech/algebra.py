@@ -311,6 +311,42 @@ def _reject_extra(name: str, params: dict) -> None:
         raise ConfigError(f"unexpected parameters for preset {name!r}: {sorted(params)}")
 
 
+# -- matrix exponential --------------------------------------------------------
+#
+# Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 2003; Higham, SIAM J.
+# Matrix Anal. Appl. 26, 2005) with a Taylor polynomial: once ||A / 2^s||_1 <=
+# 1/2, the terms of degree >= 16 sum to at most 2^-16 / 16! * 34/33 < 1e-18,
+# far below rounding.  The degree-15 polynomial runs Horner's rule in A^4 over
+# four blocks B_j = sum_{i<4} A^i / (4j + i)! (Paterson-Stockmeyer): six
+# matrix products and one (4, 4) @ (4, d*d) product instead of fifteen.
+
+_EXP_TAYLOR = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(4, 4)
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix; a non-finite entry raises ValueError."""
+    a = np.asarray(a, dtype=float)
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError("matrix exponential of a matrix with a non-finite entry")
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm > 0.5 else 0
+    a = a * 0.5**s
+    d = a.shape[0]
+    powers = np.empty((4, d, d))
+    powers[0] = np.eye(d)
+    powers[1] = a
+    powers[2] = a @ a
+    powers[3] = powers[2] @ a
+    a4 = powers[2] @ powers[2]
+    blocks = (_EXP_TAYLOR @ powers.reshape(4, d * d)).reshape(4, d, d)
+    e = blocks[3]
+    for b in blocks[2::-1]:
+        e = b + a4 @ e
+    for _ in range(s):
+        e = e @ e
+    return e
+
+
 # -- JSON serialization --------------------------------------------------------
 #
 # Document format:

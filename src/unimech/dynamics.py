@@ -12,14 +12,14 @@ energy pointwise because <coad(x) mu, x> = -<mu, [x, x]> = 0.
 
 The composed structure tensor is flattened once per structure and cached on
 it (`field_tensor`, T).  A quadratic energy forms its inverse inertia
-X = I^-1 once, from the Cholesky factor, at construction; every use of
-I^-1 reads that X.  The field is a homogeneous quadratic in the state,
-T @ vec(X pi (x) pi) = K @ vec(pi (x) pi), so X is folded into T once,
-K[k, i*n + j] = sum_a T[k, a*n + j] X[a, i], and each field evaluation is
-one contraction of K.  The spec keeps one folded tensor, keyed by the
-identity of the T it was folded from.  A blackbox energy has no I^-1 to
-fold: its Lie-Poisson field contracts T with the finite-difference dH/dmu
-of `fd_gradient`.  The paper's blockwise coadjoint `products.coad`,
+X = I^-1 once, at construction, from numpy's Cholesky factor I = L L^T as
+X = L^-T L^-1; every use of I^-1 reads that X.  The field is a homogeneous
+quadratic in the state, T @ vec(X pi (x) pi) = K @ vec(pi (x) pi), so X is
+folded into T once, K[k, i*n + j] = sum_a T[k, a*n + j] X[a, i], and each
+field evaluation is one contraction of K.  The spec keeps one folded tensor,
+keyed by the identity of the T it was folded from.  A blackbox energy has no
+I^-1 to fold: its Lie-Poisson field contracts T with the finite-difference
+dH/dmu of `fd_gradient`.  The paper's blockwise coadjoint `products.coad`,
 assembled from six dual maps, is the independent construction the tests
 check these fields against.
 
@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import LieAlgebra
 from .errors import DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge
@@ -65,8 +64,15 @@ _SYM_TOL = 1e-12
 
 
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function of a flat vector."""
+    """Central-difference gradient of a scalar function of a flat vector.
+
+    `eps` must be finite and positive (else ValueError) and `x` 1-D (else
+    DimensionError)."""
+    if not 0 < eps < math.inf:
+        raise ValueError(f"finite-difference step must be positive and finite, got {eps!r}")
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DimensionError(f"x has shape {x.shape}, expected a flat vector (n,)")
     g = np.empty_like(x)
     for i in range(x.size):
         step = np.zeros_like(x)
@@ -80,7 +86,10 @@ class EnergySpec:
     """Energy function on g* (equivalently a Lagrangian on g).
 
     kind "quadratic" uses H(mu) = 1/2 <mu, I^-1 mu>; the inertia matrix must
-    be symmetric positive definite.  kind "blackbox" wraps an arbitrary
+    be finite, symmetric and positive definite, else SingularInertia (a
+    non-finite entry or a failed numpy Cholesky factorization I = L L^T) or
+    ValueError (not symmetric).  X = I^-1 is formed once from the factor,
+    as L^-T L^-1.  kind "blackbox" wraps an arbitrary
     callable and differentiates it by central differences, so tolerances
     downstream are limited to ~sqrt(machine eps) * |f|'' scales.
     """
@@ -99,13 +108,15 @@ class EnergySpec:
             inertia = np.array(self.inertia, dtype=float)  # a private copy, frozen below
             if inertia.ndim != 2 or inertia.shape[0] != inertia.shape[1]:
                 raise ValueError(f"inertia must be square, got shape {inertia.shape}")
+            if not np.isfinite(inertia).all():
+                raise SingularInertia("inertia has a non-finite entry")
             if np.max(np.abs(inertia - inertia.T), initial=0.0) > _SYM_TOL:
                 raise ValueError("inertia matrix is not symmetric")
             try:
-                cho = scipy.linalg.cho_factor(inertia)
-            except scipy.linalg.LinAlgError as exc:
+                linv = np.linalg.inv(np.linalg.cholesky(inertia))
+            except np.linalg.LinAlgError as exc:
                 raise SingularInertia(f"inertia is not positive definite: {exc}") from exc
-            inv = scipy.linalg.cho_solve(cho, np.eye(len(inertia)), check_finite=False)
+            inv = linv.T @ linv
             inertia.setflags(write=False)
             inv.setflags(write=False)
             object.__setattr__(self, "inertia", inertia)
@@ -113,8 +124,8 @@ class EnergySpec:
         elif self.kind == "blackbox":
             if self.f is None or not callable(self.f):
                 raise ValueError("blackbox energy needs a callable f")
-            if not self.fd_eps > 0:
-                raise ValueError("fd_eps must be positive")
+            if not 0 < self.fd_eps < math.inf:
+                raise ValueError("fd_eps must be positive and finite")
         else:
             raise ValueError(f"unknown energy kind {self.kind!r}")
 
@@ -293,8 +304,8 @@ def rk4(
     confirmed entry by entry only when the sum is not finite, so a finite
     state whose sum overflows is not flagged.
     """
-    if not h > 0:
-        raise ValueError("step size must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("step size must be positive and finite")
     if steps < 1:
         raise ValueError("need at least one step")
     y = np.array(y0, dtype=float).ravel()

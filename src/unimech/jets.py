@@ -50,8 +50,8 @@ from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
+from .algebra import _expm
 from .errors import (
     ConfigError,
     DimensionError,
@@ -543,7 +543,7 @@ def random_jet(
     """Random jet with base exp(random algebra element): always lands in the
     tagged group, and stays well-conditioned for moderate `scale`."""
     rng = np.random.default_rng() if rng is None else rng
-    base = scipy.linalg.expm(_random_algebra(group, dim, rng, scale))
+    base = _expm(_random_algebra(group, dim, rng, scale))
     n_slots = order if kind == "tangent" else 2**order - 1
     slots = [_random_algebra(group, dim, rng, scale) for _ in range(n_slots)]
     return JetElement(group, base, slots, kind=kind)

@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import LieAlgebra, abelian, tangent_algebra
+from .algebra import LieAlgebra, _expm, abelian, tangent_algebra
 from .dynamics import EnergySpec, ep_field, fd_gradient
 from .errors import DimensionError, SingularFiberMap, TooFewPoints, default_tol
 from .products import UnifiedProductData
@@ -193,7 +192,7 @@ def el_t_t2g_field(
         def moved(c: np.ndarray) -> float:
             shifted = list(args)
             step = basis.matrix(c)
-            shifted[k] = args[0] @ scipy.linalg.expm(step) if k == 0 else args[k] + step
+            shifted[k] = args[0] @ _expm(step) if k == 0 else args[k] + step
             return L(*shifted)
 
         return fd_gradient(moved, np.zeros(n), fd_eps)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from unimech import (
     save_algebra,
     tangent_algebra,
 )
+from unimech.algebra import _expm
 
 
 def test_so3_bracket_is_the_cross_product():
@@ -356,3 +358,53 @@ def test_jacobi_is_judged_against_the_scale_of_the_structure():
     bent[0, 1, 2] += 1e-6 * np.max(np.abs(c))
     bent[0, 2, 1] -= 1e-6 * np.max(np.abs(c))
     assert not LieAlgebra(composed.dim, bent).validate().ok
+
+
+# -- the matrix exponential (scipy is the test-only oracle) --------------------
+
+
+def _one_norm(m):
+    return np.abs(m).sum(axis=0).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e-2, 0.5, 1.0, 2.0, 5.0, 20.0])
+def test_expm_matches_scipy(d, scale):
+    # entries within [-scale, scale]: general, skew and traceless matrices
+    rng = np.random.default_rng(d)
+    tol = 1e-13 if scale <= 1 else 1e-11
+    for k in range(30):
+        a = scale * rng.uniform(-1.0, 1.0, (d, d))
+        a = (a, a - a.T, a - np.trace(a) / d * np.eye(d))[k % 3]
+        ref = scipy.linalg.expm(a)
+        assert np.max(np.abs(_expm(a) - ref)) <= tol * max(1.0, np.max(np.abs(ref)))
+
+
+def test_expm_of_zero_and_of_a_rotation_generator():
+    for d in (1, 2, 4):
+        np.testing.assert_array_equal(_expm(np.zeros((d, d))), np.eye(d))
+    for t in np.linspace(-20.0, 20.0, 81):
+        closed = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        np.testing.assert_allclose(_expm([[0.0, -t], [t, 0.0]]), closed, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**31 - 1),
+    scale=st.floats(1e-8, 3.0),
+)
+def test_expm_group_laws(d, seed, scale):
+    a = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, (d, d))
+    e, f = _expm(a), _expm(-a)
+    cond = _one_norm(e) * _one_norm(f)  # rounding in e @ f and det scales with it
+    assert np.max(np.abs(e @ f - np.eye(d))) <= 1e-13 * cond
+    assert abs(np.linalg.det(e) / np.exp(np.trace(a)) - 1.0) <= 1e-13 * cond
+    q = _expm(a - a.T)
+    assert np.max(np.abs(q.T @ q - np.eye(d))) <= 1e-13
+
+
+def test_expm_rejects_a_non_finite_matrix():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            _expm(np.array([[0.0, 1.0], [bad, 0.0]]))

@@ -289,6 +289,7 @@ def test_run_blow_up_exits_3(tmp_path, capsys):
         ({"integrator": {"h": 1e-3, "steps": "10"}}, "integer steps >= 1, got '10'"),
         ({"model": {"name": "kepler", "params": [1]}}, "params must be an object, got list"),
         ({"model": {"name": "so3", "params": "e"}}, "params must be an object, got str"),
+        ({"integrator": {"h": float("inf"), "steps": 5}}, "step size must be positive and finite"),
     ],
 )
 def test_run_config_errors(tmp_path, capsys, overrides, fragment):
@@ -301,6 +302,18 @@ def test_run_config_errors(tmp_path, capsys, overrides, fragment):
         cfg = _write_config(tmp_path, **overrides)
     assert main(["run", str(cfg)]) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "inertia",
+    [[1.0, float("nan"), 3.0], [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]]],
+)
+def test_run_rejects_a_non_finite_inertia(tmp_path, capsys, inertia):
+    cfg = _write_config(tmp_path, energy={"inertia": inertia})
+    assert "NaN" in cfg.read_text()  # Python's json writes and reads the literal
+    assert main(["run", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite" in err
 
 
 def test_run_reports_a_trajectory_too_large_to_hold(tmp_path, capsys):

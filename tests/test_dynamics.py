@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,15 @@ def test_fd_gradient_on_a_smooth_function():
     np.testing.assert_allclose(grad, exact, atol=1e-9)
 
 
+def test_fd_gradient_rejects_a_bad_step_or_a_non_flat_point():
+    f = lambda x: float(x @ x)
+    for eps in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fd_gradient(f, np.ones(3), eps)
+    with pytest.raises(DimensionError, match="flat vector"):
+        fd_gradient(f, np.ones((2, 3)))
+
+
 def test_quadratic_energy_spec_against_linear_solves():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4))
@@ -91,10 +101,22 @@ def test_energy_spec_rejects_bad_input():
         EnergySpec.quadratic(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="callable"):
         EnergySpec(kind="blackbox")
-    with pytest.raises(ValueError, match="fd_eps"):
-        EnergySpec.blackbox(lambda mu: 0.0, fd_eps=0.0)
+    for eps in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="fd_eps"):
+            EnergySpec.blackbox(lambda mu: 0.0, fd_eps=eps)
     with pytest.raises(ValueError, match="unknown energy kind"):
         EnergySpec(kind="cubic")
+
+
+def test_energy_spec_rejects_a_non_finite_inertia_before_any_arithmetic():
+    for bad in (np.nan, np.inf, -np.inf):
+        for inertia in (np.diag([1.0, bad]), np.array([[2.0, bad], [bad, 2.0]])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning from the symmetry test
+                with pytest.raises(SingularInertia, match="non-finite"):
+                    EnergySpec.quadratic(inertia)
+        with pytest.raises(SingularInertia, match="non-finite"):
+            EnergySpec.diagonal([1.0, bad, 2.0])
 
 
 def test_blackbox_gradients_track_the_quadratic_ones():
@@ -412,6 +434,9 @@ def test_rk4_argument_validation():
         rk4(field, np.ones(1), 0.0, 5)
     with pytest.raises(ValueError, match="positive"):
         rk4(field, np.ones(1), -0.1, 5)
+    for h in (np.inf, np.nan):  # blamed on the step, not on a state at step 1
+        with pytest.raises(ValueError, match="step size must be positive and finite"):
+            rk4(field, np.ones(1), h, 5)
     with pytest.raises(ValueError, match="at least one"):
         rk4(field, np.ones(1), 0.1, 0)
 

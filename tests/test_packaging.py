@@ -1,0 +1,44 @@
+"""unimech runs on numpy and the standard library alone."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "unimech"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import json, sys, unimech, unimech.cli;"
+        "print(json.dumps([unimech.__file__,"
+        " sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')]))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    origin, scipy_modules = json.loads(proc.stdout)
+    assert Path(origin).resolve().parent == PACKAGE
+    assert scipy_modules == []
+
+
+def test_package_imports_only_stdlib_numpy_and_itself():
+    for source in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # not an import, or a relative one
+            for name in names:
+                assert name.partition(".")[0] in ALLOWED, f"{source.name}:{node.lineno} imports {name}"
