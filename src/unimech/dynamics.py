@@ -15,16 +15,20 @@ it (`field_tensor`, T).  A quadratic energy forms its inverse inertia
 X = I^-1 once, at construction, from numpy's Cholesky factor I = L L^T as
 X = L^-T L^-1; every use of I^-1 reads that X.  The field is a homogeneous
 quadratic in the state, T @ vec(X pi (x) pi) = K @ vec(pi (x) pi), so X is
-folded into T once, K[k, i*n + j] = sum_a T[k, a*n + j] X[a, i], and each
-field evaluation is one contraction of K.  The spec keeps one folded tensor,
+folded into T once, K[k, i, j] = sum_a T[k, a*n + j] X[a, i], and each field
+evaluation is one contraction of K, sum_ij K[k, i, j] pi_i pi_j, made as two
+BLAS matrix-vector products: K stored as (n*n, n) times pi, reshaped to
+(n, n), times pi.  The spec keeps one folded tensor, in that (n*n, n) shape,
 keyed by the identity of the T it was folded from.  A blackbox energy has no
-I^-1 to fold: its Lie-Poisson field contracts T with the finite-difference
-dH/dmu of `fd_gradient`.  The paper's blockwise coadjoint `products.coad`,
-assembled from six dual maps, is the independent construction the tests
-check these fields against.
+I^-1 to fold: its Lie-Poisson field makes the same two products with T, the
+finite-difference dH/dmu of `fd_gradient` in the second.  The paper's
+blockwise coadjoint `products.coad`, assembled from six dual maps, is the
+independent construction the tests check these fields against.
 
 Fields here take and return flat coordinate vectors; the integrator is a
-plain fixed-step RK4, which is all the acceptance experiments require.
+plain fixed-step RK4, which is all the acceptance experiments require.  Its
+stages live in one buffer, and each stage input and each update is one dot
+product of a coefficient row of the tableau with a slice of that buffer.
 The stages after it work on the whole trajectory at once.
 `EnergySpec.dual_gradient` and `EnergySpec.hamiltonian` take one momentum
 or an (m, n) stack of them, so a check along a whole trajectory makes one
@@ -88,10 +92,11 @@ class EnergySpec:
     kind "quadratic" uses H(mu) = 1/2 <mu, I^-1 mu>; the inertia matrix must
     be finite, symmetric and positive definite, else SingularInertia (a
     non-finite entry or a failed numpy Cholesky factorization I = L L^T) or
-    ValueError (not symmetric).  X = I^-1 is formed once from the factor,
-    as L^-T L^-1.  kind "blackbox" wraps an arbitrary
-    callable and differentiates it by central differences, so tolerances
-    downstream are limited to ~sqrt(machine eps) * |f|'' scales.
+    ValueError (not symmetric: an asymmetry above 1e-12 * max(1, max|I|)).
+    X = I^-1 is formed once from the factor, as L^-T L^-1.  kind "blackbox"
+    wraps an arbitrary callable and differentiates it by central differences,
+    so tolerances downstream are limited to ~sqrt(machine eps) * |f|''
+    scales.
     """
 
     kind: str
@@ -110,7 +115,8 @@ class EnergySpec:
                 raise ValueError(f"inertia must be square, got shape {inertia.shape}")
             if not np.isfinite(inertia).all():
                 raise SingularInertia("inertia has a non-finite entry")
-            if np.max(np.abs(inertia - inertia.T), initial=0.0) > _SYM_TOL:
+            scale = max(1.0, np.max(np.abs(inertia), initial=0.0))
+            if np.max(np.abs(inertia - inertia.T), initial=0.0) > _SYM_TOL * scale:
                 raise ValueError("inertia matrix is not symmetric")
             try:
                 linv = np.linalg.inv(np.linalg.cholesky(inertia))
@@ -197,9 +203,9 @@ class EnergySpec:
         return np.array([float(self.f(row)) for row in mu])
 
     def _folded(self, tensor: np.ndarray) -> np.ndarray:
-        """The field tensor `tensor` (n, n*n) with X = I^-1 folded in:
-        K[k, i*n + j] = sum_a tensor[k, a*n + j] X[a, i], so that
-        K @ vec(pi (x) pi) == tensor @ vec(X pi (x) pi).
+        """The field tensor `tensor` (n, n*n) with X = I^-1 folded in, stored
+        as (n*n, n): K[k*n + i, j] = sum_a tensor[k, a*n + j] X[a, i], so that
+        K.dot(pi).reshape(n, n).dot(pi) == tensor @ vec(X pi (x) pi).
 
         Built with one einsum the first time it is asked for `tensor`, then
         kept as the spec's single cached entry, keyed by the identity of
@@ -212,7 +218,7 @@ class EnergySpec:
                     f"inertia is {self.inertia.shape[0]}x{self.inertia.shape[0]}, "
                     f"the state has length {n}"
                 )
-            k = np.einsum("kaj,ai->kij", tensor.reshape(n, n, n), self._inv).reshape(n, n * n)
+            k = np.einsum("kaj,ai->kij", tensor.reshape(n, n, n), self._inv).reshape(n * n, n)
             k.setflags(write=False)
             object.__setattr__(self, "_fold", (tensor, k))
         return k
@@ -223,27 +229,29 @@ def ep_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, pi: np.ndarra
     with xi = I^-1 pi.  Requires a quadratic energy (the inertia defines the
     Legendre transform).
 
-    One contraction of pi (x) pi with `d.field_tensor` with I^-1 folded in
-    (built once and cached on the spec); it agrees with the blockwise six-map
-    `products.coad`, which the tests check."""
+    Two matrix-vector products of pi with `d.field_tensor` with I^-1 folded
+    in (built once and cached on the spec); it agrees with the blockwise
+    six-map `products.coad`, which the tests check."""
     if spec.kind != "quadratic":
         raise ValueError("Euler-Poincare reduction needs a quadratic energy")
     tensor = d.field_tensor
     pi = _state(tensor, pi)
-    return spec._folded(tensor) @ (pi[:, None] * pi).ravel()
+    return spec._folded(tensor).dot(pi).reshape(pi.size, pi.size).dot(pi)
 
 
 def lp_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, mu: np.ndarray) -> np.ndarray:
     """Right-hand side of the Lie-Poisson equation dmu/dt = +coad(dH/dmu) mu.
 
     The negative of the Euler-Poincare contraction: of the folded tensor for
-    a quadratic energy, and of `d.field_tensor` with the finite-difference
-    dH/dmu in place of I^-1 mu for a blackbox one."""
+    a quadratic energy, and of `d.field_tensor` read as (n*n, n) with the
+    finite-difference dH/dmu in place of I^-1 mu in the second product for a
+    blackbox one."""
     tensor = d.field_tensor
     mu = _state(tensor, mu)
+    n = mu.size
     if spec.kind == "quadratic":
-        return -(spec._folded(tensor) @ (mu[:, None] * mu).ravel())
-    return -(tensor @ (spec.dual_gradient(mu)[:, None] * mu).ravel())
+        return -spec._folded(tensor).dot(mu).reshape(n, n).dot(mu)
+    return -tensor.reshape(n * n, n).dot(mu).reshape(n, n).dot(spec.dual_gradient(mu))
 
 
 def _state(tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -299,10 +307,16 @@ def rk4(
     TrajectoryTooLarge when the (steps + 1, n) array of states cannot be
     allocated.
 
-    The four stages share one (4, n) array and the update is one
-    y + weights @ k.  The per-step finiteness test is math.isfinite(y.sum()),
-    confirmed entry by entry only when the sum is not finite, so a finite
-    state whose sum overflows is not flagged.
+    Each step makes four field calls and five dot products.  The stages go
+    into one (5, n) buffer, rows (k1, k2, k3, k4, y).  Each stage input is a
+    coefficient row of the tableau dotted with a strided (k, y) pair of
+    rows, and the update is the weight row (h/6, h/3, h/3, h/6, 1) dotted
+    with the whole buffer, y in the last row as in y + sum_i b_i k_i.  No
+    coefficient is zero, so a non-finite stage is never multiplied by 0.
+    The per-step finiteness test is math.isfinite(ones.dot(y)), the sum of
+    the entries as one BLAS dot (y.dot(y) would overflow from |y| ~ 1e154),
+    confirmed entry by entry only when it is not finite, so a finite state
+    whose sum overflows is not flagged.
     """
     if not 0 < h < math.inf:
         raise ValueError("step size must be positive and finite")
@@ -322,18 +336,23 @@ def rk4(
             f"{(steps + 1) * y.size * y.itemsize} bytes requested"
         ) from exc
     out[0] = y
-    half = 0.5 * h
-    weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0])
-    k = np.empty((4, y.size))
+    stages = np.empty((5, y.size))
+    stages[4] = y
+    # rows (0, 4), (1, 4) and (2, 4): the (k_i, y) pairs of the stage inputs
+    pair1, pair2, pair3 = stages[0::4], stages[1::3], stages[2::2]
+    half_row, full_row = np.array([0.5 * h, 1.0]), np.array([h, 1.0])
+    weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0, 1.0])
+    ones = np.ones(y.size)
     for n in range(1, steps + 1):
-        k[0] = field(y)
-        k[1] = field(y + half * k[0])
-        k[2] = field(y + half * k[1])
-        k[3] = field(y + h * k[2])
-        y = y + weights @ k
-        if not math.isfinite(y.sum()) and not np.isfinite(y).all():
+        stages[0] = field(y)
+        stages[1] = field(half_row.dot(pair1))
+        stages[2] = field(half_row.dot(pair2))
+        stages[3] = field(full_row.dot(pair3))
+        y = weights.dot(stages)
+        if not math.isfinite(ones.dot(y)) and not np.isfinite(y).all():
             raise _non_finite(n, y, out[n - 1].copy(), labels)
         out[n] = y
+        stages[4] = y
     times = h * np.arange(steps + 1)
     return Trajectory(times=times, states=out, labels=labels)
 

@@ -119,6 +119,32 @@ def test_energy_spec_rejects_a_non_finite_inertia_before_any_arithmetic():
             EnergySpec.diagonal([1.0, bad, 2.0])
 
 
+def test_inertia_symmetry_is_judged_against_its_scale():
+    # SPD inertias with eigenvalues in [1e4, 1e5], formed as (Q * d) @ Q.T:
+    # their rounding asymmetry is about 1e-16 of the entries, far above an
+    # absolute 1e-12, and each is accepted
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        inertia = (q * rng.uniform(1e4, 1e5, 12)) @ q.T
+        spec = EnergySpec.quadratic(inertia)
+        mu = rng.standard_normal(12)
+        np.testing.assert_allclose(
+            spec.dual_gradient(mu), np.linalg.solve(inertia, mu), rtol=1e-10, atol=0
+        )
+    # a real asymmetry is still rejected, at unit scale and at large scale
+    with pytest.raises(ValueError, match="not symmetric"):
+        EnergySpec.quadratic(np.array([[1.0, 1e-6], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        EnergySpec.quadratic(np.array([[1e5, 1.0], [0.0, 1e5]]))
+    # a non-finite entry is named before any symmetry arithmetic
+    for bad in (np.nan, np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularInertia, match="non-finite"):
+                EnergySpec.quadratic(np.array([[1e5, bad], [0.0, 1e5]]))
+
+
 def test_blackbox_gradients_track_the_quadratic_ones():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 3))
@@ -269,6 +295,48 @@ def test_folded_fields_match_the_blockwise_coadjoint(model, inertia):
             continue
         np.testing.assert_allclose(ep_field(d, spec, pi), -reference, rtol=0, atol=atol)
         np.testing.assert_allclose(lp_field(d, spec, pi), reference, rtol=0, atol=atol)
+
+
+def _outer_product_oracle(tensor, x, y):
+    """sum_ij tensor[k, i*n + j] x_i y_j as the (n, n*n) tensor times
+    vec(x (x) y), and the entrywise scale of its terms."""
+    terms = np.abs(tensor) @ np.outer(np.abs(x), np.abs(y)).ravel()
+    return tensor @ np.outer(x, y).ravel(), terms
+
+
+@pytest.mark.parametrize(
+    "structure", ["kepler", "tokamak/so3", "tangent2/so3", "tangent5/sl2"]
+)
+def test_two_product_fields_match_the_outer_product_contraction(structure):
+    """ep_field, lp_field (quadratic and blackbox) and ep3_field against
+    K @ vec(y (x) y), K the field tensor with the spec's own I^-1 folded in,
+    entry by entry within 1e-13 of the scale of the terms summed."""
+    rng = np.random.default_rng(23)
+    family, _, base = structure.partition("/")
+    if family == "kepler":
+        d = build_model("kepler", {"e": 0.7, "m": 1.3, "k": 0.8})
+    elif family == "tokamak":
+        d = build_model("tokamak", {"base": base, "b_i": 0.6})
+    else:
+        d = tangent_algebra(preset(base), int(family[len("tangent"):]))
+    n = d.dim
+    tensor = d.field_tensor
+    spec = EnergySpec.quadratic(_spd(rng, n))
+    inv = spec.dual_gradient(np.eye(n)).T  # the X = I^-1 the spec folds in
+    folded = np.einsum("kaj,ai->kij", tensor.reshape(n, n, n), inv).reshape(n, n * n)
+    blackbox = EnergySpec.blackbox(lambda mu: 0.5 * mu @ inv @ mu)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(5):
+            y = scale * rng.standard_normal(n)
+            expected, terms = _outer_product_oracle(folded, y, y)
+            bound = 1e-13 * terms
+            assert np.all(np.abs(ep_field(d, spec, y) - expected) <= bound)
+            assert np.all(np.abs(lp_field(d, spec, y) + expected) <= bound)
+            if family == "tangent2":
+                assert np.all(np.abs(ep3_field(preset(base), spec, y) - expected) <= bound)
+            v = blackbox.dual_gradient(y)
+            expected, terms = _outer_product_oracle(tensor, v, y)
+            assert np.all(np.abs(lp_field(d, blackbox, y) + expected) <= 1e-13 * terms)
 
 
 def test_folded_tensor_follows_the_structure_it_is_asked_for():
@@ -487,6 +555,79 @@ def test_rk4_flags_nonfinite_states_with_the_step_index():
     with np.errstate(over="ignore"):
         traj = rk4(lambda y: np.zeros_like(y), np.array([1e308, 1e308]), 0.1, 3)
     np.testing.assert_array_equal(traj.states, np.full((4, 2), 1e308))
+
+    # and the finiteness test neither overflows nor warns where the squares would
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = rk4(lambda y: np.zeros_like(y), np.array([1e200, -1e200]), 0.1, 3)
+    np.testing.assert_array_equal(traj.states, np.tile([1e200, -1e200], (4, 1)))
+
+
+def _textbook_rk4_step(field, y, h):
+    k1 = field(y)
+    k2 = field(y + h / 2 * k1)
+    k3 = field(y + h / 2 * k2)
+    k4 = field(y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4), (k1, k2, k3, k4)
+
+
+@pytest.mark.parametrize("b0, named", [(2.0, "b"), (3.0, "a"), (1e160, "a")])
+def test_rk4_blow_up_in_a_mixed_field_matches_the_textbook_tableau(b0, named):
+    """Only b grows like b' = b^2, but a reads it, so an infinite stage of b
+    can carry into a within the same step (from b0 = 3 it does, from b0 = 2
+    it does not; from b0 = 1e160 the first stage of step 1 is infinite).
+    Step, named component and last finite state are those of the textbook
+    RK4 run alongside, and no coefficient of the loop turns an infinite
+    stage into NaN (no 'invalid' warning; the field only overflows)."""
+    def mixed(y):
+        return np.array([0.5 * y[0] + 0.01 * y[1], y[1] ** 2 + y[2], 0.3 * y[0]])
+
+    y0, h = np.array([1.0, b0, 0.5]), 0.05
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = y0
+        for step in range(1, 101):
+            last = y
+            y, _ = _textbook_rk4_step(mixed, last, h)
+            if not np.isfinite(y).all():
+                break
+        with pytest.raises(NonFiniteState) as excinfo:
+            rk4(mixed, y0, h, 100, labels=("a", "b", "c"))
+    assert excinfo.value.step == step
+    assert excinfo.value.component == "abc"[int(np.isfinite(y).argmin())] == named
+    np.testing.assert_allclose(excinfo.value.last_finite, last, rtol=1e-12, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**31 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+    tau=st.floats(1e-3, 0.025),
+    steps=st.integers(1, 20),
+)
+def test_rk4_steps_are_the_textbook_tableau_on_random_quadratic_fields(
+    n, seed, log_scale, tau, steps
+):
+    """Each step of rk4, from the state before it, is the textbook step
+    y + h/6 (k1 + 2 k2 + 2 k3 + k4), entry by entry within 1e-13 of the
+    scale of its terms.  |k| <= 1 bounds the field by n^2 max|y|^2, so
+    h = tau / (n^2 max|y0|) with steps * tau <= 1/2 keeps every state within
+    twice max|y0|, far from a blow-up."""
+    rng = np.random.default_rng(seed)
+    k = rng.uniform(-1.0, 1.0, (n * n, n))
+
+    def quadratic(y):
+        return k.dot(y).reshape(n, n).dot(y)
+
+    y0 = 10.0**log_scale * rng.uniform(-1.0, 1.0, n)
+    h = tau / (n * n * max(np.max(np.abs(y0)), 1e-300))
+    traj = rk4(quadratic, y0, h, steps)
+    for prev, state in zip(traj.states[:-1], traj.states[1:]):
+        expected, stages = _textbook_rk4_step(quadratic, prev, h)
+        k1, k2, k3, k4 = (np.abs(s) for s in stages)
+        terms = np.abs(prev) + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        assert np.all(np.abs(state - expected) <= 1e-13 * terms)
 
 
 def test_rk4_makes_four_field_calls_per_step():
