@@ -240,7 +240,9 @@ def tangent_algebra(g: LieAlgebra, n: int = 1) -> LieAlgebra:
     kept in g's instance dict, beside its cached field_tensor."""
     if not isinstance(n, int) or n < 0:
         raise ConfigError(f"tangent order must be a non-negative integer, got {n!r}")
-    cache = g.__dict__.setdefault("_tangent_algebras", {})
+    cache = g.__dict__.get("_tangent_algebras")
+    if cache is None:
+        cache = g.__dict__["_tangent_algebras"] = {}
     if n not in cache:
         d = g.dim
         c = np.zeros((n + 1, d, n + 1, d, n + 1, d))

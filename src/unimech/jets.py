@@ -27,9 +27,11 @@ term's weight, (-1)^(l-1) times the number of partitions that land on it; the
 unsigned counts of tangent slot k sum to the k-th Bell number.  A product
 fills one (nodes, d, d) buffer with one commutator pass per depth and
 scatters it with one matrix product; the inverse runs the reversed,
-unsigned trie off the element's own slots.  Every JetElement, products and
-inverses included, is validated on construction, each check one reduction
-over the base or the slot stack when it holds.
+unsigned trie off the element's own slots.  Each jet's base inverse is
+formed once, by the first product, inverse or factorization that conjugates
+by it, kept read-only on the jet and shared by every later one.  Every
+JetElement, products and inverses included, is validated on construction,
+each check one reduction over the base or the slot stack when it holds.
 
 Every iterated jet factorizes as complement_embed(n, q) * tn_to_iterated(t):
 q puts 2^n - 1 - n algebra elements on each slot but the top subsets
@@ -98,18 +100,16 @@ def group_residual(group: str, g: np.ndarray) -> float | np.ndarray:
     invertibility -- checked separately).  A (..., d, d) stack gives one
     residual per matrix; a single matrix gives a float."""
     g = np.asarray(g, dtype=float)
-    return _as_float(_group_residual(group, g, np.linalg.det(g)))
-
-
-def _group_residual(group: str, g: np.ndarray, det: float | np.ndarray) -> np.ndarray:
-    """group_residual with det(g) already at hand."""
+    det = np.linalg.det(g)
     if group == "SO":
-        return np.maximum(_max_abs(g.mT @ g - np.eye(g.shape[-1])), abs(det - 1.0))
-    if group == "SL":
-        return abs(det - 1.0)
-    if group == "GL":
-        return np.zeros(g.shape[:-2])
-    raise ValueError(f"unknown group tag {group!r}")
+        res = np.maximum(_max_abs(g.mT @ g - _identity(g.shape[-1])), abs(det - 1.0))
+    elif group == "SL":
+        res = abs(det - 1.0)
+    elif group == "GL":
+        res = np.zeros(g.shape[:-2])
+    else:
+        raise ValueError(f"unknown group tag {group!r}")
+    return _as_float(res)
 
 
 def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
@@ -129,7 +129,18 @@ def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
 
 def _algebra_defect(group: str, x: np.ndarray) -> np.ndarray:
     """What vanishes on the Lie algebra: x + x^T for SO, the trace for SL."""
-    return x + x.mT if group == "SO" else x.diagonal(0, -2, -1).sum(axis=-1)
+    return x + x.mT if group == "SO" else np.add.reduce(x.diagonal(0, -2, -1), -1)
+
+
+_add, _max = np.add.reduce, np.maximum.reduce
+
+
+@lru_cache(maxsize=None)
+def _identity(d: int) -> np.ndarray:
+    """The read-only d x d identity, built on first use."""
+    eye = np.eye(d)
+    eye.setflags(write=False)
+    return eye
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:
@@ -172,6 +183,7 @@ class JetElement:
     slots: np.ndarray = ()
     kind: str = "tangent"
     tol: float = field(default_factory=default_tol)
+    _inv: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.group not in GROUP_TAGS:
@@ -201,22 +213,27 @@ class JetElement:
         # validity: finite entries, base in the group, slots in the algebra,
         # each one reduction when it holds (a worst slot within tol passes at
         # any scale); only a failure looks closer.  Each comparison asks for
-        # the good case, so a NaN residual fails it.
-        if not math.isfinite(base.sum() + slots.sum()):  # finite entries may overflow it
+        # the good case, so a NaN residual fails it.  The reductions are the
+        # ufuncs' own, called without the ndarray method wrappers.
+        if not math.isfinite(_add(base, None) + _add(slots, None)):  # finite entries may overflow it
             finite = np.isfinite(np.concatenate((base[None], slots))).reshape(len(slots) + 1, -1)
             i = int(finite.all(axis=1).argmin()) - 1  # -1 is the base
             if not finite.all():
                 raise JetValidationError(i if i >= 0 else "base", math.inf,
                                          "has a non-finite entry")
-        det = np.linalg.det(base)
+        det = float(np.linalg.det(base))
         if not abs(det) >= 1e-300:
             raise SingularMatrix("base matrix is not invertible")
-        res = float(_group_residual(self.group, base, det))
+        res = 0.0 if self.group == "GL" else abs(det - 1.0)
+        if self.group == "SO":  # max|x^T x - I| in one buffer, the identity cached per d
+            gram = base.T @ base
+            gram -= _identity(d)
+            res = max(float(_max(np.abs(gram, out=gram), None)), res)
         if not res <= self.tol:
             raise JetValidationError("base", res, f"is not in {self.group}({d}) to "
                                      f"tol={self.tol:g} (residual {res:.3g})")
         if self.group != "GL" and not (
-            np.abs(_algebra_defect(self.group, slots)).max(initial=0.0) <= self.tol
+            _max(np.abs(_algebra_defect(self.group, slots)), None, initial=0.0) <= self.tol
         ):
             res = algebra_residual(self.group, slots)
             ok = res <= self.tol * np.maximum(_max_abs(slots), 1.0)
@@ -229,6 +246,16 @@ class JetElement:
         slots.setflags(write=False)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "slots", slots)
+
+    def _base_inverse(self) -> np.ndarray:
+        """base^-1, read-only: formed by the first caller that needs it and
+        kept for every later product, inverse and factorization."""
+        inv = self._inv
+        if inv is None:
+            inv = _inverse(self.base)
+            inv.setflags(write=False)
+            object.__setattr__(self, "_inv", inv)
+        return inv
 
     @property
     def dim(self) -> int:
@@ -344,9 +371,10 @@ def _trie(kind: str, n: int, reverse: bool) -> tuple[tuple, np.ndarray]:
     The terms form a trie of (head slot, link prefix) nodes.  Depth 0 is the
     m slots, each heading its one-block term; deeper nodes follow depth by
     depth, so a parent precedes its node.  Returns (levels, scatter): per
-    depth >= 1 the parent node and link slot of each node, and the
-    (m, nodes) summed weight of the terms ending at each node, a term with
-    L links weighing (-1)^L in the product and 1 in the inverse."""
+    depth >= 1 the parent node and link slot of each node (index arrays, or
+    slices where the depth has one node), and the (m, nodes) summed weight
+    of the terms ending at each node, a term with L links weighing (-1)^L in
+    the product and 1 in the inverse."""
     if kind == "iterated":
         targets, slot = subsets_by_slot(n), _slot_index
     else:
@@ -364,8 +392,11 @@ def _trie(kind: str, n: int, reverse: bool) -> tuple[tuple, np.ndarray]:
     levels = []
     for depth in range(2, max(map(len, nodes), default=0) + 1):
         level = [path for path in nodes if len(path) == depth]
-        levels.append((np.array([index[path[:-1]] for path in level]),
-                       np.array([path[-1] for path in level])))
+        parents, links = [index[path[:-1]] for path in level], [path[-1] for path in level]
+        if len(level) == 1:
+            levels.append((slice(parents[0], parents[0] + 1), slice(links[0], links[0] + 1)))
+        else:
+            levels.append((np.array(parents), np.array(links)))
     scatter = np.zeros((len(targets), len(nodes)))
     for (target, path), weight in weights.items():
         scatter[target, index[path]] = weight
@@ -383,18 +414,23 @@ def _run_trie(trie: tuple, sources: np.ndarray, links: np.ndarray) -> np.ndarray
     buf[:m] = sources
     lo = m
     for parents, slots in levels:
-        p = buf.take(parents, axis=0)
-        s = links.take(slots, axis=0)
-        np.subtract(s @ p, p @ s, out=buf[lo:lo + len(parents)])
-        lo += len(parents)
+        if isinstance(parents, slice):  # one node: views, not copies
+            p, s = buf[parents], links[slots]
+        else:
+            p, s = buf.take(parents, axis=0), links.take(slots, axis=0)
+        hi = lo + len(p)
+        np.subtract(s @ p, p @ s, out=buf[lo:hi])
+        lo = hi
     return (scatter @ buf.reshape(nodes, d * d)).reshape(m, d, d)
 
 
 def _product_slots(kind: str, n: int, a: JetElement, b: JetElement) -> np.ndarray:
     """Slots of (x, X) * (y, Y): Y plus the signed, counted ad_Y-chains of
     Ad_{y^-1} X."""
-    conj = _inverse(b.base) @ a.slots @ b.base  # Ad_{y^-1} of every slot, one inversion
-    return b.slots + _run_trie(_trie(kind, n, False), conj, b.slots)
+    conj = b._base_inverse() @ a.slots @ b.base  # Ad_{y^-1} of every slot
+    out = _run_trie(_trie(kind, n, False), conj, b.slots)
+    out += b.slots
+    return out
 
 
 def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
@@ -409,9 +445,9 @@ def _invert(kind: str, n: int, a: JetElement) -> JetElement:
     if a.kind != kind or a.order != n:
         article = "an" if kind == "iterated" else "a"
         raise DimensionError(f"expected {article} {kind} jet of order {n}")
-    base_inv = _inverse(a.base)
-    out = _run_trie(_trie(kind, n, True), a.slots, a.slots)
-    return JetElement(a.group, base_inv, -(a.base @ out @ base_inv), kind=kind, tol=a.tol)
+    base_inv = a._base_inverse()
+    out = a.base @ _run_trie(_trie(kind, n, True), a.slots, a.slots) @ base_inv
+    return JetElement(a.group, base_inv, np.negative(out, out=out), kind=kind, tol=a.tol)
 
 
 def tn_multiply(n: int, a: JetElement, b: JetElement) -> JetElement:
@@ -443,17 +479,18 @@ def tn_to_iterated(j: JetElement) -> JetElement:
     |A|-th tangent slot.  This is a group homomorphism."""
     if j.kind != "tangent":
         raise ValueError("expected a tangent jet")
-    slots = [j.slots[len(subset) - 1] for subset in subsets_by_slot(j.order)]
+    slots = j.slots.take(_layout(j.order)[0], axis=0)
     return JetElement(j.group, j.base, slots, kind="iterated", tol=j.tol)
 
 
 @lru_cache(maxsize=None)
 def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per slot its subset size; the slot of each top subset {n-k+1..n},
-    k = 1..n; and every other slot, in slot order."""
-    sizes = np.array([len(subset) for subset in subsets_by_slot(n)], dtype=int)
+    """Per slot the tangent slot |A| - 1 that its subset A reads; the slot
+    of each top subset {n-k+1..n}, k = 1..n; and every other slot, in slot
+    order."""
+    fibers = np.array([len(subset) - 1 for subset in subsets_by_slot(n)], dtype=int)
     tops = np.array([2**n - 2 ** (n - k) - 1 for k in range(1, n + 1)], dtype=int)
-    return sizes, tops, np.setdiff1d(np.arange(2**n - 1), tops)
+    return fibers, tops, np.setdiff1d(np.arange(2**n - 1), tops)
 
 
 def complement_embed(
@@ -492,7 +529,7 @@ def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
     if j.kind != "iterated" or j.order != n:
         raise DimensionError(f"expected an iterated jet of order {n}")
     s, x = j.slots, j.base
-    sizes, tops, free = _layout(n)
+    fibers, tops, free = _layout(n)
     trie = _trie("iterated", n, False)
     w = np.zeros_like(s)  # Ad_{x^-1} q
     tt = np.zeros_like(s)  # tn_to_iterated(t).slots
@@ -500,10 +537,10 @@ def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
     for k, top in enumerate(tops, start=1):
         if k > 1:
             rest = s - (_run_trie(trie, w, tt) - w)
-        level = sizes == k
+        level = fibers == k - 1
         tt[level] = rest[top]
         w[level] = rest[level] - rest[top]  # exactly zero on the top slot
-    q = x @ w[free] @ _inverse(x)
+    q = x @ w[free] @ j._base_inverse()
     t = JetElement(j.group, x, tt[tops], kind="tangent", tol=j.tol)
     recon = _product_slots(  # over the base I @ x == x
         "iterated", n, complement_embed(n, q, group=j.group, tol=j.tol), tn_to_iterated(t)

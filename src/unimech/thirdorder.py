@@ -81,10 +81,12 @@ def ep3_field(g: LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:
     the tests check it against these levels written out with g.coad, and
     against the composed coadjoint of third_order_product.
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.shape != (3 * g.dim,):
-        raise DimensionError(f"state must have length {3 * g.dim}, got {pi.shape}")
-    return ep_field(tangent_algebra(g, 2), spec, pi)
+    try:
+        return ep_field(tangent_algebra(g, 2), spec, pi)
+    except DimensionError:  # ep_field checks the state once; name it in g's terms
+        if np.shape(pi) == (3 * g.dim,):
+            raise
+        raise DimensionError(f"state must have length {3 * g.dim}, got {np.shape(pi)}") from None
 
 
 # -- matrix realizations ------------------------------------------------------

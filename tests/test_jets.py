@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 from collections import Counter
 from functools import lru_cache
 
@@ -462,6 +464,8 @@ def test_term_trie_structure(kind):
             paths = [(k,) for k in range(m)]  # depth 0: every slot heads a term
             above, lo = 0, m
             for parents, links in levels:
+                # a one-node depth holds slices; read both forms as indices
+                parents, links = np.arange(lo)[parents], np.arange(m)[links]
                 # each parent lies one depth up, so it precedes its node
                 assert np.all((above <= parents) & (parents < lo))
                 assert np.all((0 <= links) & (links < m))
@@ -479,7 +483,7 @@ def test_term_trie_structure(kind):
         sizes = range(1, n + 1) if kind == "tangent" else map(len, subsets_by_slot(n))
         assert counts.tolist() == [BELL[k] for k in sizes]
     if kind == "tangent":
-        assert sum(len(parents) for parents, _ in _trie(kind, 4, False)[0]) == 11
+        assert _trie(kind, 4, False)[1].shape[1] - 4 == 11  # nodes below depth 0
 
 
 def test_tn_to_iterated_is_a_homomorphism():
@@ -878,6 +882,113 @@ def test_jet_properties_and_immutability():
     np.testing.assert_allclose(replaced.slots[1], 2 * skew)
     with pytest.raises(ValueError, match="slot 0"):
         j.replace_slots([np.eye(3), skew])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_base_inverse_is_formed_once_read_only_and_exact():
+    j = random_jet("GL", 3, 2, rng=np.random.default_rng(40))
+    assert j._inv is None  # nothing is formed before a caller needs it
+    inv = j._base_inverse()
+    assert j._base_inverse() is inv and j._inv is inv
+    assert not inv.flags.writeable
+    with pytest.raises(ValueError):
+        inv[0, 0] = 1.0
+    assert _same_bits(inv, np.linalg.inv(j.base))
+
+
+def test_base_inverse_is_no_part_of_equality_repr_or_replace():
+    fields = {f.name: f for f in dataclasses.fields(JetElement)}
+    cached = fields["_inv"]
+    assert not (cached.init or cached.compare or cached.repr)
+    j = random_jet("SO", 3, 2, rng=np.random.default_rng(41))
+    twin = copy.copy(j)  # the same arrays, no inverse yet
+    j._base_inverse()
+    assert twin._inv is None and j == twin
+    assert repr(j) == repr(twin) and "_inv" not in repr(j)
+    other = random_jet("SO", 3, 2, rng=np.random.default_rng(42)).base
+    moved = dataclasses.replace(j, base=other)
+    assert moved._inv is None
+    assert _same_bits(moved._base_inverse(), np.linalg.inv(other))
+
+
+@pytest.mark.parametrize("kind", ["tangent", "iterated"])
+def test_a_cached_inverse_gives_the_bits_of_a_fresh_one(kind):
+    mul, inv = (tn_multiply, tn_inverse) if kind == "tangent" else (iterated_multiply,
+                                                                    iterated_inverse)
+    rng = np.random.default_rng(43)
+    for group, dim in (("SO", 3), ("SL", 2), ("GL", 3)):
+        for n in (1, 2, 3):
+            a, b = (random_jet(group, dim, n, kind=kind, rng=rng) for _ in range(2))
+            fresh_a, fresh_b = (JetElement(j.group, j.base, j.slots, kind=kind) for j in (a, b))
+            a._base_inverse(), b._base_inverse()
+            for got, want in ((mul(n, a, b), mul(n, fresh_a, fresh_b)),
+                              (mul(n, a, b), mul(n, a, fresh_b)),
+                              (inv(n, a), inv(n, fresh_a))):
+                assert _same_bits(got.base, want.base) and _same_bits(got.slots, want.slots)
+            if kind == "iterated":
+                q, t = iterated_factorize(n, a)
+                fresh_q, fresh_t = iterated_factorize(n, fresh_a)
+                assert _same_bits(q, fresh_q) and _same_bits(t.slots, fresh_t.slots)
+
+
+@pytest.mark.parametrize("group,dim", [("SO", 3), ("SL", 2), ("GL", 3)])
+def test_plain_group_elements_validate_and_multiply(group, dim):
+    # no slots: the slot check runs on an empty stack and passes
+    rng = np.random.default_rng(44)
+    a, b = (random_jet(group, dim, 0, rng=rng) for _ in range(2))
+    plain = JetElement(group, a.base)
+    assert plain.slots.shape == (0, dim, dim) and plain.order == 0
+    prod = tn_multiply(0, plain, b)
+    assert _same_bits(prod.base, a.base @ b.base) and prod.slots.shape == (0, dim, dim)
+    inv = tn_inverse(0, plain)
+    assert _same_bits(inv.base, np.linalg.inv(a.base))
+    np.testing.assert_allclose(tn_multiply(0, plain, inv).base, np.eye(dim), atol=1e-12)
+    assert iterated_multiply(0, JetElement(group, a.base, kind="iterated"),
+                             JetElement(group, b.base, kind="iterated")).slots.shape[0] == 0
+
+
+def test_validation_failures_keep_their_type_where_and_message():
+    eye = np.eye(3)
+    skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    shear = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    bump = np.diag([0.0, 1.0, 0.0])
+    so = "is not in the Lie algebra of SO(3) to tol=1e-10"
+    cases = [
+        (("SO", shear), JetValidationError, "base",
+         "base is not in SO(3) to tol=1e-10 (residual 0.5)"),
+        (("SO", np.diag([1.0, 1.0, -1.0])), JetValidationError, "base",
+         "base is not in SO(3) to tol=1e-10 (residual 2)"),
+        (("SO", eye + np.diag([2e-10, 0.0], 1)), JetValidationError, "base",
+         "base is not in SO(3) to tol=1e-10 (residual 2e-10)"),  # Gram test, det 1
+        (("SL", 2.0 * np.eye(2)), JetValidationError, "base",
+         "base is not in SL(2) to tol=1e-10 (residual 3)"),
+        (("GL", eye, [], "tangent", -1.0), JetValidationError, "base",
+         "base is not in GL(3) to tol=-1 (residual 0)"),
+        (("SO", eye, [skew, skew + 0.125 * bump]), JetValidationError, 1,
+         f"slot 1 {so} (residual 0.25)"),
+        (("SO", eye, [1e6 * skew, 1e-3 * skew + 1e-10 * bump]), JetValidationError, 1,
+         f"slot 1 {so} (residual 2e-10)"),
+        (("SL", np.eye(2), [np.zeros((2, 2)), np.diag([1.0, 0.0])]), JetValidationError, 1,
+         "slot 1 is not in the Lie algebra of SL(2) to tol=1e-10 (residual 1)"),
+        (("GL", np.full((3, 3), np.inf)), JetValidationError, "base",
+         "base has a non-finite entry"),
+        (("SO", eye, [skew, np.full((3, 3), np.nan)]), JetValidationError, 1,
+         "slot 1 has a non-finite entry"),
+        (("GL", np.zeros((3, 3))), SingularMatrix, None, "base matrix is not invertible"),
+    ]
+    for args, kind, where, message in cases:
+        with pytest.raises(ValueError) as err:
+            JetElement(*args)
+        assert type(err.value) is kind and str(err.value) == message
+        assert getattr(err.value, "where", None) == where
+    # the same checks pass just inside their thresholds
+    JetElement("SO", eye + np.diag([6e-11, 0.0], 1))
+    JetElement("SO", eye, [1e6 * skew + 2.5e-5 * bump, 1e-3 * skew + 2.5e-11 * bump])
+    JetElement("GL", eye, [], tol=0.0)
+    JetElement("SO", eye, [skew], tol=0.0)
 
 
 def test_pair_checks_across_the_products():
