@@ -29,7 +29,9 @@ fills one (nodes, d, d) buffer with one commutator pass per depth and
 scatters it with one matrix product; the inverse runs the reversed,
 unsigned trie off the element's own slots.  Each jet's base inverse is
 formed once, by the first product, inverse or factorization that conjugates
-by it, kept read-only on the jet and shared by every later one.  Every
+by it, kept read-only on the jet and shared by every later one; a jet built
+over the same base (tn_to_iterated, replace_slots, the t of a
+factorization) shares it too.  Every
 JetElement, products and inverses included, is validated on construction,
 each check one reduction over the base or the slot stack when it holds.
 
@@ -100,16 +102,21 @@ def group_residual(group: str, g: np.ndarray) -> float | np.ndarray:
     invertibility -- checked separately).  A (..., d, d) stack gives one
     residual per matrix; a single matrix gives a float."""
     g = np.asarray(g, dtype=float)
-    det = np.linalg.det(g)
+    return _as_float(_group_residual(group, g, np.linalg.det(g)))
+
+
+def _group_residual(group: str, g: np.ndarray, det: float | np.ndarray) -> np.ndarray:
+    """group_residual with det(g) already at hand; the SO Gram defect
+    x^T x - I is formed in one buffer against the cached identity."""
     if group == "SO":
-        res = np.maximum(_max_abs(g.mT @ g - _identity(g.shape[-1])), abs(det - 1.0))
-    elif group == "SL":
-        res = abs(det - 1.0)
-    elif group == "GL":
-        res = np.zeros(g.shape[:-2])
-    else:
-        raise ValueError(f"unknown group tag {group!r}")
-    return _as_float(res)
+        gram = g.mT @ g
+        gram -= _identity(g.shape[-1])
+        return np.maximum(_max_abs(gram, out=gram), abs(det - 1.0))
+    if group == "SL":
+        return abs(det - 1.0)
+    if group == "GL":
+        return np.zeros(g.shape[:-2])
+    raise ValueError(f"unknown group tag {group!r}")
 
 
 def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
@@ -143,10 +150,11 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-def _max_abs(x: np.ndarray) -> np.ndarray:
-    """Largest entry magnitude of each matrix in a (..., d, d) stack."""
-    flat = np.abs(x).reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
-    return flat.max(axis=-1, initial=0.0)
+def _max_abs(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Largest entry magnitude of each matrix in a (..., d, d) stack; `out`
+    may be x itself, a scratch buffer the magnitudes overwrite."""
+    flat = np.abs(x, out=out).reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    return _max(flat, -1, initial=0.0)
 
 
 def _as_float(res: np.ndarray) -> float | np.ndarray:
@@ -224,11 +232,7 @@ class JetElement:
         det = float(np.linalg.det(base))
         if not abs(det) >= 1e-300:
             raise SingularMatrix("base matrix is not invertible")
-        res = 0.0 if self.group == "GL" else abs(det - 1.0)
-        if self.group == "SO":  # max|x^T x - I| in one buffer, the identity cached per d
-            gram = base.T @ base
-            gram -= _identity(d)
-            res = max(float(_max(np.abs(gram, out=gram), None)), res)
+        res = float(_group_residual(self.group, base, det))
         if not res <= self.tol:
             raise JetValidationError("base", res, f"is not in {self.group}({d}) to "
                                      f"tol={self.tol:g} (residual {res:.3g})")
@@ -257,6 +261,12 @@ class JetElement:
             object.__setattr__(self, "_inv", inv)
         return inv
 
+    def _over_same_base(self, other: "JetElement") -> "JetElement":
+        """other, a jet built over a copy of this base, sharing its inverse
+        if that is formed."""
+        object.__setattr__(other, "_inv", self._inv)
+        return other
+
     @property
     def dim(self) -> int:
         return self.base.shape[0]
@@ -268,7 +278,8 @@ class JetElement:
         return (len(self.slots) + 1).bit_length() - 1
 
     def replace_slots(self, slots) -> "JetElement":
-        return JetElement(self.group, self.base, slots, kind=self.kind, tol=self.tol)
+        return self._over_same_base(
+            JetElement(self.group, self.base, slots, kind=self.kind, tol=self.tol))
 
 
 def _check_pair(a: JetElement, b: JetElement, kind: str, n: int) -> None:
@@ -371,10 +382,9 @@ def _trie(kind: str, n: int, reverse: bool) -> tuple[tuple, np.ndarray]:
     The terms form a trie of (head slot, link prefix) nodes.  Depth 0 is the
     m slots, each heading its one-block term; deeper nodes follow depth by
     depth, so a parent precedes its node.  Returns (levels, scatter): per
-    depth >= 1 the parent node and link slot of each node (index arrays, or
-    slices where the depth has one node), and the (m, nodes) summed weight
-    of the terms ending at each node, a term with L links weighing (-1)^L in
-    the product and 1 in the inverse."""
+    depth >= 1 the parent node and link slot of each node, and the
+    (m, nodes) summed weight of the terms ending at each node, a term with
+    L links weighing (-1)^L in the product and 1 in the inverse."""
     if kind == "iterated":
         targets, slot = subsets_by_slot(n), _slot_index
     else:
@@ -392,11 +402,8 @@ def _trie(kind: str, n: int, reverse: bool) -> tuple[tuple, np.ndarray]:
     levels = []
     for depth in range(2, max(map(len, nodes), default=0) + 1):
         level = [path for path in nodes if len(path) == depth]
-        parents, links = [index[path[:-1]] for path in level], [path[-1] for path in level]
-        if len(level) == 1:
-            levels.append((slice(parents[0], parents[0] + 1), slice(links[0], links[0] + 1)))
-        else:
-            levels.append((np.array(parents), np.array(links)))
+        levels.append((np.array([index[path[:-1]] for path in level]),
+                       np.array([path[-1] for path in level])))
     scatter = np.zeros((len(targets), len(nodes)))
     for (target, path), weight in weights.items():
         scatter[target, index[path]] = weight
@@ -414,13 +421,10 @@ def _run_trie(trie: tuple, sources: np.ndarray, links: np.ndarray) -> np.ndarray
     buf[:m] = sources
     lo = m
     for parents, slots in levels:
-        if isinstance(parents, slice):  # one node: views, not copies
-            p, s = buf[parents], links[slots]
-        else:
-            p, s = buf.take(parents, axis=0), links.take(slots, axis=0)
-        hi = lo + len(p)
-        np.subtract(s @ p, p @ s, out=buf[lo:hi])
-        lo = hi
+        p = buf.take(parents, axis=0)
+        s = links.take(slots, axis=0)
+        np.subtract(s @ p, p @ s, out=buf[lo:lo + len(parents)])
+        lo += len(parents)
     return (scatter @ buf.reshape(nodes, d * d)).reshape(m, d, d)
 
 
@@ -480,7 +484,7 @@ def tn_to_iterated(j: JetElement) -> JetElement:
     if j.kind != "tangent":
         raise ValueError("expected a tangent jet")
     slots = j.slots.take(_layout(j.order)[0], axis=0)
-    return JetElement(j.group, j.base, slots, kind="iterated", tol=j.tol)
+    return j._over_same_base(JetElement(j.group, j.base, slots, kind="iterated", tol=j.tol))
 
 
 @lru_cache(maxsize=None)
@@ -541,8 +545,8 @@ def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
         tt[level] = rest[top]
         w[level] = rest[level] - rest[top]  # exactly zero on the top slot
     q = x @ w[free] @ j._base_inverse()
-    t = JetElement(j.group, x, tt[tops], kind="tangent", tol=j.tol)
-    recon = _product_slots(  # over the base I @ x == x
+    t = j._over_same_base(JetElement(j.group, x, tt[tops], kind="tangent", tol=j.tol))
+    recon = _product_slots(  # over the base I @ x == x, conjugating by j's inverse
         "iterated", n, complement_embed(n, q, group=j.group, tol=j.tol), tn_to_iterated(t)
     )
     err = float(_max_abs(recon - s).max(initial=0.0))

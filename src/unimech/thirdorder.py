@@ -83,7 +83,7 @@ def ep3_field(g: LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:
     """
     try:
         return ep_field(tangent_algebra(g, 2), spec, pi)
-    except DimensionError:  # ep_field checks the state once; name it in g's terms
+    except ValueError:  # ep_field checks the state once; a bad one is named first
         if np.shape(pi) == (3 * g.dim,):
             raise
         raise DimensionError(f"state must have length {3 * g.dim}, got {np.shape(pi)}") from None

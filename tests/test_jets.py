@@ -464,8 +464,6 @@ def test_term_trie_structure(kind):
             paths = [(k,) for k in range(m)]  # depth 0: every slot heads a term
             above, lo = 0, m
             for parents, links in levels:
-                # a one-node depth holds slices; read both forms as indices
-                parents, links = np.arange(lo)[parents], np.arange(m)[links]
                 # each parent lies one depth up, so it precedes its node
                 assert np.all((above <= parents) & (parents < lo))
                 assert np.all((0 <= links) & (links < m))
@@ -483,7 +481,7 @@ def test_term_trie_structure(kind):
         sizes = range(1, n + 1) if kind == "tangent" else map(len, subsets_by_slot(n))
         assert counts.tolist() == [BELL[k] for k in sizes]
     if kind == "tangent":
-        assert _trie(kind, 4, False)[1].shape[1] - 4 == 11  # nodes below depth 0
+        assert sum(len(parents) for parents, _ in _trie(kind, 4, False)[0]) == 11
 
 
 def test_tn_to_iterated_is_a_homomorphism():
@@ -912,6 +910,24 @@ def test_base_inverse_is_no_part_of_equality_repr_or_replace():
     moved = dataclasses.replace(j, base=other)
     assert moved._inv is None
     assert _same_bits(moved._base_inverse(), np.linalg.inv(other))
+
+
+def test_jets_over_the_same_base_share_its_inverse(monkeypatch):
+    formed = []
+    inverse = jets._inverse
+    monkeypatch.setattr(jets, "_inverse", lambda g: formed.append(g) or inverse(g))
+    j = random_jet("GL", 3, 3, rng=np.random.default_rng(45))
+    assert tn_to_iterated(j)._inv is None and j.replace_slots(j.slots)._inv is None
+    inv = j._base_inverse()
+    for other in (tn_to_iterated(j), j.replace_slots(2.0 * j.slots)):
+        assert other._inv is inv and _same_bits(other.base, j.base)
+    # a fresh jet's factorization forms its base inverse once: q and the
+    # round trip through tn_to_iterated(t) both conjugate by it
+    i = random_jet("GL", 3, 3, kind="iterated", rng=np.random.default_rng(46))
+    formed.clear()
+    q, t = iterated_factorize(3, i)
+    assert len(formed) == 1 and t._inv is i._inv
+    assert _same_bits(i._inv, np.linalg.inv(i.base))
 
 
 @pytest.mark.parametrize("kind", ["tangent", "iterated"])

@@ -215,6 +215,8 @@ def test_ep3_input_checks():
         ep3_field(g, EnergySpec.blackbox(lambda mu: float(mu @ mu)), np.zeros(9))
     with pytest.raises(DimensionError, match="state must have length 9"):
         ep3_field(g, EnergySpec.identity(9), np.zeros(6))
+    with pytest.raises(DimensionError, match="state must have length 9"):  # before the spec
+        ep3_field(g, EnergySpec.blackbox(lambda mu: float(mu @ mu)), np.zeros(6))
     with pytest.raises(DimensionError, match="^inertia is 6x6, the state has length 9$"):
         ep3_field(g, EnergySpec.identity(6), np.zeros(9))
 
