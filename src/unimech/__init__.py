@@ -30,6 +30,7 @@ from .errors import (
     GroupMismatch,
     JetValidationError,
     NonFiniteState,
+    NotASubalgebra,
     SingularFiberMap,
     SingularInertia,
     SingularMatrix,
@@ -73,6 +74,7 @@ from .products import (
     product_from_doc,
     product_to_doc,
     save_product,
+    split_product,
     validate_axioms,
 )
 from .thirdorder import (

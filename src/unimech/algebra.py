@@ -244,22 +244,29 @@ def tangent_algebra(g: LieAlgebra, n: int = 1) -> LieAlgebra:
     if cache is None:
         cache = g.__dict__["_tangent_algebras"] = {}
     if n not in cache:
-        d = g.dim
-        c = np.zeros((n + 1, d, n + 1, d, n + 1, d))
+        a = np.zeros((n + 1,) * 3)  # t^i t^(k-i) = C(k, i) t^k in derivative coordinates
         for k in range(n + 1):
             for i in range(k + 1):
-                c[k, :, i, :, k - i, :] = math.comb(k, i) * g.c
+                a[k, i, k - i] = math.comb(k, i)
         labels = tuple("d" * k + lbl for k in range(n + 1) for lbl in g.labels)
-        size = (n + 1) * d
-        cache[n] = LieAlgebra(size, c.reshape(size, size, size), labels=labels, tol=g.tol)
+        cache[n] = _current_algebra(g, a, labels)
     return cache[n]
 
 
-def _so3(labels: tuple[str, ...] = ("e1", "e2", "e3")) -> LieAlgebra:
+def _current_algebra(g: LieAlgebra, a: np.ndarray, labels: tuple[str, ...]) -> LieAlgebra:
+    """g (x) A, A commutative associative with t_p t_q = sum_r a[r, p, q] t_r:
+    [x (x) t_p, y (x) t_q] = [x, y] (x) t_p t_q, coordinates A-index first.
+    Each nonzero a[r, p, q] fills block (r, p, q) with a[r, p, q] * g.c."""
+    r, d = a.shape[0], g.dim
+    c = np.zeros((r, d, r, d, r, d))
+    for idx in zip(*np.nonzero(a)):
+        c[idx[0], :, idx[1], :, idx[2], :] = a[idx] * g.c
+    return LieAlgebra(r * d, c.reshape((r * d,) * 3), labels=labels, tol=g.tol)
+
+
+def _so3() -> LieAlgebra:
     # the cross product: [e_i, e_j] = sum_k eps_kij e_k
-    return from_sparse_entries(
-        3, [(0, 1, 2, 1.0), (1, 0, 2, -1.0), (2, 0, 1, 1.0)], labels=labels
-    )
+    return from_sparse_entries(3, [(0, 1, 2, 1.0), (1, 0, 2, -1.0), (2, 0, 1, 1.0)])
 
 
 def _sl2() -> LieAlgebra:

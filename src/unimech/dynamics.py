@@ -316,7 +316,8 @@ def rk4(
     The per-step finiteness test is math.isfinite(ones.dot(y)), the sum of
     the entries as one BLAS dot (y.dot(y) would overflow from |y| ~ 1e154),
     confirmed entry by entry only when it is not finite, so a finite state
-    whose sum overflows is not flagged.
+    whose sum overflows is not flagged.  Overflow and invalid warnings are
+    off in the loop, field calls included: a blow-up is a NonFiniteState.
     """
     if not 0 < h < math.inf:
         raise ValueError("step size must be positive and finite")
@@ -343,16 +344,17 @@ def rk4(
     half_row, full_row = np.array([0.5 * h, 1.0]), np.array([h, 1.0])
     weights = np.array([h / 6.0, h / 3.0, h / 3.0, h / 6.0, 1.0])
     ones = np.ones(y.size)
-    for n in range(1, steps + 1):
-        stages[0] = field(y)
-        stages[1] = field(half_row.dot(pair1))
-        stages[2] = field(half_row.dot(pair2))
-        stages[3] = field(full_row.dot(pair3))
-        y = weights.dot(stages)
-        if not math.isfinite(ones.dot(y)) and not np.isfinite(y).all():
-            raise _non_finite(n, y, out[n - 1].copy(), labels)
-        out[n] = y
-        stages[4] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, steps + 1):
+            stages[0] = field(y)
+            stages[1] = field(half_row.dot(pair1))
+            stages[2] = field(half_row.dot(pair2))
+            stages[3] = field(full_row.dot(pair3))
+            y = weights.dot(stages)
+            if not math.isfinite(ones.dot(y)) and not np.isfinite(y).all():
+                raise _non_finite(n, y, out[n - 1].copy(), labels)
+            out[n] = y
+            stages[4] = y
     times = h * np.arange(steps + 1)
     return Trajectory(times=times, states=out, labels=labels)
 

@@ -54,6 +54,16 @@ class NonFiniteState(FloatingPointError):
         super().__init__(message or f"non-finite state after step {step}{where}")
 
 
+class NotASubalgebra(ValueError):
+    """The trailing coordinates of an algebra do not close under its bracket;
+    .witness is the worst (m; h, h) label triple, .residual its size."""
+
+    def __init__(self, witness: tuple[str, str, str], residual: float, threshold: float):
+        self.witness, self.residual = witness, residual
+        super().__init__(f"h is not a subalgebra: [{witness[1]}, {witness[2]}] has {witness[0]}"
+                         f"-component {residual:.3g} (threshold {threshold:.3g})")
+
+
 class TrajectoryTooLarge(ValueError):
     """The array holding every state of a run could not be allocated."""
 

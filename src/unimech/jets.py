@@ -33,7 +33,7 @@ by it, kept read-only on the jet and shared by every later one; a jet built
 over the same base (tn_to_iterated, replace_slots, the t of a
 factorization) shares it too.  Every
 JetElement, products and inverses included, is validated on construction,
-each check one reduction over the base or the slot stack when it holds.
+each check one or two ufunc passes over the base or the slot stack.
 
 Every iterated jet factorizes as complement_embed(n, q) * tn_to_iterated(t):
 q puts 2^n - 1 - n algebra elements on each slot but the top subsets
@@ -139,7 +139,7 @@ def _algebra_defect(group: str, x: np.ndarray) -> np.ndarray:
     return x + x.mT if group == "SO" else np.add.reduce(x.diagonal(0, -2, -1), -1)
 
 
-_add, _max = np.add.reduce, np.maximum.reduce
+_all, _isfinite, _max = np.logical_and.reduce, np.isfinite, np.maximum.reduce
 
 
 @lru_cache(maxsize=None)
@@ -180,8 +180,9 @@ class JetElement:
     With no slots this is a plain group element.  The order is inferred from
     the slot count: kind "tangent" has `order` slots, kind "iterated" has
     2**order - 1.  Construction checks that every entry is finite, that the
-    base lies in the tagged group to `tol` and that each slot x lies in its
-    Lie algebra to `tol * max(1, max|x|)`; a failure is a JetValidationError
+    base lies in the tagged group to `tol * max(1, prod_i |row_i|)` (the
+    Hadamard bound on |det|) and that each slot x lies in its Lie algebra
+    to `tol * max(1, max|x|)`; a failure is a JetValidationError
     naming the base or the first bad slot (SingularMatrix for a singular
     base).
     """
@@ -218,22 +219,21 @@ class JetElement:
                 raise DimensionError(
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
-        # validity: finite entries, base in the group, slots in the algebra,
-        # each one reduction when it holds (a worst slot within tol passes at
-        # any scale); only a failure looks closer.  Each comparison asks for
-        # the good case, so a NaN residual fails it.  The reductions are the
-        # ufuncs' own, called without the ndarray method wrappers.
-        if not math.isfinite(_add(base, None) + _add(slots, None)):  # finite entries may overflow it
+        # validity: finite entries (isfinite: no arithmetic, so nothing can
+        # overflow or warn), base in the group, slots in the algebra, each one
+        # reduction when it holds (a worst slot within tol passes at any
+        # scale); only a failure looks closer.  Each comparison asks for the
+        # good case, so a NaN residual fails it.  The ufuncs are called
+        # without the ndarray method wrappers.
+        if not (_all(_isfinite(base), None) and _all(_isfinite(slots), None)):
             finite = np.isfinite(np.concatenate((base[None], slots))).reshape(len(slots) + 1, -1)
             i = int(finite.all(axis=1).argmin()) - 1  # -1 is the base
-            if not finite.all():
-                raise JetValidationError(i if i >= 0 else "base", math.inf,
-                                         "has a non-finite entry")
+            raise JetValidationError(i if i >= 0 else "base", math.inf, "has a non-finite entry")
         det = float(np.linalg.det(base))
         if not abs(det) >= 1e-300:
             raise SingularMatrix("base matrix is not invertible")
         res = float(_group_residual(self.group, base, det))
-        if not res <= self.tol:
+        if not (res <= self.tol or res <= self.tol * np.prod(np.linalg.norm(base, axis=1))):
             raise JetValidationError("base", res, f"is not in {self.group}({d}) to "
                                      f"tol={self.tol:g} (residual {res:.3g})")
         if self.group != "GL" and not (

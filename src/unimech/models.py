@@ -14,8 +14,10 @@ Two constructions ship as presets:
            parameter B enters only through the cocycle
            theta((v, beta), (v', beta')) = (-B([beta, v'] + [v, beta']), 0).
 
+Both are g (x) A for a commutative associative A (so(3) (x) span(v, eta)
+and g (x) span(v, beta, w, alpha)), read off as products by split_product.
 Their reduced equations are the generic coadjoint fields of `dynamics`; the
-paper's hand-written form of them lives with the tests as their oracle.
+paper's hand-written form of them, tests/model_equations.py, is their oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, _so3, preset
-from .errors import ConfigError, UnknownPreset
-from .products import UnifiedProductData, from_subalgebra
+from .algebra import LieAlgebra, _current_algebra, preset
+from .errors import ConfigError
+from .products import UnifiedProductData, from_subalgebra, split_product
 
 __all__ = [
     "KeplerParams",
@@ -64,18 +66,13 @@ class KeplerParams:
 
 
 def kepler_algebra(params: KeplerParams) -> UnifiedProductData:
-    """R^3 (+) so(3) with eta |> v = eta x v and theta(v, w) = coupling v x w."""
-    h = _so3(("eta1", "eta2", "eta3"))
-    eps = h.c  # Levi-Civita tensor
-    return UnifiedProductData(
-        dim_m=3,
-        h=h,
-        act=np.array(eps),
-        phi=np.zeros((3, 3, 3)),
-        theta=params.coupling * np.array(eps),
-        psi=np.zeros((3, 3, 3)),
-        m_labels=("v1", "v2", "v3"),
-    )
+    """R^3 (+) so(3) with eta |> v = eta x v and theta(v, w) = coupling v x w:
+    so(3) (x) span(v, eta), eta the unit and v v = coupling eta."""
+    a = np.zeros((2, 2, 2))
+    a[0, 0, 1] = a[0, 1, 0] = a[1, 1, 1] = 1.0
+    a[1, 0, 0] = params.coupling
+    labels = ("v1", "v2", "v3", "eta1", "eta2", "eta3")
+    return split_product(_current_algebra(preset("so3"), a, labels), 3)
 
 
 # -- magnetized fluid family ----------------------------------------------------
@@ -101,43 +98,17 @@ class TokamakParams:
 
 
 def tokamak_algebra(params: TokamakParams) -> UnifiedProductData:
-    """Four copies of the base algebra with coordinates (v, beta, w, alpha).
-
-    m = (v, beta) is abelian; h = (w, alpha) brackets as
-    [(w, a), (w', a')] = ([a, w'] + [w, a'], [a, a']); the action is
-    (w, a) |> (v, b) = ([a, v], [a, b]); the cocycle sends
-    ((v, b), (v', b')) to (-B([b, v'] + [v, b']), 0).
-    """
+    """g (x) span(v, beta, w, alpha), alpha the unit and beta v = -B w: m = (v,
+    beta) is abelian; h = (w, alpha) brackets as [(w, a), (w', a')] =
+    ([a, w'] + [w, a'], [a, a']) and acts by (w, a) |> (v, b) = ([a, v], [a, b]);
+    the cocycle sends ((v, b), (v', b')) to (-B([b, v'] + [v, b']), 0)."""
     g = params.base
-    n = g.dim
-    b = float(params.b_i)
-
-    ch = np.zeros((2 * n, 2 * n, 2 * n))
-    ch[:n, n:, :n] = g.c  # [alpha, w']
-    ch[:n, :n, n:] = g.c  # [w, alpha']
-    ch[n:, n:, n:] = g.c  # [alpha, alpha']
-    h_labels = tuple(f"w{i + 1}" for i in range(n)) + tuple(f"a{i + 1}" for i in range(n))
-    h = LieAlgebra(dim=2 * n, c=ch, labels=h_labels, tol=g.tol)
-
-    act = np.zeros((2 * n, 2 * n, 2 * n))
-    act[:n, n:, :n] = g.c  # [alpha, v]
-    act[n:, n:, n:] = g.c  # [alpha, beta]
-
-    theta = np.zeros((2 * n, 2 * n, 2 * n))
-    theta[:n, n:, :n] = -b * g.c  # [beta, v']
-    theta[:n, :n, n:] = -b * g.c  # [v, beta']
-
-    m_labels = tuple(f"v{i + 1}" for i in range(n)) + tuple(f"b{i + 1}" for i in range(n))
-    return UnifiedProductData(
-        dim_m=2 * n,
-        h=h,
-        act=act,
-        phi=np.zeros((2 * n, 2 * n, 2 * n)),
-        theta=theta,
-        psi=np.zeros((2 * n, 2 * n, 2 * n)),
-        m_labels=m_labels,
-        tol=g.tol,
-    )
+    a = np.zeros((4, 4, 4))
+    for k in range(4):
+        a[k, 3, k] = a[k, k, 3] = 1.0
+    a[2, 1, 0] = a[2, 0, 1] = -float(params.b_i)
+    labels = tuple(f"{s}{i + 1}" for s in "vbwa" for i in range(g.dim))
+    return split_product(_current_algebra(g, a, labels), 2 * g.dim)
 
 
 # -- name-based construction -----------------------------------------------------

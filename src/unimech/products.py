@@ -13,7 +13,10 @@ structure maps, all stored as dense coefficient tensors:
   [(v1, n1), (v2, n2)] = ( phi(v1, v2) + n1 |> v2 - n2 |> v1,
                            [n1, n2]_h + psi(n1, v2) - psi(n2, v1) + theta(v1, v2) )
 
-with the m block occupying the first dim_m coordinates.  validate_axioms
+with the m block occupying the first dim_m coordinates.  split_product is
+its inverse: it reads the four maps and h off the blocks of any Lie algebra
+whose trailing coordinates close, so every model here is one Lie algebra
+split this way (from_subalgebra is the dim_m = 0 split).  validate_axioms
 builds one Jacobiator J[k, i, j, l] of the composed tensor and reads each
 compatibility axiom off one block of it (AXIOM_BLOCKS: m_jacobi is the
 (m; m, m, m) block, action_representation the (m; h, h, m) block, h_jacobi
@@ -42,7 +45,7 @@ from .algebra import (
     fill_entries,
     sparse_entries,
 )
-from .errors import ConfigError, DimensionError, default_tol, load_json
+from .errors import ConfigError, DimensionError, NotASubalgebra, default_tol, load_json
 
 
 @dataclass(frozen=True)
@@ -115,18 +118,34 @@ class UnifiedProductData:
 
 def from_subalgebra(h: LieAlgebra) -> UnifiedProductData:
     """Wrap a plain Lie algebra as the degenerate product with dim_m = 0."""
+    return split_product(h, 0)
+
+
+# -- composed bracket and its inverse --------------------------------------------
+
+
+def split_product(alg: LieAlgebra, dim_m: int) -> UnifiedProductData:
+    """Read a Lie algebra as a unified product, the inverse of compose_bracket.
+
+    m is the first dim_m coordinates and h the rest; phi, act, theta, psi and
+    h.c are the blocks of alg.c, and alg's labels and tol carry over.  h must
+    close: an (m; h, h) entry above tol * max(1, max|c|) raises
+    NotASubalgebra naming the worst one.
+    """
+    m, c = dim_m, alg.c
+    if not 0 <= m <= alg.dim:
+        raise DimensionError(f"dim_m={m} outside 0..{alg.dim}")
+    leak = np.abs(c[:m, m:, m:])
+    limit = alg.tol * max(1.0, float(np.max(np.abs(c), initial=0.0)))
+    if leak.size and not leak.max() <= limit:
+        k, i, j = np.unravel_index(int(np.argmax(leak)), leak.shape)
+        raise NotASubalgebra((alg.labels[k], alg.labels[m + i], alg.labels[m + j]),
+                             float(leak[k, i, j]), limit)
+    h = LieAlgebra(alg.dim - m, c[m:, m:, m:], labels=alg.labels[m:], tol=alg.tol)
     return UnifiedProductData(
-        dim_m=0,
-        h=h,
-        act=np.zeros((0, h.dim, 0)),
-        phi=np.zeros((0, 0, 0)),
-        theta=np.zeros((h.dim, 0, 0)),
-        psi=np.zeros((h.dim, h.dim, 0)),
-        tol=h.tol,
+        dim_m=m, h=h, act=c[:m, m:, :m], phi=c[:m, :m, :m], theta=c[m:, :m, :m],
+        psi=c[m:, m:, :m], m_labels=alg.labels[:m], tol=alg.tol,
     )
-
-
-# -- composed bracket ----------------------------------------------------------
 
 
 def compose_bracket(d: UnifiedProductData) -> LieAlgebra:

@@ -9,11 +9,11 @@ bracket
 the n = 2 case of `tangent_algebra(g, n)`.  `ep3_field` is the
 Euler-Poincare contraction of that algebra's cached field tensor; the level
 equations written out with the base-algebra coadjoint are kept in the tests
-as its oracle.  The same bracket is also a cocycle double cross sum: m =
-tangent algebra of g (levels 0-1), h = an abelian copy of g (level 2),
-trivial action, twist psi(eta, (v0,v1)) = [eta, v0] and cocycle
-theta((v0,v1),(w0,w1)) = 2[v1,w1].  `third_order_product` builds exactly
-that structure, an independent route to the same coadjoint flow.
+as its oracle.  `third_order_product` reads the same tensor as a cocycle
+double cross sum, split_product along level 2: m = levels 0-1, h = an
+abelian level 2, trivial action, twist psi(eta, (v0,v1)) = [eta, v0] and
+cocycle theta((v0,v1),(w0,w1)) = 2[v1,w1].  Being the same tensor it is no
+independent check; test_third_order_product_structure pins these blocks.
 
 The Euler-Lagrange equations on T(T^2 G), `el_t_t2g_field`, reduce to the
 same algebras: their ad* terms are the coadjoints of tangent_algebra(g, 1)
@@ -33,10 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import LieAlgebra, _expm, abelian, tangent_algebra
+from .algebra import LieAlgebra, _expm, tangent_algebra
 from .dynamics import EnergySpec, ep_field, fd_gradient
 from .errors import DimensionError, SingularFiberMap, TooFewPoints, default_tol
-from .products import UnifiedProductData
+from .products import UnifiedProductData, split_product
 
 __all__ = [
     "third_order_product",
@@ -48,24 +48,10 @@ __all__ = [
 
 
 def third_order_product(g: LieAlgebra) -> UnifiedProductData:
-    """The third-order tangent algebra of g as a cocycle double cross sum.
-
-    m is the tangent algebra of g (levels 0 and 1), h an abelian copy of g
-    (level 2).  The action is trivial; the twist and cocycle encode how
-    level 2 couples back to the lower levels.
-    """
-    n = g.dim
-    m = tangent_algebra(g)
-    h = abelian(n, labels=tuple(f"dd{l}" for l in g.labels), tol=g.tol)
-    act = np.zeros((2 * n, n, 2 * n))
-    theta = np.zeros((n, 2 * n, 2 * n))
-    theta[:, n:, n:] = 2.0 * g.c
-    psi = np.zeros((n, n, 2 * n))
-    psi[:, :, :n] = g.c
-    return UnifiedProductData(
-        dim_m=2 * n, h=h, act=act, phi=m.c, theta=theta, psi=psi,
-        m_labels=m.labels, tol=g.tol,
-    )
+    """tangent_algebra(g, 2) split along its top level: m the tangent algebra
+    of g (levels 0 and 1), h an abelian copy of g (level 2), a trivial
+    action, and a twist and cocycle that couple level 2 back down."""
+    return split_product(tangent_algebra(g, 2), 2 * g.dim)
 
 
 def ep3_field(g: LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:
@@ -78,8 +64,7 @@ def ep3_field(g: LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:
       dpi2/dt = -ad*_eta0 pi2
 
     computed as one ep_field contraction of the cached tangent_algebra(g, 2);
-    the tests check it against these levels written out with g.coad, and
-    against the composed coadjoint of third_order_product.
+    the tests check it against these levels written out with g.coad.
     """
     try:
         return ep_field(tangent_algebra(g, 2), spec, pi)

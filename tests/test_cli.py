@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -263,6 +267,21 @@ def test_run_blow_up_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "state became non-finite at step" in err
     assert err.endswith("state became non-finite at step 2 in component e1\n")
+
+
+@pytest.mark.parametrize("warning_flags", [[], ["-W", "error::RuntimeWarning"]])
+def test_run_blow_up_prints_only_its_error_line(tmp_path, warning_flags):
+    # a fresh interpreter, so numpy's warnings would reach stderr as a user sees it
+    cfg = _write_config(tmp_path, initial=[1e5, 2e5, -1e5], integrator={"h": 1e3, "steps": 10})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys; from unimech.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, *warning_flags, "-c", code, "run", str(cfg)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: state became non-finite at step 2 in component e1\n"
 
 
 @pytest.mark.parametrize(

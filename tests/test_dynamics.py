@@ -563,6 +563,21 @@ def test_rk4_flags_nonfinite_states_with_the_step_index():
     np.testing.assert_array_equal(traj.states, np.tile([1e200, -1e200], (4, 1)))
 
 
+def test_rk4_reports_a_blow_up_inside_the_field_without_a_warning():
+    """An overflow inside the field is rk4's to report: with every warning
+    an error it still raises NonFiniteState, at the step and component a
+    run with the warnings ignored gives."""
+    d = build_model("kepler", {"e": 0.5})
+    spec = EnergySpec.identity(6)
+    y0 = 1e100 * np.array([1.0, 0.3, -0.7, 0.2, 0.9, -0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteState) as excinfo:
+            rk4(lambda y: ep_field(d, spec, y), y0, 0.01, 100, labels=d.labels)
+    assert (excinfo.value.step, excinfo.value.component) == (2, "v1")
+    assert np.isfinite(excinfo.value.last_finite).all()
+
+
 def _textbook_rk4_step(field, y, h):
     k1 = field(y)
     k2 = field(y + h / 2 * k1)

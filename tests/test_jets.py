@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import warnings
 from collections import Counter
 from functools import lru_cache
 
@@ -820,6 +821,35 @@ def test_jets_reject_non_finite_entries():
         doc = {"group": f"{group}3", "base": base.tolist(), "slots": [s.tolist() for s in slots]}
         with pytest.raises(ConfigError, match=f"^jet document: {where} has a non-finite entry$"):
             jet_from_doc(doc)
+
+
+def test_finiteness_screen_neither_overflows_nor_warns():
+    # entries of 1e308 sum past the float range, and inf + -inf is invalid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = JetElement("GL", np.eye(3), [np.full((3, 3), 1e308)])
+        with pytest.raises(JetValidationError, match="^slot 0 has a non-finite entry$") as err:
+            JetElement("GL", np.eye(3), [np.diag([np.inf, -np.inf, 0.0])])
+    np.testing.assert_array_equal(j.slots, np.full((1, 3, 3), 1e308))
+    assert err.value.where == 0 and err.value.residual == np.inf
+
+
+def test_sl_bases_are_judged_against_the_hadamard_bound_on_det():
+    # scale-3 draws have rows far from unit length, and det carries rounding
+    # of tol * prod_i |row_i|: seed 0 gives two draws with |det - 1| > tol
+    rng = np.random.default_rng(0)
+    draws = [random_jet("SL", 4, 1, rng=rng, scale=3.0) for _ in range(100)]
+    over = [j for j in draws if abs(np.linalg.det(j.base) - 1.0) > j.tol]
+    assert len(over) == 2
+    for j in over:
+        hadamard = np.prod(np.linalg.norm(j.base, axis=1))
+        assert abs(np.linalg.det(j.base) - 1.0) <= j.tol * hadamard
+    # a unit-scale base off SL by 1e-6 still fails, with the same message
+    for base in (np.diag([1.0 + 1e-6, 1.0, 1.0]), np.diag([10.0, 0.1 * (1.0 + 1e-6), 1.0])):
+        with pytest.raises(JetValidationError) as err:
+            JetElement("SL", base)
+        assert str(err.value) == "base is not in SL(3) to tol=1e-10 (residual 1e-06)"
+        assert err.value.where == "base"
 
 
 def test_slots_are_judged_relative_to_their_scale():

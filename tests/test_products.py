@@ -10,6 +10,7 @@ from unimech import (
     ConfigError,
     DimensionError,
     LieAlgebra,
+    NotASubalgebra,
     UnifiedProductData,
     abelian,
     build_model,
@@ -21,6 +22,8 @@ from unimech import (
     product_from_doc,
     product_to_doc,
     save_product,
+    split_product,
+    tangent_algebra,
     third_order_product,
     validate_axioms,
 )
@@ -427,6 +430,62 @@ def test_from_subalgebra_is_degenerate_but_consistent():
     rng = np.random.default_rng(10)
     x, mu = rng.standard_normal((2, 3))
     np.testing.assert_allclose(coad(d, x, mu), g.coad(x, mu), atol=0)
+
+
+@pytest.mark.parametrize("base", ["so3", "sl2", "heisenberg"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_split_of_a_tangent_algebra_composes_back_at_every_level_cut(base, n):
+    # levels k..n form an ideal, so h closes at each cut dim_m = k * g.dim
+    g = preset(base)
+    tg = tangent_algebra(g, n)
+    for k in range(n + 2):
+        d = split_product(tg, k * g.dim)
+        assert d.dim_m == k * g.dim and d.m_labels + d.h.labels == tg.labels
+        assert d.tol == d.h.tol == tg.tol
+        composed = compose_bracket(d)
+        np.testing.assert_array_equal(composed.c, tg.c)
+        assert composed.labels == tg.labels
+
+
+_SPLIT_MODELS = {
+    "kepler": lambda: kepler_algebra(KeplerParams(e=0.7, m=1.5, k=0.8)),
+    **{f"tokamak/{b}": (lambda b=b: build_model("tokamak", {"base": b, "b_i": -1.3}))
+       for b in ("so3", "sl2", "heisenberg")},
+    **{f"third_order/{b}": (lambda b=b: third_order_product(preset(b)))
+       for b in ("so3", "sl2", "heisenberg")},
+    "random": lambda: dataclasses.replace(_random_product(5, 3, 2), tol=1e-9),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_SPLIT_MODELS))
+def test_split_product_inverts_compose_bracket(model):
+    d = _SPLIT_MODELS[model]()
+    back = split_product(compose_bracket(d), d.dim_m)
+    for name in ("act", "phi", "theta", "psi"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(d, name))
+    np.testing.assert_array_equal(back.h.c, d.h.c)
+    assert (back.dim_m, back.m_labels, back.h.labels) == (d.dim_m, d.m_labels, d.h.labels)
+    assert back.tol == back.h.tol == d.tol
+
+
+def test_split_product_refuses_an_open_h_and_a_bad_dim_m():
+    g = preset("so3")
+    with pytest.raises(NotASubalgebra) as info:
+        split_product(g, 1)  # [e2, e3] = e1 leaves span(e2, e3)
+    assert info.value.witness == ("e1", "e2", "e3")
+    assert info.value.residual == 1.0
+    assert "[e2, e3] has e1-component 1" in str(info.value)
+    assert isinstance(info.value, ValueError)
+    # entries within tol * max(1, max|c|) of closing still split
+    c = np.array(tangent_algebra(g, 1).c)
+    c[0, 4, 5], c[0, 5, 4] = 1e-11, -1e-11
+    assert split_product(LieAlgebra(6, c), 3).dim_m == 3
+    c[0, 4, 5], c[0, 5, 4] = 1e-9, -1e-9
+    with pytest.raises(NotASubalgebra, match=r"\[e5, e6\] has e1-component"):
+        split_product(LieAlgebra(6, c), 3)
+    for dim_m in (-1, 4):
+        with pytest.raises(DimensionError, match="dim_m"):
+            split_product(g, dim_m)
 
 
 def test_constructor_checks():
