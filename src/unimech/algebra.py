@@ -256,12 +256,11 @@ def tangent_algebra(g: LieAlgebra, n: int = 1) -> LieAlgebra:
 def _current_algebra(g: LieAlgebra, a: np.ndarray, labels: tuple[str, ...]) -> LieAlgebra:
     """g (x) A, A commutative associative with t_p t_q = sum_r a[r, p, q] t_r:
     [x (x) t_p, y (x) t_q] = [x, y] (x) t_p t_q, coordinates A-index first.
-    Each nonzero a[r, p, q] fills block (r, p, q) with a[r, p, q] * g.c."""
+    Block (r, p, q) is a[r, p, q] * g.c, or +0.0 where a[r, p, q] is zero."""
     r, d = a.shape[0], g.dim
-    c = np.zeros((r, d, r, d, r, d))
-    for idx in zip(*np.nonzero(a)):
-        c[idx[0], :, idx[1], :, idx[2], :] = a[idx] * g.c
-    return LieAlgebra(r * d, c.reshape((r * d,) * 3), labels=labels, tol=g.tol)
+    c = np.multiply.outer(a, g.c)
+    c[a == 0.0] = 0.0
+    return LieAlgebra(r * d, c.transpose(0, 3, 1, 4, 2, 5).reshape((r * d,) * 3), labels, g.tol)
 
 
 def _so3() -> LieAlgebra:

@@ -142,6 +142,14 @@ def _algebra_defect(group: str, x: np.ndarray) -> np.ndarray:
 _all, _isfinite, _max = np.logical_and.reduce, np.isfinite, np.maximum.reduce
 
 
+def _det_rounding(g: np.ndarray, tol: float) -> float:
+    """tol * prod_i |row_i|, the Hadamard bound on |det g| that det's rounding
+    scales with; rows are normed without squaring, and an overflow is NaN."""
+    with np.errstate(over="ignore"):
+        bound = tol * math.prod(np.hypot.reduce(g, axis=1).tolist())
+    return bound if math.isfinite(bound) else math.nan
+
+
 @lru_cache(maxsize=None)
 def _identity(d: int) -> np.ndarray:
     """The read-only d x d identity, built on first use."""
@@ -180,11 +188,11 @@ class JetElement:
     With no slots this is a plain group element.  The order is inferred from
     the slot count: kind "tangent" has `order` slots, kind "iterated" has
     2**order - 1.  Construction checks that every entry is finite, that the
-    base lies in the tagged group to `tol * max(1, prod_i |row_i|)` (the
-    Hadamard bound on |det|) and that each slot x lies in its Lie algebra
-    to `tol * max(1, max|x|)`; a failure is a JetValidationError
-    naming the base or the first bad slot (SingularMatrix for a singular
-    base).
+    base lies in the tagged group to `tol` (an SL base's |det - 1| to `tol *
+    max(1, prod_i |row_i|)`, the Hadamard bound on |det|) and that each slot
+    x lies in its Lie algebra to `tol * max(1, max|x|)`; a failure is a
+    JetValidationError naming the base or the first bad slot (SingularMatrix
+    for a singular base).
     """
 
     group: str
@@ -219,12 +227,10 @@ class JetElement:
                 raise DimensionError(
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
-        # validity: finite entries (isfinite: no arithmetic, so nothing can
-        # overflow or warn), base in the group, slots in the algebra, each one
-        # reduction when it holds (a worst slot within tol passes at any
-        # scale); only a failure looks closer.  Each comparison asks for the
-        # good case, so a NaN residual fails it.  The ufuncs are called
-        # without the ndarray method wrappers.
+        # validity: finite entries (isfinite does no arithmetic, so it cannot
+        # warn), base in the group, slots in the algebra, each one reduction
+        # when it holds; only a failure looks closer.  Each comparison asks
+        # for the good case, so a NaN residual fails it.
         if not (_all(_isfinite(base), None) and _all(_isfinite(slots), None)):
             finite = np.isfinite(np.concatenate((base[None], slots))).reshape(len(slots) + 1, -1)
             i = int(finite.all(axis=1).argmin()) - 1  # -1 is the base
@@ -233,7 +239,7 @@ class JetElement:
         if not abs(det) >= 1e-300:
             raise SingularMatrix("base matrix is not invertible")
         res = float(_group_residual(self.group, base, det))
-        if not (res <= self.tol or res <= self.tol * np.prod(np.linalg.norm(base, axis=1))):
+        if not (res <= self.tol or self.group == "SL" and res <= _det_rounding(base, self.tol)):
             raise JetValidationError("base", res, f"is not in {self.group}({d}) to "
                                      f"tol={self.tol:g} (residual {res:.3g})")
         if self.group != "GL" and not (

@@ -80,8 +80,7 @@ def kepler_algebra(params: KeplerParams) -> UnifiedProductData:
 
 @dataclass(frozen=True)
 class TokamakParams:
-    """A base Lie algebra and the field-strength parameter multiplying the
-    cocycle."""
+    """A base Lie algebra and the field-strength parameter B of the cocycle."""
 
     base: LieAlgebra
     b_i: float = 1.0

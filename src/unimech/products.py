@@ -130,7 +130,8 @@ def split_product(alg: LieAlgebra, dim_m: int) -> UnifiedProductData:
     m is the first dim_m coordinates and h the rest; phi, act, theta, psi and
     h.c are the blocks of alg.c, and alg's labels and tol carry over.  h must
     close: an (m; h, h) entry above tol * max(1, max|c|) raises
-    NotASubalgebra naming the worst one.
+    NotASubalgebra naming the worst one.  Blocks are as antisymmetric as alg
+    and not checked again, so a strict=False alg splits; dim_m = 0 keeps alg as h.
     """
     m, c = dim_m, alg.c
     if not 0 <= m <= alg.dim:
@@ -141,10 +142,10 @@ def split_product(alg: LieAlgebra, dim_m: int) -> UnifiedProductData:
         k, i, j = np.unravel_index(int(np.argmax(leak)), leak.shape)
         raise NotASubalgebra((alg.labels[k], alg.labels[m + i], alg.labels[m + j]),
                              float(leak[k, i, j]), limit)
-    h = LieAlgebra(alg.dim - m, c[m:, m:, m:], labels=alg.labels[m:], tol=alg.tol)
+    h = alg if m == 0 else LieAlgebra(alg.dim - m, c[m:, m:, m:], alg.labels[m:], alg.tol, False)
     return UnifiedProductData(
         dim_m=m, h=h, act=c[:m, m:, :m], phi=c[:m, :m, :m], theta=c[m:, :m, :m],
-        psi=c[m:, m:, :m], m_labels=alg.labels[:m], tol=alg.tol,
+        psi=c[m:, m:, :m], m_labels=alg.labels[:m], tol=alg.tol, strict=False,
     )
 
 

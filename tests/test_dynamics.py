@@ -29,6 +29,7 @@ from unimech import (
     write_report_json,
     write_trajectory_csv,
 )
+from unimech import dynamics
 
 
 def _spd(rng, n):
@@ -587,13 +588,24 @@ def _textbook_rk4_step(field, y, h):
 
 
 @pytest.mark.parametrize("b0, named", [(2.0, "b"), (3.0, "a"), (1e160, "a")])
-def test_rk4_blow_up_in_a_mixed_field_matches_the_textbook_tableau(b0, named):
+def test_rk4_blow_up_in_a_mixed_field_matches_the_textbook_tableau(b0, named, monkeypatch):
     """Only b grows like b' = b^2, but a reads it, so an infinite stage of b
     can carry into a within the same step (from b0 = 3 it does, from b0 = 2
     it does not; from b0 = 1e160 the first stage of step 1 is infinite).
     Step, named component and last finite state are those of the textbook
     RK4 run alongside, and no coefficient of the loop turns an infinite
-    stage into NaN (no 'invalid' warning; the field only overflows)."""
+    stage into NaN: the blown-up state rk4 reports on has the textbook
+    step's inf and NaN entries (the field only overflows, so it has none).
+    rk4 silences its own warnings, so that state is read where it is
+    judged, in dynamics._non_finite."""
+    reported = []
+
+    def record(step, y, last_finite, labels):
+        reported.append(y.copy())
+        return non_finite(step, y, last_finite, labels)
+
+    non_finite = dynamics._non_finite
+    monkeypatch.setattr(dynamics, "_non_finite", record)
     def mixed(y):
         return np.array([0.5 * y[0] + 0.01 * y[1], y[1] ** 2 + y[2], 0.3 * y[0]])
 
@@ -611,6 +623,10 @@ def test_rk4_blow_up_in_a_mixed_field_matches_the_textbook_tableau(b0, named):
     assert excinfo.value.step == step
     assert excinfo.value.component == "abc"[int(np.isfinite(y).argmin())] == named
     np.testing.assert_allclose(excinfo.value.last_finite, last, rtol=1e-12, atol=0)
+    (state,) = reported
+    assert not np.isnan(y).any()
+    np.testing.assert_array_equal(np.isnan(state), np.isnan(y))
+    np.testing.assert_array_equal(np.isinf(state), np.isinf(y))
 
 
 @settings(max_examples=60, deadline=None)

@@ -852,6 +852,20 @@ def test_sl_bases_are_judged_against_the_hadamard_bound_on_det():
         assert err.value.where == "base"
 
 
+def test_the_hadamard_bound_is_for_sl_alone_and_cannot_overflow():
+    # det = 1 exactly, but the Gram defect of about 1e22 is no rounding of det
+    so_base = np.eye(4) + 1e11 * np.eye(4, k=1)
+    # det = 2, and a row of 1e160 would overflow a squared norm to inf
+    sl_base = np.diag([1e160, 1e-160, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(JetValidationError, match=r"^base is not in SO\(4\)") as so:
+            JetElement("SO", so_base)
+        with pytest.raises(JetValidationError, match=r"^base is not in SL\(3\)") as sl:
+            JetElement("SL", sl_base)
+    assert so.value.residual > 1e21 and sl.value.residual == 1.0
+
+
 def test_slots_are_judged_relative_to_their_scale():
     # a product of slots of size ~100 carries rounding residuals of ~1e-9
     # in its third slot: inside tol * max|x|, outside the bare tol

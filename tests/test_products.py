@@ -432,6 +432,22 @@ def test_from_subalgebra_is_degenerate_but_consistent():
     np.testing.assert_allclose(coad(d, x, mu), g.coad(x, mu), atol=0)
 
 
+def test_a_diagnostic_algebra_still_splits_for_validate_axioms():
+    c = np.array(preset("heisenberg").c)
+    c[2, 0, 1] += 1e-3  # [q, p] and [p, q] no longer cancel
+    broken = LieAlgebra(3, c, labels=("q", "p", "z"), strict=False)
+    d = from_subalgebra(broken)
+    assert d.h is broken
+    report = validate_axioms(d)
+    assert not report.ok and report.h_antisymmetry == pytest.approx(1e-3)
+    # nonzero cuts split it too; the defect lands in theta, then in phi
+    for dim_m, name in ((2, "theta"), (3, "phi")):
+        tensor = getattr(split_product(broken, dim_m), name)
+        assert np.abs(tensor + tensor.swapaxes(1, 2)).max() == pytest.approx(1e-3)
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        LieAlgebra(3, c)
+
+
 @pytest.mark.parametrize("base", ["so3", "sl2", "heisenberg"])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_split_of_a_tangent_algebra_composes_back_at_every_level_cut(base, n):
