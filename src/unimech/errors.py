@@ -47,7 +47,9 @@ class NonFiniteState(FloatingPointError):
 
     def __init__(self, step: int, message: str | None = None, *,
                  component: str | None = None, last_finite=None):
-        self.step, self.component, self.last_finite = step, component, last_finite
+        self.step = step
+        self.component = component
+        self.last_finite = last_finite
         where = f" in component {component}" if component is not None else ""
         super().__init__(message or f"non-finite state after step {step}{where}")
 
@@ -78,7 +80,8 @@ class JetValidationError(ValueError):
     message is the place followed by `problem`."""
 
     def __init__(self, where: str | int, residual: float, problem: str):
-        self.where, self.residual = where, residual
+        self.where = where
+        self.residual = residual
         super().__init__(f"{where if where == 'base' else f'slot {where}'} {problem}")
 
 

@@ -227,10 +227,12 @@ class JetElement:
                 raise DimensionError(
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
-        # validity: finite entries (isfinite does no arithmetic, so it cannot
-        # warn), base in the group, slots in the algebra, each one reduction
-        # when it holds; only a failure looks closer.  Each comparison asks
-        # for the good case, so a NaN residual fails it.
+        # validity: finite entries (isfinite: no arithmetic, so nothing can
+        # overflow or warn), base in the group, slots in the algebra, each one
+        # reduction when it holds (a worst slot within tol passes at any
+        # scale); only a failure looks closer.  Each comparison asks for the
+        # good case, so a NaN residual fails it.  The ufuncs are called
+        # without the ndarray method wrappers.
         if not (_all(_isfinite(base), None) and _all(_isfinite(slots), None)):
             finite = np.isfinite(np.concatenate((base[None], slots))).reshape(len(slots) + 1, -1)
             i = int(finite.all(axis=1).argmin()) - 1  # -1 is the base

@@ -80,7 +80,8 @@ def kepler_algebra(params: KeplerParams) -> UnifiedProductData:
 
 @dataclass(frozen=True)
 class TokamakParams:
-    """A base Lie algebra and the field-strength parameter B of the cocycle."""
+    """A base Lie algebra and the field-strength parameter multiplying the
+    cocycle."""
 
     base: LieAlgebra
     b_i: float = 1.0
