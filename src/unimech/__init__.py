@@ -69,12 +69,10 @@ from .products import (
     UnifiedProductData,
     coad,
     compose_bracket,
-    from_subalgebra,
     load_product,
     product_from_doc,
     product_to_doc,
     save_product,
-    split_product,
     validate_axioms,
 )
 from .thirdorder import (

@@ -119,9 +119,11 @@ class LieAlgebra:
         # t[k, l, i, j] = sum_m c[k, m, l] c[m, i, j], the (k, l)-(i, j) product of
         # two flattenings: one BLAS matmul.  Reordered to [[e_i, e_j], e_l]_k, its
         # cyclic sum over (i, j, l) is the Jacobiator.
-        t = (c.transpose(0, 2, 1).reshape(n * n, n) @ c.reshape(n, n * n))
-        t = t.reshape(n, n, n, n).transpose(0, 2, 3, 1)
-        return t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
+        # Entries past the float range come out inf or nan, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (c.transpose(0, 2, 1).reshape(n * n, n) @ c.reshape(n, n * n))
+            t = t.reshape(n, n, n, n).transpose(0, 2, 3, 1)
+            return t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
 
     def jacobi_residual(self) -> float:
         """Max over basis triples of |[[e_i,e_j],e_l] + cyclic|."""
@@ -129,11 +131,15 @@ class LieAlgebra:
 
     def validate(self) -> "AlgebraReport":
         """Antisymmetry against tol; the Jacobiator against
-        tol * max(1, max|c|)**2, the scale of a product of two brackets."""
+        tol * max(1, max|c|)**2, the scale of a product of two brackets.  A
+        scale past the float range gives no threshold: jacobi_tol is then
+        nan, and nothing passes."""
         anti = self.antisymmetry_residual()
         jacobiator = self.jacobiator()
         jac = float(np.max(np.abs(jacobiator), initial=0.0))
-        jacobi_tol = self.tol * max(1.0, float(np.max(np.abs(self.c), initial=0.0))) ** 2
+        scale = max(1.0, float(np.max(np.abs(self.c), initial=0.0)))
+        jacobi_tol = self.tol * (scale * scale)
+        jacobi_tol = jacobi_tol if jacobi_tol < math.inf else math.nan
         return AlgebraReport(
             antisymmetry=anti,
             jacobi=jac,

@@ -32,12 +32,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, NonFiniteState, UnknownPreset, load_json, parse_json
 from .models import build_model
-from .products import (
-    UnifiedProductData,
-    from_subalgebra,
-    product_from_doc,
-    validate_axioms,
-)
+from .products import UnifiedProductData, product_from_doc, validate_axioms
 from .thirdorder import ep3_field
 
 __all__ = ["main"]
@@ -63,7 +58,7 @@ def _model_from_doc(doc: dict) -> UnifiedProductData:
     if "dim_m" in doc:
         return product_from_doc(doc)
     if "dim" in doc:
-        return from_subalgebra(algebra_from_doc(doc))
+        return UnifiedProductData(algebra_from_doc(doc), 0)
     raise ConfigError("model document needs either 'dim_m' (product) or 'dim' (algebra)")
 
 

@@ -10,8 +10,8 @@ Hamiltonian/Lagrangian side; for quadratic energies and identity inertia the
 two trajectories coincide up to time reversal.  Either flow conserves the
 energy pointwise because <coad(x) mu, x> = -<mu, [x, x]> = 0.
 
-The composed structure tensor is flattened once per structure and cached on
-it (`field_tensor`, T).  A quadratic energy forms its inverse inertia
+A product's structure tensor is flattened once and cached on its algebra
+(`field_tensor`, T).  A quadratic energy forms its inverse inertia
 X = I^-1 once, at construction, from numpy's Cholesky factor I = L L^T as
 X = L^-T L^-1; every use of I^-1 reads that X.  The field is a homogeneous
 quadratic in the state, T @ vec(X pi (x) pi) = K @ vec(pi (x) pi), so X is

@@ -15,20 +15,21 @@ Two constructions ship as presets:
            theta((v, beta), (v', beta')) = (-B([beta, v'] + [v, beta']), 0).
 
 Both are g (x) A for a commutative associative A (so(3) (x) span(v, eta)
-and g (x) span(v, beta, w, alpha)), read off as products by split_product.
+and g (x) span(v, beta, w, alpha)), cut into m and h by UnifiedProductData.
 Their reduced equations are the generic coadjoint fields of `dynamics`; the
 paper's hand-written form of them, tests/model_equations.py, is their oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LieAlgebra, _current_algebra, preset
 from .errors import ConfigError
-from .products import UnifiedProductData, from_subalgebra, split_product
+from .products import UnifiedProductData
 
 __all__ = [
     "KeplerParams",
@@ -47,14 +48,17 @@ MODEL_NAMES = ("kepler", "tokamak")
 
 @dataclass(frozen=True)
 class KeplerParams:
-    """Orbit-family parameters: eccentricity e (any sign), mass m > 0,
-    force constant k > 0."""
+    """Orbit-family parameters, all finite: eccentricity e (any sign),
+    mass m > 0, force constant k > 0."""
 
     e: float
     m: float = 1.0
     k: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("e", "m", "k"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.m > 0:
             raise ValueError(f"mass must be positive, got {self.m}")
         if not self.k > 0:
@@ -72,7 +76,7 @@ def kepler_algebra(params: KeplerParams) -> UnifiedProductData:
     a[0, 0, 1] = a[0, 1, 0] = a[1, 1, 1] = 1.0
     a[1, 0, 0] = params.coupling
     labels = ("v1", "v2", "v3", "eta1", "eta2", "eta3")
-    return split_product(_current_algebra(preset("so3"), a, labels), 3)
+    return UnifiedProductData(_current_algebra(preset("so3"), a, labels), 3)
 
 
 # -- magnetized fluid family ----------------------------------------------------
@@ -89,6 +93,8 @@ class TokamakParams:
     def __post_init__(self) -> None:
         if not isinstance(self.base, LieAlgebra):
             raise TypeError("base must be a LieAlgebra")
+        if not math.isfinite(self.b_i):
+            raise ValueError(f"b_i must be finite, got {self.b_i}")
         report = self.base.validate()
         if not report.ok:
             raise ValueError(
@@ -108,7 +114,7 @@ def tokamak_algebra(params: TokamakParams) -> UnifiedProductData:
         a[k, 3, k] = a[k, k, 3] = 1.0
     a[2, 1, 0] = a[2, 0, 1] = -float(params.b_i)
     labels = tuple(f"{s}{i + 1}" for s in "vbwa" for i in range(g.dim))
-    return split_product(_current_algebra(g, a, labels), 2 * g.dim)
+    return UnifiedProductData(_current_algebra(g, a, labels), 2 * g.dim)
 
 
 # -- name-based construction -----------------------------------------------------
@@ -139,4 +145,4 @@ def build_model(name: str, params: dict | None = None) -> UnifiedProductData:
         except TypeError as exc:
             raise ConfigError(f"bad tokamak parameters: {exc}") from exc
     # fall through to the plain algebra presets
-    return from_subalgebra(preset(name, **params))
+    return UnifiedProductData(preset(name, **params), 0)

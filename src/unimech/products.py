@@ -1,38 +1,38 @@
-"""Unified products: Lie algebras assembled from a complement and a subalgebra.
+"""Unified products: Lie algebras cut into a complement m and a subalgebra h.
 
-The input data is a vector space m (dimension dim_m), a Lie algebra h, and four
-structure maps, all stored as dense coefficient tensors:
+A unified product m (+) h is one Lie algebra whose first dim_m coordinates
+span m and whose trailing ones close into a subalgebra h.  The blocks of its
+structure tensor c are four structure maps:
 
   * phi[k, i, j]    antisymmetric bracket on m:      phi(e_i, e_j)_k
   * act[k, a, j]    left action of h on m:           (f_a |> e_j)_k
   * psi[c, a, j]    twist  h x m -> h:               psi(f_a, e_j)_c
   * theta[c, i, j]  antisymmetric cocycle m x m -> h: theta(e_i, e_j)_c
 
-(e_j: basis of m, f_a: basis of h.)  The composed bracket on m (+) h is
+(e_j: basis of m, f_a: basis of h.)  In these the bracket reads
 
   [(v1, n1), (v2, n2)] = ( phi(v1, v2) + n1 |> v2 - n2 |> v1,
                            [n1, n2]_h + psi(n1, v2) - psi(n2, v1) + theta(v1, v2) )
 
-with the m block occupying the first dim_m coordinates.  split_product is
-its inverse: it reads the four maps and h off the blocks of any Lie algebra
-whose trailing coordinates close, so every model here is one Lie algebra
-split this way (from_subalgebra is the dim_m = 0 split).  validate_axioms
-builds one Jacobiator J[k, i, j, l] of the composed tensor and reads each
-compatibility axiom off one block of it (AXIOM_BLOCKS: m_jacobi is the
-(m; m, m, m) block, action_representation the (m; h, h, m) block, h_jacobi
-the (h; h, h, h) block, ...), so together with the antisymmetry of phi, theta
-and h the axioms hold iff the composed bracket is a Lie algebra.  The
+UnifiedProductData(algebra, dim_m) stores the algebra and the cut, and its
+maps are read-only views of algebra.c; compose_bracket builds the product
+from given maps.  Every model here is such a cut, and UnifiedProductData(h, 0)
+wraps a plain algebra.  validate_axioms builds one Jacobiator J[k, i, j, l]
+of the algebra and reads each compatibility axiom off one block of it
+(AXIOM_BLOCKS: m_jacobi is the (m; m, m, m) block, action_representation the
+(m; h, h, m) block, h_jacobi the (h; h, h, h) block, ...), so together with
+the antisymmetry of c the axioms hold iff the algebra is a Lie algebra.  The
 hand-derived einsum form of the axioms is the test oracle for the blocks.
 
 The coadjoint is assembled from six dual maps, each defined through the
 duality pairing (see the individual functions); the assembly agrees with
--ad^T of the composed bracket, which is the test oracle.
+-ad^T of the algebra, which is the test oracle.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -50,120 +50,115 @@ from .errors import ConfigError, DimensionError, NotASubalgebra, default_tol, lo
 
 @dataclass(frozen=True)
 class UnifiedProductData:
-    """Structure data (m, h, act, phi, theta, psi) for a unified product."""
+    """A Lie algebra cut after its first dim_m coordinates: m those, h the rest.
 
+    h must close: an (m; h, h) entry above tol * max(1, max|c|) raises
+    NotASubalgebra naming the worst one.  The algebra is not checked again,
+    so a strict=False algebra cuts too, for validate_axioms to report on.
+    """
+
+    algebra: LieAlgebra
     dim_m: int
-    h: LieAlgebra
-    act: np.ndarray
-    phi: np.ndarray
-    theta: np.ndarray
-    psi: np.ndarray
-    m_labels: tuple[str, ...] = ()
-    tol: float = field(default_factory=default_tol)
-    strict: InitVar[bool] = True
 
-    def __post_init__(self, strict: bool) -> None:
-        m, h = self.dim_m, self.h.dim
-        shapes = {
-            "act": ((m, h, m), self.act),
-            "phi": ((m, m, m), self.phi),
-            "theta": ((h, m, m), self.theta),
-            "psi": ((h, h, m), self.psi),
-        }
-        for name, (want, tensor) in shapes.items():
-            arr = np.array(tensor, dtype=float, copy=True)
-            if arr.shape != want:
-                raise DimensionError(f"{name} has shape {arr.shape}, expected {want}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        labels = tuple(self.m_labels) if self.m_labels else tuple(
-            f"m{i + 1}" for i in range(m)
-        )
-        if len(labels) != m:
-            raise DimensionError(f"{len(labels)} m-labels for dim_m={m}")
-        object.__setattr__(self, "m_labels", labels)
-        if strict:
-            for name in ("phi", "theta"):
-                arr = getattr(self, name)
-                if arr.size and np.max(np.abs(arr + arr.swapaxes(1, 2))) > self.tol:
-                    raise ValueError(
-                        f"{name} is not antisymmetric in its m arguments; "
-                        "pass strict=False to construct anyway"
-                    )
+    def __post_init__(self) -> None:
+        m, alg = self.dim_m, self.algebra
+        if not 0 <= m <= alg.dim:
+            raise DimensionError(f"dim_m={m} outside 0..{alg.dim}")
+        leak = np.abs(alg.c[:m, m:, m:])
+        limit = alg.tol * max(1.0, float(np.max(np.abs(alg.c), initial=0.0)))
+        if leak.size and not leak.max() <= limit:
+            k, i, j = np.unravel_index(int(np.argmax(leak)), leak.shape)
+            raise NotASubalgebra((alg.labels[k], alg.labels[m + i], alg.labels[m + j]),
+                                 float(leak[k, i, j]), limit)
 
-    # -- shape helpers ------------------------------------------------------
+    # -- the structure maps: read-only views of algebra.c -------------------
 
     @property
-    def dim_h(self) -> int:
-        return self.h.dim
+    def phi(self) -> np.ndarray:
+        m = self.dim_m
+        return self.algebra.c[:m, :m, :m]
+
+    @property
+    def act(self) -> np.ndarray:
+        m = self.dim_m
+        return self.algebra.c[:m, m:, :m]
+
+    @property
+    def theta(self) -> np.ndarray:
+        m = self.dim_m
+        return self.algebra.c[m:, :m, :m]
+
+    @property
+    def psi(self) -> np.ndarray:
+        m = self.dim_m
+        return self.algebra.c[m:, m:, :m]
+
+    @cached_property
+    def h(self) -> LieAlgebra:
+        """The subalgebra on the trailing coordinates; the algebra itself
+        when dim_m = 0."""
+        alg, m = self.algebra, self.dim_m
+        if m == 0:
+            return alg
+        return LieAlgebra(alg.dim - m, alg.c[m:, m:, m:], alg.labels[m:], alg.tol, False)
+
+    # -- read off the algebra -----------------------------------------------
 
     @property
     def dim(self) -> int:
-        return self.dim_m + self.h.dim
+        return self.algebra.dim
+
+    @property
+    def dim_h(self) -> int:
+        return self.algebra.dim - self.dim_m
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self.m_labels + self.h.labels
+        return self.algebra.labels
 
-    @cached_property
-    def composed(self) -> LieAlgebra:
-        """compose_bracket(self), built once per structure."""
-        return compose_bracket(self)
+    @property
+    def m_labels(self) -> tuple[str, ...]:
+        return self.algebra.labels[: self.dim_m]
+
+    @property
+    def tol(self) -> float:
+        return self.algebra.tol
 
     @property
     def field_tensor(self) -> np.ndarray:
-        """The composed coadjoint as one (dim, dim*dim) contraction."""
-        return self.composed.field_tensor
+        """The algebra's coadjoint as one (dim, dim*dim) contraction."""
+        return self.algebra.field_tensor
 
 
-def from_subalgebra(h: LieAlgebra) -> UnifiedProductData:
-    """Wrap a plain Lie algebra as the degenerate product with dim_m = 0."""
-    return split_product(h, 0)
+def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
+                    theta: np.ndarray, psi: np.ndarray, m_labels: tuple[str, ...] = (),
+                    tol: float | None = None, strict: bool = True) -> UnifiedProductData:
+    """The unified product of an m of dimension dim_m and h under the four maps.
 
-
-# -- composed bracket and its inverse --------------------------------------------
-
-
-def split_product(alg: LieAlgebra, dim_m: int) -> UnifiedProductData:
-    """Read a Lie algebra as a unified product, the inverse of compose_bracket.
-
-    m is the first dim_m coordinates and h the rest; phi, act, theta, psi and
-    h.c are the blocks of alg.c, and alg's labels and tol carry over.  h must
-    close: an (m; h, h) entry above tol * max(1, max|c|) raises
-    NotASubalgebra naming the worst one.  Blocks are as antisymmetric as alg
-    and not checked again, so a strict=False alg splits; dim_m = 0 keeps alg as h.
+    A map of the wrong shape raises DimensionError; with strict, phi and
+    theta must be antisymmetric in their m arguments within tol.  m_labels
+    default to m1, m2, ... and tol to default_tol() read at call time.
     """
-    m, c = dim_m, alg.c
-    if not 0 <= m <= alg.dim:
-        raise DimensionError(f"dim_m={m} outside 0..{alg.dim}")
-    leak = np.abs(c[:m, m:, m:])
-    limit = alg.tol * max(1.0, float(np.max(np.abs(c), initial=0.0)))
-    if leak.size and not leak.max() <= limit:
-        k, i, j = np.unravel_index(int(np.argmax(leak)), leak.shape)
-        raise NotASubalgebra((alg.labels[k], alg.labels[m + i], alg.labels[m + j]),
-                             float(leak[k, i, j]), limit)
-    h = alg if m == 0 else LieAlgebra(alg.dim - m, c[m:, m:, m:], alg.labels[m:], alg.tol, False)
-    return UnifiedProductData(
-        dim_m=m, h=h, act=c[:m, m:, :m], phi=c[:m, :m, :m], theta=c[m:, :m, :m],
-        psi=c[m:, m:, :m], m_labels=alg.labels[:m], tol=alg.tol, strict=False,
-    )
-
-
-def compose_bracket(d: UnifiedProductData) -> LieAlgebra:
-    """Assemble the structure tensor of m (+) h from the four maps."""
-    m, h = d.dim_m, d.dim_h
-    n = m + h
+    m, n = dim_m, dim_m + h.dim
+    tol = default_tol() if tol is None else tol
+    labels = tuple(m_labels) or tuple(f"m{i + 1}" for i in range(m))
+    if len(labels) != m:
+        raise DimensionError(f"{len(labels)} m-labels for dim_m={m}")
     c = np.zeros((n, n, n))
-    # m-valued components
-    c[:m, :m, :m] = d.phi
-    c[:m, m:, :m] = d.act  # (f_a, e_j) slot: n1 |> v2
-    c[:m, :m, m:] = -d.act.swapaxes(1, 2)  # (e_i, f_b) slot: -n2 |> v1
-    # h-valued components
-    c[m:, m:, m:] = d.h.c
-    c[m:, m:, :m] = d.psi
-    c[m:, :m, m:] = -d.psi.swapaxes(1, 2)
-    c[m:, :m, :m] = d.theta
-    return LieAlgebra(dim=n, c=c, labels=d.labels, tol=d.tol, strict=False)
+    for name, block, tensor in (("act", c[:m, m:, :m], act), ("phi", c[:m, :m, :m], phi),
+                                ("theta", c[m:, :m, :m], theta), ("psi", c[m:, m:, :m], psi)):
+        arr = np.asarray(tensor, dtype=float)
+        if arr.shape != block.shape:
+            raise DimensionError(f"{name} has shape {arr.shape}, expected {block.shape}")
+        if strict and name in ("phi", "theta") and arr.size and (
+                np.max(np.abs(arr + arr.swapaxes(1, 2))) > tol):
+            raise ValueError(f"{name} is not antisymmetric in its m arguments; "
+                             "pass strict=False to construct anyway")
+        block[...] = arr
+    c[:m, :m, m:] = -c[:m, m:, :m].swapaxes(1, 2)  # (e_i, f_b) slot: -n2 |> v1
+    c[m:, :m, m:] = -c[m:, m:, :m].swapaxes(1, 2)
+    c[m:, m:, m:] = h.c
+    return UnifiedProductData(LieAlgebra(n, c, labels + h.labels, tol, False), m)
 
 
 # -- axiom residuals -----------------------------------------------------------
@@ -176,7 +171,8 @@ class AxiomReport:
     ``witnesses[name]`` holds the basis labels (output component first, then
     the argument basis vectors) of the entry where that axiom's residual is
     largest -- the place to look when a validation fails.  ``tol`` judges the
-    antisymmetry residuals, ``jacobi_tol`` the Jacobiator blocks.
+    antisymmetry residuals, ``jacobi_tol`` the Jacobiator blocks and
+    ``jacobi``, the largest entry of the whole Jacobiator.
     """
 
     residuals: dict[str, float]
@@ -184,29 +180,26 @@ class AxiomReport:
     tol: float
     jacobi_tol: float
     h_antisymmetry: float
+    jacobi: float
 
     @property
     def ok(self) -> bool:
-        return self.h_antisymmetry <= self.tol and all(
-            value <= self.threshold(name) for name, value in self.residuals.items()
-        )
+        return (self.h_antisymmetry <= self.tol and self.jacobi <= self.jacobi_tol
+                and all(value <= self.threshold(name) for name, value in self.residuals.items()))
 
     @property
     def worst(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
-
-    @property
-    def jacobi(self) -> float:
-        """The composed Jacobi residual: the largest Jacobiator block."""
-        return max((self.residuals[name] for name in AXIOM_BLOCKS), default=0.0)
+        # np.max, unlike max, keeps a nan residual
+        return float(np.max(list(self.residuals.values()), initial=0.0))
 
     def threshold(self, name: str) -> float:
         return self.jacobi_tol if name in AXIOM_BLOCKS else self.tol
 
 
-# Block (k; i, j, l) of the composed Jacobiator J[k, i, j, l] that each axiom
-# reads, "m" or "h" per axis.  J is alternating in (i, j, l), so these seven,
-# with (m; h, h, h) zero by construction, cover all of it.
+# Block (k; i, j, l) of the Jacobiator J[k, i, j, l] of d.algebra that each
+# axiom reads, "m" or "h" per axis.  On an antisymmetric c whose h closes, J
+# is alternating in (i, j, l) and its (m; h, h, h) block vanishes, so these
+# seven cover all of it; AxiomReport.jacobi covers all of J on any tensor.
 AXIOM_BLOCKS = {
     "action_derivation": "mhmm",
     "cocycle_action_compat": "hhmm",
@@ -221,13 +214,14 @@ AXIOM_BLOCKS = {
 def validate_axioms(d: UnifiedProductData) -> AxiomReport:
     """Evaluate the compatibility axioms of the structure maps.
 
-    Residuals are max-abs over all basis tuples.  Besides the antisymmetry
-    of phi and theta, each axiom is one block of the Jacobiator of the
-    composed bracket d.composed, so `.ok` holds iff it is a Lie algebra.
+    Residuals are max-abs over all basis tuples.  m_antisymmetry reads every
+    block of c + c^T with an m argument and h_antisymmetry the rest; each
+    other axiom is one block of the Jacobiator of d.algebra, so `.ok` holds
+    iff d.algebra.validate() does.
     """
-    composed = d.composed.validate()
-    labels = d.labels
-    span = {"m": slice(0, d.dim_m), "h": slice(d.dim_m, d.dim)}
+    whole = d.algebra.validate()
+    c, m, labels = d.algebra.c, d.dim_m, d.labels
+    span = {"m": slice(0, m), "h": slice(m, d.dim), "g": slice(0, d.dim)}
     res: dict[str, float] = {}
     wit: dict[str, tuple[str, ...]] = {}
 
@@ -238,24 +232,23 @@ def validate_axioms(d: UnifiedProductData) -> AxiomReport:
         where = tuple(labels[span[a].start + i] for a, i in zip(axes, idx))
         return float(abs(arr[idx])), where
 
-    # phi and theta are alternating.
-    pa, ta = d.phi + d.phi.swapaxes(1, 2), d.theta + d.theta.swapaxes(1, 2)
-    res["m_antisymmetry"], wit["m_antisymmetry"] = max(
-        worst(pa, "mmm"), worst(ta, "hmm"), key=lambda rw: rw[0]
-    )
+    # c + c^T vanishes on a Lie algebra; up to its symmetry in (i, j), the
+    # blocks (k; i, m) are all those with an m argument.
+    anti = c + c.swapaxes(1, 2)
+    res["m_antisymmetry"], wit["m_antisymmetry"] = worst(anti[:, :, :m], "ggm")
     for name, axes in AXIOM_BLOCKS.items():
-        block = composed.jacobiator[tuple(span[a] for a in axes)]
+        block = whole.jacobiator[tuple(span[a] for a in axes)]
         res[name], wit[name] = worst(block, axes)
 
-    return AxiomReport(residuals=res, witnesses=wit, tol=d.tol, jacobi_tol=composed.jacobi_tol,
-                       h_antisymmetry=d.h.antisymmetry_residual())
+    return AxiomReport(residuals=res, witnesses=wit, tol=d.tol, jacobi_tol=whole.jacobi_tol,
+                       h_antisymmetry=worst(anti[m:, m:, m:], "hhh")[0], jacobi=whole.jacobi)
 
 
 # -- dual maps and the coadjoint ------------------------------------------------
 #
 # Each map below is defined through the duality pairing; the sign and slot
 # conventions are spelled out in the docstrings.  coad() assembles all six;
-# the independent check is coad_matrix of the composed bracket.
+# the independent check is coad_matrix of d.algebra.
 
 
 def phi_coad(d: UnifiedProductData, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -292,7 +285,7 @@ def coad(d: UnifiedProductData, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
                 - theta_star(v, beta)
       h block:  coad_h(n) beta + act_star_h(v, alpha) + psi_star_h(v, beta)
 
-    Satisfies <coad(x) mu, y> = -<mu, [x, y]> for the composed bracket.
+    Satisfies <coad(x) mu, y> = -<mu, [x, y]> for the bracket of d.algebra.
     """
     m = d.dim_m
     x = np.asarray(x, dtype=float)
@@ -357,9 +350,9 @@ def product_from_doc(doc: dict) -> UnifiedProductData:
             raise ConfigError(f"{len(labels)} labels for dimension {dim}")
         m_labels = labels[:m]
         h = replace(h, labels=labels[m:])
-    return UnifiedProductData(
-        dim_m=m,
-        h=h,
+    return compose_bracket(
+        m,
+        h,
         act=fill_entries((m, h.dim, m), doc.get("act", []), "act"),
         phi=fill_entries((m, m, m), doc.get("phi", []), "phi", skew=True),
         theta=fill_entries((h.dim, m, m), doc.get("theta", []), "theta", skew=True),

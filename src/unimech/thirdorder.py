@@ -10,7 +10,7 @@ the n = 2 case of `tangent_algebra(g, n)`.  `ep3_field` is the
 Euler-Poincare contraction of that algebra's cached field tensor; the level
 equations written out with the base-algebra coadjoint are kept in the tests
 as its oracle.  `third_order_product` reads the same tensor as a cocycle
-double cross sum, split_product along level 2: m = levels 0-1, h = an
+double cross sum, cut below level 2: m = levels 0-1, h = an
 abelian level 2, trivial action, twist psi(eta, (v0,v1)) = [eta, v0] and
 cocycle theta((v0,v1),(w0,w1)) = 2[v1,w1].  Being the same tensor it is no
 independent check; test_third_order_product_structure pins these blocks.
@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import LieAlgebra, _expm, tangent_algebra
 from .dynamics import EnergySpec, ep_field, fd_gradient
 from .errors import DimensionError, SingularFiberMap, TooFewPoints, default_tol
-from .products import UnifiedProductData, split_product
+from .products import UnifiedProductData
 
 __all__ = [
     "third_order_product",
@@ -48,10 +48,10 @@ __all__ = [
 
 
 def third_order_product(g: LieAlgebra) -> UnifiedProductData:
-    """tangent_algebra(g, 2) split along its top level: m the tangent algebra
+    """tangent_algebra(g, 2) cut below its top level: m the tangent algebra
     of g (levels 0 and 1), h an abelian copy of g (level 2), a trivial
     action, and a twist and cocycle that couple level 2 back down."""
-    return split_product(tangent_algebra(g, 2), 2 * g.dim)
+    return UnifiedProductData(tangent_algebra(g, 2), 2 * g.dim)
 
 
 def ep3_field(g: LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:

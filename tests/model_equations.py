@@ -3,12 +3,28 @@ hand: the oracle for the generic coadjoint fields.
 
 The `*_regression` helpers compare those equations against `ep_field` and
 `lp_field` at a given state, which pins every sign in the structure tensors
-independently of the axiom checks.
+independently of the axiom checks.  `with_maps` rebuilds a structure with
+some of its maps replaced, for the tests that perturb one.
 """
 
 import numpy as np
 
-from unimech import EnergySpec, LieAlgebra, UnifiedProductData, ep_field, lp_field
+from unimech import (
+    EnergySpec,
+    LieAlgebra,
+    UnifiedProductData,
+    compose_bracket,
+    ep_field,
+    lp_field,
+)
+
+
+def with_maps(d: UnifiedProductData, **maps) -> UnifiedProductData:
+    """d composed again with some of its compose_bracket arguments (h, act,
+    phi, theta, psi, tol, strict, ...) replaced."""
+    parts = dict(dim_m=d.dim_m, h=d.h, act=d.act, phi=d.phi, theta=d.theta, psi=d.psi,
+                 m_labels=d.m_labels, tol=d.tol)
+    return compose_bracket(**{**parts, **maps})
 
 
 # -- central-force family ------------------------------------------------------

@@ -13,7 +13,6 @@ from unimech import (
     algebra_from_doc,
     algebra_to_doc,
     build_model,
-    compose_bracket,
     from_sparse_entries,
     load_algebra,
     preset,
@@ -346,7 +345,7 @@ def _rebased(c, s, seed=0):
 def test_jacobi_is_judged_against_the_scale_of_the_structure():
     # a large-scale basis of a Lie algebra leaves a Jacobi rounding residual
     # far above the absolute tol, but tiny against max|c|**2
-    composed = compose_bracket(build_model("tokamak", {"base": "so3"}))
+    composed = build_model("tokamak", {"base": "so3"}).algebra
     c = _rebased(composed.c, 1e3)
     c = 0.5 * (c - c.swapaxes(1, 2))
     report = LieAlgebra(composed.dim, c).validate()
@@ -358,6 +357,16 @@ def test_jacobi_is_judged_against_the_scale_of_the_structure():
     bent[0, 1, 2] += 1e-6 * np.max(np.abs(c))
     bent[0, 2, 1] -= 1e-6 * np.max(np.abs(c))
     assert not LieAlgebra(composed.dim, bent).validate().ok
+
+
+def test_a_jacobi_scale_past_the_float_range_fails_without_a_warning():
+    # max|c|**2 overflows: no threshold exists, so nothing passes, and the
+    # overflowing Jacobiator raises no RuntimeWarning (errors under pytest)
+    for c in (1e200 * preset("so3").c, 1e160 * tangent_algebra(preset("sl2"), 1).c):
+        report = LieAlgebra(c.shape[0], c).validate()
+        assert not report.ok and np.isnan(report.jacobi_tol)
+    big = LieAlgebra(3, 1e150 * preset("so3").c).validate()
+    assert big.ok and big.jacobi_tol == pytest.approx(big.tol * 1e300)
 
 
 # -- the matrix exponential (scipy is the test-only oracle) --------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -8,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unimech import build_model, save_algebra, save_product, preset
+from unimech import LieAlgebra, build_model, save_algebra, save_product, preset
 from unimech import cli, products
 from unimech.cli import main
+from model_equations import with_maps
 
 
 def _write_config(tmp_path, name="run.json", **overrides):
@@ -32,7 +32,7 @@ def _perturbed_kepler(scale):
     theta = np.array(d.theta)
     theta[0, 1, 2] += scale
     theta[0, 2, 1] -= scale  # keep the stored tensor antisymmetric
-    return dataclasses.replace(d, theta=theta)
+    return with_maps(d, theta=theta)
 
 
 # -- validate -------------------------------------------------------------------
@@ -49,6 +49,23 @@ def test_validate_kepler(capsys):
 def test_validate_without_required_params(capsys):
     assert main(["validate", "kepler"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model,params,message", [
+    ("kepler", '{"e": NaN}', "e must be finite, got nan"),
+    ("kepler", '{"e": 0.5, "k": Infinity}', "k must be finite, got inf"),
+    ("tokamak", '{"b_i": Infinity}', "b_i must be finite, got inf"),
+])
+def test_non_finite_model_parameters_are_refused(model, params, message, capsys):
+    assert main(["validate", model, "--params", params]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_coupling_past_the_float_range_fails_validation(capsys):
+    # the cocycle's Jacobi scale (2e300)**2 overflows: a FAIL, not a traceback
+    assert main(["validate", "kepler", "--params", '{"e": 1e300}']) == 2
+    out = capsys.readouterr().out
+    assert out.endswith("result: FAIL\n") and "[FAIL]" in out
 
 
 def test_validate_broken_document(tmp_path, capsys):
@@ -221,23 +238,43 @@ def test_run_is_deterministic(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("model,dynamics,dim", [
-    ("so3", "lp", 3), ({"name": "kepler", "params": {"e": 0.5}}, "ep", 6)], ids=["so3", "kepler"])
-def test_run_composes_the_structure_once(tmp_path, capsys, monkeypatch, model, dynamics, dim):
-    # validation and the flow share one composed tensor per run
-    calls = []
-    compose = products.compose_bracket
+@pytest.mark.parametrize("model,dynamics,dim,composes", [
+    ("so3", "lp", 3, 0), ({"name": "kepler", "params": {"e": 0.5}}, "ep", 6, 0),
+    (products.product_to_doc(build_model("kepler", {"e": 0.5})), "ep", 6, 1),
+], ids=["so3", "kepler", "document"])
+def test_run_composes_the_structure_once(tmp_path, capsys, monkeypatch, model, dynamics,
+                                         dim, composes):
+    # a preset is built as its algebra and a document composed from its maps
+    # once; validation makes one Jacobiator of that algebra and the flow
+    # reads its cached field tensor
+    counts = {"compose": 0, "jacobiator": 0}
+    flows = []
+    compose, jacobiator = products.compose_bracket, LieAlgebra.jacobiator
+    field = getattr(cli, f"{dynamics}_field")
 
-    def counted(d):
-        calls.append(d)
-        return compose(d)
+    def counted_compose(*args, **kwargs):
+        counts["compose"] += 1
+        return compose(*args, **kwargs)
 
-    monkeypatch.setattr(products, "compose_bracket", counted)
+    def counted_jacobiator(self):
+        counts["jacobiator"] += 1
+        return jacobiator(self)
+
+    def spied_field(d, spec, y):
+        flows.append(d)
+        return field(d, spec, y)
+
+    monkeypatch.setattr(products, "compose_bracket", counted_compose)
+    monkeypatch.setattr(LieAlgebra, "jacobiator", counted_jacobiator)
+    monkeypatch.setattr(cli, f"{dynamics}_field", spied_field)
     cfg = _write_config(tmp_path, model=model, dynamics=dynamics, energy=None,
                         initial=[0.1] * dim, integrator={"h": 1e-3, "steps": 20})
     for runs in (1, 2):
+        flows.clear()
         assert main(["run", str(cfg)]) == 0
-        assert len(calls) == runs
+        assert counts == {"compose": composes * runs, "jacobiator": runs}
+        assert len({id(d) for d in flows}) == 1
+        assert "field_tensor" in vars(flows[0].algebra)
     capsys.readouterr()
 
 

@@ -16,7 +16,6 @@ from unimech import (
     TrajectoryTooLarge,
     build_model,
     coad,
-    compose_bracket,
     conservation_report,
     ep3_field,
     ep_field,
@@ -255,10 +254,10 @@ def test_ep_field_requires_a_quadratic_energy():
 
 
 def test_fields_on_a_product_match_the_composed_algebra_route():
-    """Fields (one contraction of the cached composed tensor) vs. the
-    blockwise six-map coadjoint and vs. coad of the composed bracket."""
+    """Fields (one contraction of the algebra's cached field tensor) vs. the
+    blockwise six-map coadjoint and vs. coad of the algebra."""
     d = build_model("kepler", {"e": 1.0, "m": 2.0, "k": 1.0})
-    composed = compose_bracket(d)
+    composed = d.algebra
     rng = np.random.default_rng(7)
     a = rng.standard_normal((d.dim, d.dim))
     spec = EnergySpec.quadratic(a @ a.T + d.dim * np.eye(d.dim))

@@ -9,7 +9,6 @@ from unimech import (
     UnknownPreset,
     abelian,
     build_model,
-    compose_bracket,
     ep_field,
     kepler_algebra,
     lp_field,
@@ -63,8 +62,7 @@ def test_kepler_axioms_hold_across_the_family(e, m):
     report = validate_axioms(d)
     assert report.ok, report.residuals
     assert report.worst <= 1e-12
-    composed = compose_bracket(d)
-    assert composed.validate().jacobi <= 1e-12
+    assert d.algebra.validate().jacobi <= 1e-12
 
 
 def test_kepler_zero_eccentricity_drops_the_cocycle():
@@ -111,6 +109,10 @@ def test_kepler_parameter_checks():
         KeplerParams(e=0.5, m=0.0)
     with pytest.raises(ValueError, match="force constant"):
         KeplerParams(e=0.5, k=-1.0)
+    for name in ("e", "m", "k"):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                KeplerParams(**{"e": 0.5, name: bad})
     assert KeplerParams(e=-2.0).coupling == pytest.approx(-4.0)
 
 
@@ -124,7 +126,7 @@ def test_tokamak_axioms_hold_across_the_family(base_name, b):
     report = validate_axioms(d)
     assert report.ok, report.residuals
     assert report.worst <= 1e-12
-    assert compose_bracket(d).validate().jacobi <= 1e-12
+    assert d.algebra.validate().jacobi <= 1e-12
 
 
 def test_tokamak_block_structure():
@@ -208,6 +210,9 @@ def test_tokamak_parameter_checks():
 
     with pytest.raises(ValueError, match="fails the Lie algebra checks"):
         TokamakParams(base=LieAlgebra(dim=3, c=bad_c))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^b_i must be finite"):
+            TokamakParams(base=preset("so3"), b_i=bad)
 
 
 # -- name dispatch ------------------------------------------------------------------

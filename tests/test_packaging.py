@@ -1,13 +1,18 @@
-"""unimech runs on numpy and the standard library alone."""
+"""unimech runs on numpy and the standard library alone, and every library
+name the benchmark looks up exists."""
 
 import ast
+import importlib
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "unimech"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -60,3 +65,38 @@ def test_package_imports_only_stdlib_numpy_and_itself():
                 continue  # not an import, or a relative one
             for name in names:
                 assert name.partition(".")[0] in ALLOWED, f"{source.name}:{node.lineno} imports {name}"
+
+
+def _benchmark_names() -> set[tuple[str, str]]:
+    """(module, dotted name) of every library name perfbench's workloads
+    call and its tracer reads spans of, found in the source text."""
+    work = (PERFBENCH / "workloads.py").read_text()
+    trace = (PERFBENCH / "tracing.py").read_text()
+    counters = trace[trace.index("COUNTERS = {"):].split("\n}", 1)[0]
+    methods = trace[trace.index("METHODS = ("):].split("\n)", 1)[0]
+    names = {("unimech", n) for n in re.findall(r"\bum\.([\w.]+)", work)}
+    names |= {("unimech.cli", n) for n in re.findall(r"\bcli\.([\w.]+)", work)}
+    spans = re.findall(r'\b(?:calls|incl|stat)\("(\w+)\.([\w.]+)"\)', trace)
+    spans += re.findall(r'^\s+"(\w+)\.([\w.]+)": \(', counters, re.MULTILINE)
+    spans += [(layer, f"{cls}.{method}")
+              for layer, cls, method in re.findall(r'\("(\w+)", "(\w+)", "(\w+)"\)', methods)]
+    return names | {(f"unimech.{layer}", rest) for layer, rest in spans}
+
+
+def test_benchmark_names_resolve_to_library_functions():
+    # the workloads look names up at call time, so a removed or renamed one
+    # would show only as failed benchmark ops or a span metric stuck at 0
+    names = _benchmark_names()
+    assert ("unimech.products", "compose_bracket") in names and len(names) > 30
+    for module, dotted in sorted(names):
+        owner = obj = importlib.import_module(module)
+        for part in dotted.split("."):
+            owner, obj = obj, getattr(obj, part, None)
+            assert obj is not None, f"{module}.{dotted} does not resolve"
+        if inspect.isclass(owner):
+            assert part in vars(owner), f"{module}.{dotted} is not defined on its class"
+        else:
+            assert inspect.isfunction(obj) and not part.startswith("_"), f"{module}.{dotted}"
+            # the tracer wraps a layer's functions only where they are defined
+            assert obj.__module__ == module or module == "unimech", f"{module}.{dotted}"
+            assert obj.__module__.startswith("unimech."), f"{module}.{dotted}"

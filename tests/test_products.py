@@ -1,9 +1,8 @@
-import dataclasses
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unimech import (
@@ -16,13 +15,11 @@ from unimech import (
     build_model,
     coad,
     compose_bracket,
-    from_subalgebra,
     load_product,
     preset,
     product_from_doc,
     product_to_doc,
     save_product,
-    split_product,
     tangent_algebra,
     third_order_product,
     validate_axioms,
@@ -37,6 +34,7 @@ from unimech.products import (
     psi_star_m,
     theta_star,
 )
+from model_equations import with_maps
 
 
 def _random_product(seed, dim_m, dim_h):
@@ -49,9 +47,9 @@ def _random_product(seed, dim_m, dim_h):
     h = LieAlgebra(dim=dim_h, c=ch)
     phi = rng.standard_normal((dim_m, dim_m, dim_m))
     theta = rng.standard_normal((dim_h, dim_m, dim_m))
-    return UnifiedProductData(
-        dim_m=dim_m,
-        h=h,
+    return compose_bracket(
+        dim_m,
+        h,
         act=rng.standard_normal((dim_m, dim_h, dim_m)),
         phi=phi - phi.swapaxes(1, 2),
         theta=theta - theta.swapaxes(1, 2),
@@ -81,7 +79,7 @@ def _bracket_by_hand(d, x, y):
 
 def test_composed_bracket_matches_definition():
     d = _random_product(0, 3, 2)
-    composed = compose_bracket(d)
+    composed = d.algebra
     rng = np.random.default_rng(1)
     for _ in range(20):
         x, y = rng.standard_normal((2, 5))
@@ -92,7 +90,7 @@ def test_composed_bracket_matches_definition():
 
 def test_composed_bracket_labels_and_blocks():
     d = kepler_algebra(KeplerParams(e=1.0))
-    composed = compose_bracket(d)
+    composed = d.algebra
     assert composed.labels == ("v1", "v2", "v3", "eta1", "eta2", "eta3")
     np.testing.assert_allclose(composed.c[3:, 3:, 3:], d.h.c, atol=0)
     np.testing.assert_allclose(composed.c[:3, :3, :3], d.phi, atol=0)
@@ -107,7 +105,7 @@ def test_composed_bracket_labels_and_blocks():
 )
 def test_coad_equals_minus_ad_transpose_for_arbitrary_tensors(seed, dim_m, dim_h):
     d = _random_product(seed, dim_m, dim_h)
-    composed = compose_bracket(d)
+    composed = d.algebra
     rng = np.random.default_rng(seed + 17)
     x, mu = rng.standard_normal((2, d.dim))
     np.testing.assert_allclose(
@@ -173,11 +171,11 @@ def test_axioms_flag_a_perturbed_cocycle():
     theta = np.array(d.theta)
     theta[0, 1, 2] += 1e-3
     theta[0, 2, 1] -= 1e-3
-    broken = dataclasses.replace(d, theta=theta)
+    broken = with_maps(d, theta=theta)
     report = validate_axioms(broken)
     assert not report.ok
     assert report.worst > 1e-4
-    assert compose_bracket(broken).jacobi_residual() > 1e-4
+    assert broken.algebra.jacobi_residual() > 1e-4
 
 
 def test_witness_points_at_the_worst_entry():
@@ -186,9 +184,9 @@ def test_witness_points_at_the_worst_entry():
     phi = np.zeros((3, 3, 3))
     phi[1, 0, 2] = 1.0
     phi[1, 2, 0] = 1.0  # same sign: antisymmetry fails at (m2, m1, m3)
-    d = UnifiedProductData(
-        dim_m=3,
-        h=h,
+    d = compose_bracket(
+        3,
+        h,
         act=np.zeros((3, 1, 3)),
         phi=phi,
         theta=np.zeros((1, 3, 3)),
@@ -206,9 +204,9 @@ def test_witness_matches_independent_argmax():
     rng = np.random.default_rng(9)
     phi = rng.standard_normal((3, 3, 3))
     phi = phi - phi.swapaxes(1, 2)
-    d = UnifiedProductData(
-        dim_m=3,
-        h=abelian(0),
+    d = compose_bracket(
+        3,
+        abelian(0),
         act=np.zeros((3, 0, 3)),
         phi=phi,
         theta=np.zeros((0, 3, 3)),
@@ -289,7 +287,7 @@ def _perturbed(d, seed, scale):
              for name in ("phi", "theta", "act", "psi")}
     for name in ("phi", "theta"):
         noise[name] = noise[name] - noise[name].swapaxes(1, 2)
-    return dataclasses.replace(d, **{k: getattr(d, k) + v for k, v in noise.items()})
+    return with_maps(d, **{k: getattr(d, k) + v for k, v in noise.items()})
 
 
 _ORACLE_MODELS = {
@@ -321,8 +319,8 @@ def _twice_adjoint():
     """so3 acting on R^3 by twice its adjoint action: every hand-derived
     axiom holds, but 2 ad is no representation, so the bracket is not Lie."""
     h = preset("so3")
-    return UnifiedProductData(
-        dim_m=3, h=h, act=2.0 * h.c, phi=np.zeros((3, 3, 3)),
+    return compose_bracket(
+        3, h, act=2.0 * h.c, phi=np.zeros((3, 3, 3)),
         theta=np.zeros((3, 3, 3)), psi=np.zeros((3, 3, 3)),
     )
 
@@ -334,7 +332,7 @@ def test_twice_the_adjoint_action_is_rejected():
     assert not report.ok
     assert report.residuals["action_representation"] == 2.0
     assert len(report.witnesses["action_representation"]) == 4
-    assert report.jacobi == compose_bracket(d).jacobi_residual() == 2.0
+    assert report.jacobi == d.algebra.jacobi_residual() == 2.0
 
 
 def test_cli_names_the_failed_representation_axiom(tmp_path, capsys):
@@ -354,13 +352,14 @@ _PROPERTY_MODELS = (
     lambda: build_model("tokamak", {"base": "sl2", "b_i": 0.5}),
     lambda: build_model("tokamak", {"base": "heisenberg", "b_i": 1.0}),
     lambda: third_order_product(preset("sl2")),
-    lambda: from_subalgebra(preset("so3")),
+    lambda: UnifiedProductData(preset("so3"), 0),
     _twice_adjoint,
     lambda: _random_product(3, 2, 2),
 )
 
 
 @settings(max_examples=80, deadline=None)
+@example(model=1, target="theta", scale=1e-13, seed=3628801)
 @given(
     model=st.integers(0, len(_PROPERTY_MODELS) - 1),
     target=st.sampled_from(["phi", "theta", "act", "psi", "h"]),
@@ -375,11 +374,11 @@ def test_axioms_hold_iff_the_composed_bracket_is_lie(model, target, scale, seed)
     if target in ("phi", "theta", "h"):
         noise = noise - noise.swapaxes(1, 2)
     if target == "h":
-        d = dataclasses.replace(d, h=LieAlgebra(d.dim_h, d.h.c + noise, labels=d.h.labels))
+        d = with_maps(d, h=LieAlgebra(d.dim_h, d.h.c + noise, labels=d.h.labels))
     else:
-        d = dataclasses.replace(d, **{target: getattr(d, target) + noise})
+        d = with_maps(d, **{target: getattr(d, target) + noise})
     report = validate_axioms(d)
-    composed = compose_bracket(d).validate()
+    composed = d.algebra.validate()
     assert report.ok == composed.ok
     np.testing.assert_allclose(report.jacobi, composed.jacobi, rtol=1e-12, atol=0.0)
 
@@ -392,7 +391,7 @@ def _random_valid_structure(kind, base, rng):
         return build_model("tokamak", {"base": base, "b_i": rng.uniform(-3, 3)})
     if kind == "third_order":
         return third_order_product(preset(base))
-    return from_subalgebra(preset(base))
+    return UnifiedProductData(preset(base), 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -419,14 +418,13 @@ def test_field_tensor_is_the_blockwise_coadjoint_on_valid_structures(
     assert abs(blockwise @ x) <= 1e-13 * (terms @ np.abs(x))
 
 
-def test_from_subalgebra_is_degenerate_but_consistent():
+def test_a_plain_algebra_is_the_degenerate_product():
     g = preset("sl2")
-    d = from_subalgebra(g)
+    d = UnifiedProductData(g, 0)
     assert d.dim_m == 0
     assert d.dim == 3
+    assert d.h is d.algebra is g
     assert validate_axioms(d).ok
-    composed = compose_bracket(d)
-    np.testing.assert_allclose(composed.c, g.c, atol=0)
     rng = np.random.default_rng(10)
     x, mu = rng.standard_normal((2, 3))
     np.testing.assert_allclose(coad(d, x, mu), g.coad(x, mu), atol=0)
@@ -436,16 +434,49 @@ def test_a_diagnostic_algebra_still_splits_for_validate_axioms():
     c = np.array(preset("heisenberg").c)
     c[2, 0, 1] += 1e-3  # [q, p] and [p, q] no longer cancel
     broken = LieAlgebra(3, c, labels=("q", "p", "z"), strict=False)
-    d = from_subalgebra(broken)
+    d = UnifiedProductData(broken, 0)
     assert d.h is broken
     report = validate_axioms(d)
     assert not report.ok and report.h_antisymmetry == pytest.approx(1e-3)
     # nonzero cuts split it too; the defect lands in theta, then in phi
     for dim_m, name in ((2, "theta"), (3, "phi")):
-        tensor = getattr(split_product(broken, dim_m), name)
+        tensor = getattr(UnifiedProductData(broken, dim_m), name)
         assert np.abs(tensor + tensor.swapaxes(1, 2)).max() == pytest.approx(1e-3)
     with pytest.raises(ValueError, match="not antisymmetric"):
         LieAlgebra(3, c)
+
+
+def test_a_defect_in_the_mixed_blocks_is_reported_not_repaired():
+    # cut at 1, [q, p] and [p, q] sit in the (h; m, h) and (h; h, m) blocks:
+    # m_antisymmetry reads them off the stored tensor as it is
+    c = np.array(preset("heisenberg").c)
+    c[2, 0, 1] += 1e-3
+    d = UnifiedProductData(LieAlgebra(3, c, labels=("q", "p", "z"), strict=False), 1)
+    report = validate_axioms(d)
+    assert report.residuals["m_antisymmetry"] == pytest.approx(1e-3)
+    assert report.witnesses["m_antisymmetry"] == ("z", "p", "q")
+    assert not report.ok and not d.algebra.validate().ok
+
+
+def test_a_jacobiator_past_the_float_range_fails_and_shows_as_worst():
+    # (1e200)**2 overflows: the Jacobiator reads nan, and so does worst
+    report = validate_axioms(UnifiedProductData(LieAlgebra(3, 1e200 * preset("so3").c), 0))
+    assert not report.ok
+    assert np.isnan(report.worst) and np.isnan(report.jacobi) and np.isnan(report.jacobi_tol)
+
+
+@pytest.mark.parametrize("model", ["kepler", "tokamak", "third_order"])
+def test_structure_maps_are_read_only_views_of_the_algebra(model):
+    d = {"kepler": lambda: build_model("kepler", {"e": 0.5}),
+         "tokamak": lambda: build_model("tokamak", {"base": "sl2"}),
+         "third_order": lambda: third_order_product(preset("so3"))}[model]()
+    for name in ("act", "phi", "theta", "psi"):
+        block = getattr(d, name)
+        assert np.shares_memory(block, d.algebra.c)
+        assert not block.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            block[...] = 1.0
+    assert d.h is d.h  # built once
 
 
 @pytest.mark.parametrize("base", ["so3", "sl2", "heisenberg"])
@@ -455,10 +486,10 @@ def test_split_of_a_tangent_algebra_composes_back_at_every_level_cut(base, n):
     g = preset(base)
     tg = tangent_algebra(g, n)
     for k in range(n + 2):
-        d = split_product(tg, k * g.dim)
+        d = UnifiedProductData(tg, k * g.dim)
         assert d.dim_m == k * g.dim and d.m_labels + d.h.labels == tg.labels
         assert d.tol == d.h.tol == tg.tol
-        composed = compose_bracket(d)
+        composed = with_maps(d).algebra
         np.testing.assert_array_equal(composed.c, tg.c)
         assert composed.labels == tg.labels
 
@@ -469,14 +500,17 @@ _SPLIT_MODELS = {
        for b in ("so3", "sl2", "heisenberg")},
     **{f"third_order/{b}": (lambda b=b: third_order_product(preset(b)))
        for b in ("so3", "sl2", "heisenberg")},
-    "random": lambda: dataclasses.replace(_random_product(5, 3, 2), tol=1e-9),
+    "random": lambda: with_maps(_random_product(5, 3, 2), tol=1e-9),
 }
 
 
 @pytest.mark.parametrize("model", sorted(_SPLIT_MODELS))
 def test_split_product_inverts_compose_bracket(model):
+    # the maps composed again and cut at dim_m are the maps; the algebra
+    # differs at most in the sign of zero in the mixed blocks
     d = _SPLIT_MODELS[model]()
-    back = split_product(compose_bracket(d), d.dim_m)
+    back = with_maps(d)
+    np.testing.assert_array_equal(back.algebra.c, d.algebra.c)
     for name in ("act", "phi", "theta", "psi"):
         np.testing.assert_array_equal(getattr(back, name), getattr(d, name))
     np.testing.assert_array_equal(back.h.c, d.h.c)
@@ -487,7 +521,7 @@ def test_split_product_inverts_compose_bracket(model):
 def test_split_product_refuses_an_open_h_and_a_bad_dim_m():
     g = preset("so3")
     with pytest.raises(NotASubalgebra) as info:
-        split_product(g, 1)  # [e2, e3] = e1 leaves span(e2, e3)
+        UnifiedProductData(g, 1)  # [e2, e3] = e1 leaves span(e2, e3)
     assert info.value.witness == ("e1", "e2", "e3")
     assert info.value.residual == 1.0
     assert "[e2, e3] has e1-component 1" in str(info.value)
@@ -495,32 +529,32 @@ def test_split_product_refuses_an_open_h_and_a_bad_dim_m():
     # entries within tol * max(1, max|c|) of closing still split
     c = np.array(tangent_algebra(g, 1).c)
     c[0, 4, 5], c[0, 5, 4] = 1e-11, -1e-11
-    assert split_product(LieAlgebra(6, c), 3).dim_m == 3
+    assert UnifiedProductData(LieAlgebra(6, c), 3).dim_m == 3
     c[0, 4, 5], c[0, 5, 4] = 1e-9, -1e-9
     with pytest.raises(NotASubalgebra, match=r"\[e5, e6\] has e1-component"):
-        split_product(LieAlgebra(6, c), 3)
+        UnifiedProductData(LieAlgebra(6, c), 3)
     for dim_m in (-1, 4):
         with pytest.raises(DimensionError, match="dim_m"):
-            split_product(g, dim_m)
+            UnifiedProductData(g, dim_m)
 
 
 def test_constructor_checks():
     h = abelian(2)
     with pytest.raises(DimensionError):
-        UnifiedProductData(
-            dim_m=2, h=h, act=np.zeros((2, 2, 3)), phi=np.zeros((2, 2, 2)),
+        compose_bracket(
+            2, h, act=np.zeros((2, 2, 3)), phi=np.zeros((2, 2, 2)),
             theta=np.zeros((2, 2, 2)), psi=np.zeros((2, 2, 2)),
         )
     bad_phi = np.zeros((2, 2, 2))
     bad_phi[0, 0, 1] = 1.0
     with pytest.raises(ValueError, match="antisymmetric"):
-        UnifiedProductData(
-            dim_m=2, h=h, act=np.zeros((2, 2, 2)), phi=bad_phi,
+        compose_bracket(
+            2, h, act=np.zeros((2, 2, 2)), phi=bad_phi,
             theta=np.zeros((2, 2, 2)), psi=np.zeros((2, 2, 2)),
         )
     with pytest.raises(DimensionError, match="m-labels"):
-        UnifiedProductData(
-            dim_m=2, h=h, act=np.zeros((2, 2, 2)), phi=np.zeros((2, 2, 2)),
+        compose_bracket(
+            2, h, act=np.zeros((2, 2, 2)), phi=np.zeros((2, 2, 2)),
             theta=np.zeros((2, 2, 2)), psi=np.zeros((2, 2, 2)), m_labels=("a",),
         )
 
@@ -538,6 +572,16 @@ def test_doc_round_trip(tmp_path):
     save_product(d, path)
     again = load_product(path)
     np.testing.assert_allclose(again.theta, d.theta, atol=0)
+
+
+@pytest.mark.parametrize("model", sorted(_SPLIT_MODELS) + ["preset/so3", "preset/abelian"])
+def test_doc_round_trip_keeps_the_algebra(model):
+    d = {"preset/so3": lambda: build_model("so3"),
+         "preset/abelian": lambda: build_model("abelian", {"dim": 2}),
+         **_SPLIT_MODELS}[model]()
+    back = product_from_doc(product_to_doc(d))
+    np.testing.assert_array_equal(back.algebra.c, d.algebra.c)
+    assert (back.dim_m, back.labels) == (d.dim_m, d.labels)
 
 
 def test_doc_round_trip_dense_maps():
