@@ -30,6 +30,7 @@ from .errors import (
     GroupMismatch,
     JetValidationError,
     NonFiniteState,
+    NonUniformGrid,
     NotASubalgebra,
     SingularFiberMap,
     SingularInertia,

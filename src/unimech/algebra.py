@@ -19,6 +19,7 @@ basis is not read as a defect.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -36,9 +37,10 @@ def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"e{i + 1}" for i in range(dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Structure-constant presentation of a real Lie algebra."""
+    """Structure-constant presentation of a real Lie algebra; two compare
+    equal only when they are the same object."""
 
     dim: int
     c: np.ndarray
@@ -230,6 +232,8 @@ def from_sparse_entries(
 
 def abelian(dim: int, labels: tuple[str, ...] = (), tol: float | None = None) -> LieAlgebra:
     """The abelian algebra of the given dimension (all brackets zero)."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise ConfigError(f"abelian dimension must be an integer, got {dim!r}")
     if dim < 0:
         raise ConfigError(f"abelian dimension must be >= 0, got {dim}")
     kwargs = {} if tol is None else {"tol": tol}
@@ -269,55 +273,53 @@ def _current_algebra(g: LieAlgebra, a: np.ndarray, labels: tuple[str, ...]) -> L
     return LieAlgebra(r * d, c.transpose(0, 3, 1, 4, 2, 5).reshape((r * d,) * 3), labels, g.tol)
 
 
-def _so3() -> LieAlgebra:
-    # the cross product: [e_i, e_j] = sum_k eps_kij e_k
-    return from_sparse_entries(3, [(0, 1, 2, 1.0), (1, 0, 2, -1.0), (2, 0, 1, 1.0)])
+# name -> (labels, sparse [k, i, j, value] entries with i < j) of a fixed
+# preset.  so3: the cross product.  sl2 on (H, E, F): [H, E] = 2E,
+# [H, F] = -2F, [E, F] = H.  heisenberg: [q, p] = z, z central.
+_PRESETS = {
+    "so3": ((), [(0, 1, 2, 1.0), (1, 0, 2, -1.0), (2, 0, 1, 1.0)]),
+    "sl2": (("H", "E", "F"), [(1, 0, 1, 2.0), (2, 0, 2, -2.0), (0, 1, 2, 1.0)]),
+    "heisenberg": (("q", "p", "z"), [(2, 0, 1, 1.0)]),
+}
 
 
-def _sl2() -> LieAlgebra:
-    # Basis (H, E, F): [H, E] = 2E, [H, F] = -2F, [E, F] = H.
-    return from_sparse_entries(
-        3,
-        [(1, 0, 1, 2.0), (2, 0, 2, -2.0), (0, 1, 2, 1.0)],
-        labels=("H", "E", "F"),
-    )
-
-
-def _heisenberg() -> LieAlgebra:
-    # [q, p] = z, z central.
-    return from_sparse_entries(3, [(2, 0, 1, 1.0)], labels=("q", "p", "z"))
+@functools.cache
+def _fixed_preset(name: str, tol: float) -> LieAlgebra:
+    labels, entries = _PRESETS[name]
+    return from_sparse_entries(3, entries, labels, tol)
 
 
 def preset(name: str, **params) -> LieAlgebra:
     """Named algebra presets: abelian (needs dim), so3, sl2, heisenberg,
     tangent (needs base: name or LieAlgebra; the first-order
-    tangent_algebra(base), g |x g)."""
+    tangent_algebra(base), g |x g).  so3, sl2 and heisenberg are built once
+    per tolerance and shared read-only, with their cached tangent algebras
+    and field tensor."""
+    if isinstance(name, str) and name in _PRESETS:
+        _reject_extra(name, params)
+        return _fixed_preset(name, default_tol())
     if name == "abelian":
         if "dim" not in params:
             raise ConfigError("abelian preset needs a dim parameter")
-        dim = int(params.pop("dim"))
+        dim = params.pop("dim")
         _reject_extra(name, params)
         return abelian(dim)
-    if name == "so3":
-        _reject_extra(name, params)
-        return _so3()
-    if name == "sl2":
-        _reject_extra(name, params)
-        return _sl2()
-    if name == "heisenberg":
-        _reject_extra(name, params)
-        return _heisenberg()
     if name == "tangent":
         if "base" not in params:
             raise ConfigError("tangent preset needs a base parameter")
         base = params.pop("base")
         _reject_extra(name, params)
-        if isinstance(base, str):
-            base = preset(base)
-        if not isinstance(base, LieAlgebra):
-            raise ConfigError("tangent base must be a preset name or a LieAlgebra")
-        return tangent_algebra(base)
+        return tangent_algebra(_base_algebra(base, "tangent base"))
     raise UnknownPreset(f"unknown algebra preset {name!r}")
+
+
+def _base_algebra(base, what: str) -> LieAlgebra:
+    """`base` if it is a LieAlgebra, the preset it names if a string."""
+    if isinstance(base, str):
+        base = preset(base)
+    if not isinstance(base, LieAlgebra):
+        raise ConfigError(f"{what} must be a preset name or a LieAlgebra")
+    return base
 
 
 def _reject_extra(name: str, params: dict) -> None:

@@ -126,22 +126,11 @@ def _resolve_energy(node, dim: int) -> EnergySpec:
     raise ConfigError(f"inertia must be 'identity', a diagonal or a {dim}x{dim} matrix")
 
 
-def _block_functionals(kind: str, d: UnifiedProductData, g) -> dict:
-    if kind == "ep3":
-        n = g.dim
-        blocks = [("pi0", 0, n), ("pi1", n, 2 * n), ("pi2", 2 * n, 3 * n)]
-    else:
-        blocks = []
-        if d.dim_m:
-            blocks.append(("m", 0, d.dim_m))
-        blocks.append(("h", d.dim_m, d.dim))
-
-    def norm_sq(lo, hi):
-        # a batched matmul over the (m, n) states; each row gets the dot
-        # product y[lo:hi] @ y[lo:hi] computes, so the values match one-row calls
-        return lambda s: (s[:, None, lo:hi] @ s[:, lo:hi, None]).ravel()
-
-    return {f"norm_sq_{name}": norm_sq(lo, hi) for name, lo, hi in blocks}
+def _norm_sq(lo: int, hi: int):
+    """|y[lo:hi]|^2 of each row of an (m, n) state array, as one batched
+    matmul; each row gets the dot product y[lo:hi] @ y[lo:hi] computes, so
+    the values match one-row calls."""
+    return lambda s: (s[:, None, lo:hi] @ s[:, lo:hi, None]).ravel()
 
 
 def _cmd_run(args) -> int:
@@ -158,16 +147,18 @@ def _cmd_run(args) -> int:
         print("result: FAIL (structure axioms)", file=sys.stderr)
         return 2
 
-    g = None
+    # the flow: its state algebra, the named blocks of the state, and the
+    # field with the structure it reads.  The field is read from this module
+    # on every run, so a wrapper patched over cli.ep_field sees its calls.
     if kind == "ep3":
         if d.dim_m != 0:
             raise ConfigError("ep3 dynamics needs a plain algebra model (empty m part)")
-        g = d.h
-        dim = 3 * g.dim
-        labels = tangent_algebra(g, 2).labels
+        state, field, structure = tangent_algebra(d.h, 2), ep3_field, d.h
+        blocks = [(f"pi{k}", k * d.dim, (k + 1) * d.dim) for k in range(3)]
     else:
-        dim = d.dim
-        labels = d.labels
+        state, field, structure = d.algebra, ep_field if kind == "ep" else lp_field, d
+        blocks = ([("m", 0, d.dim_m)] if d.dim_m else []) + [("h", d.dim_m, d.dim)]
+    dim = state.dim
 
     spec = _resolve_energy(cfg.get("energy"), dim)
     y0 = np.asarray(cfg["initial"], dtype=float)
@@ -187,7 +178,7 @@ def _cmd_run(args) -> int:
         if tag in ("hamiltonian", "energy"):
             functionals[tag] = spec.hamiltonian
         elif tag == "norm_sq_block":
-            functionals.update(_block_functionals(kind, d, g))
+            functionals.update({f"norm_sq_{name}": _norm_sq(lo, hi) for name, lo, hi in blocks})
         else:
             raise ConfigError(f"unknown conserved-quantity tag {tag!r}")
     outputs = cfg.get("outputs", {})
@@ -202,15 +193,8 @@ def _cmd_run(args) -> int:
         if not parent.is_dir():
             raise ConfigError(f"outputs.{key}: directory {parent} does not exist")
 
-    if kind == "ep":
-        field = lambda y: ep_field(d, spec, y)  # noqa: E731
-    elif kind == "lp":
-        field = lambda y: lp_field(d, spec, y)  # noqa: E731
-    else:
-        field = lambda y: ep3_field(g, spec, y)  # noqa: E731
-
     try:
-        traj = rk4(field, y0, h, steps, labels=tuple(labels))
+        traj = rk4(lambda y: field(structure, spec, y), y0, h, steps, labels=state.labels)
     except NonFiniteState as exc:
         print(
             f"error: state became non-finite at step {exc.step} in component {exc.component}",

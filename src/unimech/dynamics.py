@@ -85,7 +85,7 @@ def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergySpec:
     """Energy function on g* (equivalently a Lagrangian on g).
 
@@ -103,8 +103,8 @@ class EnergySpec:
     inertia: np.ndarray | None = None
     f: Callable[[np.ndarray], float] | None = None
     fd_eps: float = 1e-6
-    _inv: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
-    _fold: tuple = field(init=False, repr=False, compare=False, default=(None, None))
+    _inv: np.ndarray | None = field(init=False, repr=False, default=None)
+    _fold: tuple = field(init=False, repr=False, default=(None, None))
 
     def __post_init__(self) -> None:
         if self.kind == "quadratic":
@@ -261,7 +261,7 @@ def _state(tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Fixed-step integration output: times[i] pairs with states[i]."""
 

@@ -101,6 +101,16 @@ class TooFewPoints(ValueError):
     """Not enough trajectory samples for the requested finite-difference stencil."""
 
 
+class NonUniformGrid(ValueError):
+    """A trajectory's time steps are not all equal; .step is the index of
+    the first off-grid step (times[step] -> times[step + 1]), .size its size."""
+
+    def __init__(self, step: int, size: float, expected: float):
+        self.step, self.size = step, size
+        super().__init__(f"time step {step} has size {size:.6g}, expected {expected:.6g}: "
+                         "the identity check needs a uniform time grid")
+
+
 class ConfigError(ValueError):
     """Run configuration is missing keys, has bad values, or failed to parse."""
 

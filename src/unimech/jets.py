@@ -181,7 +181,7 @@ def _inverse(g: np.ndarray) -> np.ndarray:
         raise SingularMatrix(f"base matrix is not invertible: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JetElement:
     """A jet of a curve in a matrix group: base point plus fiber slots.
 
@@ -200,7 +200,7 @@ class JetElement:
     slots: np.ndarray = ()
     kind: str = "tangent"
     tol: float = field(default_factory=default_tol)
-    _inv: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    _inv: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.group not in GROUP_TAGS:

@@ -23,11 +23,12 @@ paper's hand-written form of them, tests/model_equations.py, is their oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, _current_algebra, preset
+from .algebra import LieAlgebra, _base_algebra, _current_algebra, preset
 from .errors import ConfigError
 from .products import UnifiedProductData
 
@@ -37,10 +38,15 @@ __all__ = [
     "kepler_algebra",
     "tokamak_algebra",
     "build_model",
-    "MODEL_NAMES",
 ]
 
-MODEL_NAMES = ("kepler", "tokamak")
+
+def _check_real(name: str, value) -> None:
+    """A bool or a non-real value raises TypeError, a non-finite one ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 # -- central-force family ------------------------------------------------------
@@ -48,8 +54,8 @@ MODEL_NAMES = ("kepler", "tokamak")
 
 @dataclass(frozen=True)
 class KeplerParams:
-    """Orbit-family parameters, all finite: eccentricity e (any sign),
-    mass m > 0, force constant k > 0."""
+    """Orbit-family parameters, all finite real numbers: eccentricity e
+    (any sign), mass m > 0, force constant k > 0."""
 
     e: float
     m: float = 1.0
@@ -57,8 +63,7 @@ class KeplerParams:
 
     def __post_init__(self) -> None:
         for name in ("e", "m", "k"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            _check_real(name, getattr(self, name))
         if not self.m > 0:
             raise ValueError(f"mass must be positive, got {self.m}")
         if not self.k > 0:
@@ -93,8 +98,7 @@ class TokamakParams:
     def __post_init__(self) -> None:
         if not isinstance(self.base, LieAlgebra):
             raise TypeError("base must be a LieAlgebra")
-        if not math.isfinite(self.b_i):
-            raise ValueError(f"b_i must be finite, got {self.b_i}")
+        _check_real("b_i", self.b_i)
         report = self.base.validate()
         if not report.ok:
             raise ValueError(
@@ -135,11 +139,7 @@ def build_model(name: str, params: dict | None = None) -> UnifiedProductData:
         except TypeError as exc:
             raise ConfigError(f"bad kepler parameters: {exc}") from exc
     if name == "tokamak":
-        base = params.pop("base", "so3")
-        if isinstance(base, str):
-            base = preset(base)
-        if not isinstance(base, LieAlgebra):
-            raise ConfigError("tokamak base must be a preset name or a LieAlgebra")
+        base = _base_algebra(params.pop("base", "so3"), "tokamak base")
         try:
             return tokamak_algebra(TokamakParams(base=base, **params))
         except TypeError as exc:

@@ -48,7 +48,7 @@ from .algebra import (
 from .errors import ConfigError, DimensionError, NotASubalgebra, default_tol, load_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnifiedProductData:
     """A Lie algebra cut after its first dim_m coordinates: m those, h the rest.
 

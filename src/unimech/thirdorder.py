@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, _expm, tangent_algebra
 from .dynamics import EnergySpec, ep_field, fd_gradient
-from .errors import DimensionError, SingularFiberMap, TooFewPoints, default_tol
+from .errors import DimensionError, NonUniformGrid, SingularFiberMap, TooFewPoints, default_tol
 from .products import UnifiedProductData
 
 __all__ = [
@@ -77,7 +77,7 @@ def ep3_field(g: LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:
 # -- matrix realizations ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixBasis:
     """A basis of a matrix Lie algebra, with coordinate maps both ways.
 
@@ -221,7 +221,8 @@ def third_order_identity_residual(
     identity exactly; here the time derivatives are fourth-order central
     differences, so for an RK4 trajectory with step h the residual floor is
     O(h^4) plus differencing noise.  Returns the max-abs residual at each
-    interior point (indices 3 .. len-4).  Needs at least 7 points.
+    interior point (indices 3 .. len-4).  Needs at least 7 points on a
+    uniform grid; the first off-grid step raises NonUniformGrid.
 
     One array pass over the interior: each stencil is a sum of shifted
     slices, eta0 at every interior state comes from one stacked
@@ -236,9 +237,10 @@ def third_order_identity_residual(
             f"need at least 7 trajectory points for the interior stencils, got {len(states)}"
         )
     h = float(times[1] - times[0])
-    steps = np.diff(times)
-    if not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
-        raise ValueError("identity check expects a uniform time grid")
+    off_grid = np.flatnonzero(~np.isclose(np.diff(times), h, rtol=1e-9, atol=1e-12))
+    if off_grid.size:
+        k = int(off_grid[0])
+        raise NonUniformGrid(k, float(times[k + 1] - times[k]), h)
     m = len(states) - 6
     p0, p1, p2 = states[:, :n], states[:, n : 2 * n], states[:, 2 * n :]
     inner = (

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from unimech import (
     ConfigError,
     DimensionError,
+    EnergySpec,
     LieAlgebra,
+    MatrixBasis,
+    Trajectory,
     UnknownPreset,
     abelian,
     algebra_from_doc,
@@ -16,9 +19,11 @@ from unimech import (
     from_sparse_entries,
     load_algebra,
     preset,
+    random_jet,
     save_algebra,
     tangent_algebra,
 )
+from unimech import algebra
 from unimech.algebra import _expm
 
 
@@ -187,6 +192,45 @@ def test_tangent_preset_accepts_name_or_algebra():
         preset("tangent")
     with pytest.raises(ConfigError):
         preset("tangent", base=3)
+
+
+def test_fixed_presets_are_built_once_per_tolerance(monkeypatch):
+    g = preset("so3")
+    assert preset("so3") is g and not g.c.flags.writeable
+    assert tangent_algebra(preset("so3"), 2) is tangent_algebra(g, 2)
+    monkeypatch.setenv("UM_TOL", "1e-3")
+    loose = preset("so3")
+    assert loose is not g and loose.tol == 1e-3 and preset("so3") is loose
+    np.testing.assert_array_equal(loose.c, g.c)
+    monkeypatch.delenv("UM_TOL")
+    assert preset("so3") is g
+
+
+def test_a_second_kepler_build_parses_no_preset(monkeypatch):
+    fills = []
+    fill = algebra.fill_entries
+    monkeypatch.setattr(algebra, "fill_entries", lambda *a, **k: fills.append(a) or fill(*a, **k))
+    algebra._fixed_preset.cache_clear()
+    build_model("kepler", {"e": 0.5})
+    assert len(fills) == 1  # so3, parsed once
+    build_model("kepler", {"e": 0.7})
+    assert len(fills) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: from_sparse_entries(3, [(2, 0, 1, 1.0)]),
+    lambda: build_model("kepler", {"e": 0.5}),
+    lambda: random_jet("SO", 3, 2, rng=np.random.default_rng(0)),
+    lambda: EnergySpec.identity(3),
+    lambda: Trajectory([0.0, 1.0], [[1.0], [2.0]]),
+    MatrixBasis.so3,
+], ids=["LieAlgebra", "UnifiedProductData", "JetElement", "EnergySpec", "Trajectory",
+        "MatrixBasis"])
+def test_structures_compare_and_hash_by_identity(make):
+    a, twin = make(), make()  # equal contents, two objects
+    assert a == a and a != twin and not a == twin
+    assert hash(a) == hash(a) and len({a, twin, a}) == 2
+    assert {a: 1}.get(twin) is None
 
 
 def test_unknown_preset_and_extra_params():

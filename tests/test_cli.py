@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unimech import LieAlgebra, build_model, save_algebra, save_product, preset
+from unimech import LieAlgebra, build_model, save_algebra, save_product, preset, tangent_algebra
 from unimech import cli, products
 from unimech.cli import main
 from model_equations import with_maps
@@ -55,6 +55,17 @@ def test_validate_without_required_params(capsys):
     ("kepler", '{"e": NaN}', "e must be finite, got nan"),
     ("kepler", '{"e": 0.5, "k": Infinity}', "k must be finite, got inf"),
     ("tokamak", '{"b_i": Infinity}', "b_i must be finite, got inf"),
+    # JSON gives bools, nulls, strings and lists as easily as numbers
+    ("abelian", '{"dim": 2.5}', "abelian dimension must be an integer, got 2.5"),
+    ("abelian", '{"dim": null}', "abelian dimension must be an integer, got None"),
+    ("abelian", '{"dim": [3]}', "abelian dimension must be an integer, got [3]"),
+    ("abelian", '{"dim": true}', "abelian dimension must be an integer, got True"),
+    ("kepler", '{"e": true}', "bad kepler parameters: e must be a real number, got True"),
+    ("kepler", '{"e": 0.5, "m": false}',
+     "bad kepler parameters: m must be a real number, got False"),
+    ("kepler", '{"e": "0.5"}', "bad kepler parameters: e must be a real number, got '0.5'"),
+    ("tokamak", '{"b_i": true}', "bad tokamak parameters: b_i must be a real number, got True"),
+    ("tokamak", '{"b_i": [1]}', "bad tokamak parameters: b_i must be a real number, got [1]"),
 ])
 def test_non_finite_model_parameters_are_refused(model, params, message, capsys):
     assert main(["validate", model, "--params", params]) == 1
@@ -241,14 +252,16 @@ def test_run_is_deterministic(tmp_path, capsys):
 @pytest.mark.parametrize("model,dynamics,dim,composes", [
     ("so3", "lp", 3, 0), ({"name": "kepler", "params": {"e": 0.5}}, "ep", 6, 0),
     (products.product_to_doc(build_model("kepler", {"e": 0.5})), "ep", 6, 1),
-], ids=["so3", "kepler", "document"])
+    ("so3", "ep3", 9, 0),
+], ids=["so3", "kepler", "document", "ep3"])
 def test_run_composes_the_structure_once(tmp_path, capsys, monkeypatch, model, dynamics,
                                          dim, composes):
     # a preset is built as its algebra and a document composed from its maps
     # once; validation makes one Jacobiator of that algebra and the flow
-    # reads its cached field tensor
+    # reads its cached field tensor.  A fixed preset is shared, so its runs
+    # integrate on one state algebra; the ep3 state is tangent_algebra(g, 2).
     counts = {"compose": 0, "jacobiator": 0}
-    flows = []
+    flows, states = [], []  # states kept alive, so their ids stay distinct
     compose, jacobiator = products.compose_bracket, LieAlgebra.jacobiator
     field = getattr(cli, f"{dynamics}_field")
 
@@ -274,7 +287,10 @@ def test_run_composes_the_structure_once(tmp_path, capsys, monkeypatch, model, d
         assert main(["run", str(cfg)]) == 0
         assert counts == {"compose": composes * runs, "jacobiator": runs}
         assert len({id(d) for d in flows}) == 1
-        assert "field_tensor" in vars(flows[0].algebra)
+        state = tangent_algebra(flows[0], 2) if dynamics == "ep3" else flows[0].algebra
+        assert "field_tensor" in vars(state)
+        states.append(state)
+    assert len({id(s) for s in states}) == (1 if model == "so3" else 2)
     capsys.readouterr()
 
 

@@ -100,3 +100,20 @@ def test_benchmark_names_resolve_to_library_functions():
             # the tracer wraps a layer's functions only where they are defined
             assert obj.__module__ == module or module == "unimech", f"{module}.{dotted}"
             assert obj.__module__.startswith("unimech."), f"{module}.{dotted}"
+
+
+def test_every_exported_name_resolves():
+    # `from M import *` raises on a name in M.__all__ that M no longer
+    # defines; the package re-exports only names its modules export
+    for source in sorted(PACKAGE.glob("*.py")):
+        module = "unimech" if source.stem == "__init__" else f"unimech.{source.stem}"
+        namespace = {}
+        exec(f"from {module} import *", namespace)
+        mod = importlib.import_module(module)
+        names = getattr(mod, "__all__", [n for n in vars(mod) if not n.startswith("_")])
+        assert names and all(namespace.get(n) is not None for n in names), module
+    for node in ast.parse((PACKAGE / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            exported = getattr(importlib.import_module(f"unimech.{node.module}"), "__all__", None)
+            for alias in node.names:
+                assert exported is None or alias.name in exported, f"{node.module}.{alias.name}"

@@ -8,6 +8,7 @@ from unimech import (
     JetElement,
     LieAlgebra,
     MatrixBasis,
+    NonUniformGrid,
     SingularFiberMap,
     TooFewPoints,
     Trajectory,
@@ -366,8 +367,12 @@ def test_identity_residual_input_checks():
         times=np.array([0.0, 1.0, 2.0, 3.5, 4.0, 5.0, 6.0]),
         states=np.zeros((7, 9)),
     )
-    with pytest.raises(ValueError, match="uniform"):
+    with pytest.raises(ValueError, match="uniform") as info:
         third_order_identity_residual(g, spec, uneven)
+    # times[3] moved by 0.5 puts steps 2 and 3 off the grid; the first is named
+    assert isinstance(info.value, NonUniformGrid)
+    assert (info.value.step, info.value.size) == (2, 1.5)
+    assert str(info.value).startswith("time step 2 has size 1.5, expected 1:")
 
 
 # -- matrix bases ---------------------------------------------------------------
