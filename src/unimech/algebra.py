@@ -187,7 +187,7 @@ def fill_entries(shape: tuple[int, ...], entries, name: str, skew: bool = False)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name} entry {entry!r} is not [k, i, j, value]") from exc
         if not (
-            all(isinstance(q, numbers.Real) for q in (k, i, j, value))
+            all(isinstance(q, numbers.Real) and not isinstance(q, bool) for q in (k, i, j, value))
             and all(float(q).is_integer() for q in (k, i, j))
         ):
             raise ConfigError(f"{name} entry {entry!r} needs integer indices and a number")
@@ -203,6 +203,15 @@ def fill_entries(shape: tuple[int, ...], entries, name: str, skew: bool = False)
             arr[idx[0], idx[2], idx[1]] -= value
         arr[idx] += value
     return arr
+
+
+def real_array(value, key: str) -> np.ndarray:
+    """Nested lists of numbers as a float array; a bool or other entry is a ConfigError."""
+    arr = np.asarray(value, dtype=object)
+    for x in arr.flat:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"{key}: {x!r} is not a number")
+    return arr.astype(float)
 
 
 def sparse_entries(tensor: np.ndarray, skew: bool = False) -> list:
@@ -248,7 +257,7 @@ def tangent_algebra(g: LieAlgebra, n: int = 1) -> LieAlgebra:
 
     n = 1 is the tangent-bundle algebra g |x g.  Built once per (g, n) and
     kept in g's instance dict, beside its cached field_tensor."""
-    if not isinstance(n, int) or n < 0:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ConfigError(f"tangent order must be a non-negative integer, got {n!r}")
     cache = g.__dict__.get("_tangent_algebras")
     if cache is None:
@@ -380,15 +389,23 @@ def algebra_from_doc(doc: dict) -> LieAlgebra:
     if "dim" not in doc:
         raise ConfigError("algebra document is missing 'dim'")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise ConfigError(f"'dim' must be a non-negative integer, got {dim!r}")
-    labels = tuple(doc.get("labels", ()))
-    if labels and len(labels) != dim:
-        raise ConfigError(f"{len(labels)} labels for dimension {dim}")
+    labels = doc_labels(doc, dim)
     entries = doc.get("c", [])
     if not isinstance(entries, list):
         raise ConfigError("'c' must be a list of [k, i, j, value] entries")
     return from_sparse_entries(dim, entries, labels=labels)
+
+
+def doc_labels(doc: dict, dim: int) -> tuple[str, ...]:
+    """A document's "labels": dim strings, or () when absent or empty."""
+    labels = doc.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
+        raise ConfigError(f"'labels' must be a list of strings, got {labels!r}")
+    if labels and len(labels) != dim:
+        raise ConfigError(f"{len(labels)} labels for dimension {dim}")
+    return tuple(labels)
 
 
 def save_algebra(alg: LieAlgebra, path: str | Path) -> None:

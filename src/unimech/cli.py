@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import algebra_from_doc, tangent_algebra
+from .algebra import algebra_from_doc, real_array, tangent_algebra
 from .dynamics import (
     EnergySpec,
     conservation_report,
@@ -32,7 +32,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, NonFiniteState, UnknownPreset, load_json, parse_json
 from .models import build_model
-from .products import UnifiedProductData, product_from_doc, validate_axioms
+from .products import MAP_AXES, UnifiedProductData, product_from_doc, validate_axioms
 from .thirdorder import ep3_field
 
 __all__ = ["main"]
@@ -89,17 +89,15 @@ def _cmd_describe(args) -> int:
     print(f"dim_m={d.dim_m} dim_h={d.dim_h} total={d.dim}")
     print("m labels:", " ".join(d.m_labels) if d.dim_m else "(empty)")
     print("h labels:", " ".join(d.h.labels))
-    for tensor, name, axes in (
-        (d.act, "action", (d.m_labels, d.h.labels, d.m_labels)),
-        (d.phi, "m-bracket", (d.m_labels, d.m_labels, d.m_labels)),
-        (d.theta, "cocycle", (d.h.labels, d.m_labels, d.m_labels)),
-        (d.psi, "twist", (d.h.labels, d.h.labels, d.m_labels)),
-    ):
+    labels = {"m": d.m_labels, "h": d.h.labels}
+    names = {"act": "action", "phi": "m-bracket", "theta": "cocycle", "psi": "twist"}
+    for key, axes in MAP_AXES.items():
+        name, tensor = names[key], getattr(d, key)
         nz = np.argwhere(tensor != 0.0)
         print(f"{name}: {len(nz)} nonzero entries")
         for row in nz[:20]:
-            k, i, j = (int(x) for x in row)
-            print(f"  {name}[{axes[0][k]}, {axes[1][i]}, {axes[2][j]}] = {tensor[k, i, j]:g}")
+            where = ", ".join(labels[a][int(x)] for a, x in zip(axes, row))
+            print(f"  {name}[{where}] = {tensor[tuple(row)]:g}")
         if len(nz) > 20:
             print(f"  ... and {len(nz) - 20} more")
     return 0
@@ -116,7 +114,7 @@ def _resolve_energy(node, dim: int) -> EnergySpec:
     inertia = node.get("inertia", "identity")
     if inertia == "identity":
         return EnergySpec.identity(dim)
-    arr = np.asarray(inertia, dtype=float)
+    arr = real_array(inertia, "energy.inertia")
     if arr.ndim == 1:
         if arr.size != dim:
             raise ConfigError(f"diagonal inertia needs {dim} entries, got {arr.size}")
@@ -161,7 +159,7 @@ def _cmd_run(args) -> int:
     dim = state.dim
 
     spec = _resolve_energy(cfg.get("energy"), dim)
-    y0 = np.asarray(cfg["initial"], dtype=float)
+    y0 = real_array(cfg["initial"], "initial")
     if y0.shape != (dim,):
         raise ConfigError(f"initial state needs {dim} entries, got {y0.shape}")
     integ = cfg["integrator"]

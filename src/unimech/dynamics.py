@@ -263,15 +263,17 @@ def _state(tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Fixed-step integration output: times[i] pairs with states[i]."""
+    """Fixed-step integration output: times[i] pairs with states[i].  A
+    read-only float array owning its data (rk4's) is kept, any other copied."""
 
     times: np.ndarray
     states: np.ndarray
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        times = np.array(self.times, dtype=float)
-        states = np.array(self.states, dtype=float)
+        times, states = (a if isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
+                         and not a.flags.writeable else np.array(a, dtype=float)
+                         for a in (self.times, self.states))
         if states.ndim != 2 or times.ndim != 1 or len(times) != len(states):
             raise ValueError("times and states rows must line up")
         labels = tuple(self.labels) or tuple(f"x{i + 1}" for i in range(states.shape[1]))
@@ -305,7 +307,7 @@ def rk4(
     time; it carries .step, .component (the label of the first non-finite
     entry) and .last_finite (the state before, None at step 0).  Raises
     TrajectoryTooLarge when the (steps + 1, n) array of states cannot be
-    allocated.
+    allocated; frozen, that array is the trajectory's states, not a copy.
 
     Each step makes four field calls and five dot products.  The stages go
     into one (5, n) buffer, rows (k1, k2, k3, k4, y).  Each stage input is a
@@ -356,6 +358,7 @@ def rk4(
             out[n] = y
             stages[4] = y
     times = h * np.arange(steps + 1)
+    out.setflags(write=False)
     return Trajectory(times=times, states=out, labels=labels)
 
 

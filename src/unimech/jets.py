@@ -55,7 +55,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _expm
+from .algebra import _expm, real_array
 from .errors import (
     ConfigError,
     DimensionError,
@@ -618,8 +618,8 @@ def jet_from_doc(doc: dict) -> JetElement:
     if not m or m.group(1) not in GROUP_TAGS:
         raise ConfigError(f"bad group name {name!r}")
     try:
-        base = np.asarray(base, dtype=float)
-        slots = [np.asarray(s, dtype=float) for s in slots]
+        base = real_array(base, "base")
+        slots = [real_array(s, "slot") for s in slots]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"jet base and slots must be numeric arrays: {exc}") from exc
     if base.shape != (int(m.group(2)),) * 2:

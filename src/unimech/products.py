@@ -1,13 +1,14 @@
 """Unified products: Lie algebras cut into a complement m and a subalgebra h.
 
 A unified product m (+) h is one Lie algebra whose first dim_m coordinates
-span m and whose trailing ones close into a subalgebra h.  The blocks of its
-structure tensor c are four structure maps:
+span m and whose trailing ones close into a subalgebra h.  A block of a cut
+tensor is named by its axes, "m" or "h" per axis ("g": both), and MAP_AXES
+names the four structure maps as blocks (k; i, j) of the structure tensor c:
 
-  * phi[k, i, j]    antisymmetric bracket on m:      phi(e_i, e_j)_k
-  * act[k, a, j]    left action of h on m:           (f_a |> e_j)_k
-  * psi[c, a, j]    twist  h x m -> h:               psi(f_a, e_j)_c
-  * theta[c, i, j]  antisymmetric cocycle m x m -> h: theta(e_i, e_j)_c
+  * act[k, a, j]    (m; h, m)  left action of h on m:            (f_a |> e_j)_k
+  * phi[k, i, j]    (m; m, m)  antisymmetric bracket on m:       phi(e_i, e_j)_k
+  * theta[c, i, j]  (h; m, m)  antisymmetric cocycle m x m -> h: theta(e_i, e_j)_c
+  * psi[c, a, j]    (h; h, m)  twist h x m -> h:                 psi(f_a, e_j)_c
 
 (e_j: basis of m, f_a: basis of h.)  In these the bracket reads
 
@@ -18,10 +19,9 @@ UnifiedProductData(algebra, dim_m) stores the algebra and the cut, and its
 maps are read-only views of algebra.c; compose_bracket builds the product
 from given maps.  Every model here is such a cut, and UnifiedProductData(h, 0)
 wraps a plain algebra.  validate_axioms builds one Jacobiator J[k, i, j, l]
-of the algebra and reads each compatibility axiom off one block of it
-(AXIOM_BLOCKS: m_jacobi is the (m; m, m, m) block, action_representation the
-(m; h, h, m) block, h_jacobi the (h; h, h, h) block, ...), so together with
-the antisymmetry of c the axioms hold iff the algebra is a Lie algebra.  The
+of the algebra and reads each compatibility axiom off its block in
+AXIOM_BLOCKS (m_jacobi the (m; m, m, m) block, ...), so together with the
+antisymmetry of c the axioms hold iff the algebra is a Lie algebra.  The
 hand-derived einsum form of the axioms is the test oracle for the blocks.
 
 The coadjoint is assembled from six dual maps, each defined through the
@@ -42,10 +42,50 @@ from .algebra import (
     LieAlgebra,
     algebra_from_doc,
     algebra_to_doc,
+    doc_labels,
     fill_entries,
     sparse_entries,
 )
 from .errors import ConfigError, DimensionError, NotASubalgebra, default_tol, load_json
+
+# In compose_bracket's check order and a document's key order; "?mm" maps are skew.
+MAP_AXES = {"act": "mhm", "phi": "mmm", "theta": "hmm", "psi": "hhm"}
+
+# Block (k; i, j, l) of the Jacobiator J[k, i, j, l] of d.algebra that each
+# axiom reads.  On an antisymmetric c whose h closes, J is alternating in
+# (i, j, l) and its (m; h, h, h) block vanishes, so these seven cover all of
+# it; AxiomReport.jacobi covers all of J on any tensor.
+AXIOM_BLOCKS = {
+    "action_derivation": "mhmm",
+    "cocycle_action_compat": "hhmm",
+    "twist_derivation": "hhhm",
+    "m_jacobi": "mmmm",
+    "cocycle_jacobi": "hmmm",
+    "action_representation": "mhhm",
+    "h_jacobi": "hhhh",
+}
+
+
+def _cut(m: int, n: int, axes: str) -> tuple[slice, ...]:
+    """Index of the `axes` block of a tensor of side n cut after m."""
+    span = {"m": slice(0, m), "h": slice(m, n), "g": slice(0, n)}
+    return tuple(span[a] for a in axes)
+
+
+def _map(name: str) -> property:
+    """The structure map `name` of a product, a read-only view of its block."""
+    return property(lambda d: d.algebra.c[_cut(d.dim_m, d.dim, MAP_AXES[name])])
+
+
+def _peak(t: np.ndarray, m: int, axes: str, labels: tuple[str, ...]) -> tuple[float, tuple]:
+    """Largest |entry| of the `axes` block of t, cut after m, and the labels
+    of its indices; (0.0, ()) for an empty block.  A nan entry is the peak."""
+    cut = _cut(m, len(labels), axes)
+    block = t[cut]
+    if block.size == 0:
+        return 0.0, ()
+    idx = np.unravel_index(int(np.argmax(np.abs(block))), block.shape)
+    return float(abs(block[idx])), tuple(labels[s.start + i] for s, i in zip(cut, idx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,43 +104,23 @@ class UnifiedProductData:
         m, alg = self.dim_m, self.algebra
         if not 0 <= m <= alg.dim:
             raise DimensionError(f"dim_m={m} outside 0..{alg.dim}")
-        leak = np.abs(alg.c[:m, m:, m:])
+        leak, witness = _peak(alg.c, m, "mhh", alg.labels)
         limit = alg.tol * max(1.0, float(np.max(np.abs(alg.c), initial=0.0)))
-        if leak.size and not leak.max() <= limit:
-            k, i, j = np.unravel_index(int(np.argmax(leak)), leak.shape)
-            raise NotASubalgebra((alg.labels[k], alg.labels[m + i], alg.labels[m + j]),
-                                 float(leak[k, i, j]), limit)
+        if witness and not leak <= limit:
+            raise NotASubalgebra(witness, leak, limit)
 
     # -- the structure maps: read-only views of algebra.c -------------------
 
-    @property
-    def phi(self) -> np.ndarray:
-        m = self.dim_m
-        return self.algebra.c[:m, :m, :m]
-
-    @property
-    def act(self) -> np.ndarray:
-        m = self.dim_m
-        return self.algebra.c[:m, m:, :m]
-
-    @property
-    def theta(self) -> np.ndarray:
-        m = self.dim_m
-        return self.algebra.c[m:, :m, :m]
-
-    @property
-    def psi(self) -> np.ndarray:
-        m = self.dim_m
-        return self.algebra.c[m:, m:, :m]
+    act, phi, theta, psi = _map("act"), _map("phi"), _map("theta"), _map("psi")
 
     @cached_property
     def h(self) -> LieAlgebra:
         """The subalgebra on the trailing coordinates; the algebra itself
         when dim_m = 0."""
-        alg, m = self.algebra, self.dim_m
+        alg, m, n = self.algebra, self.dim_m, self.dim
         if m == 0:
             return alg
-        return LieAlgebra(alg.dim - m, alg.c[m:, m:, m:], alg.labels[m:], alg.tol, False)
+        return LieAlgebra(n - m, alg.c[_cut(m, n, "hhh")], alg.labels[m:], alg.tol, False)
 
     # -- read off the algebra -----------------------------------------------
 
@@ -145,19 +165,19 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
     if len(labels) != m:
         raise DimensionError(f"{len(labels)} m-labels for dim_m={m}")
     c = np.zeros((n, n, n))
-    for name, block, tensor in (("act", c[:m, m:, :m], act), ("phi", c[:m, :m, :m], phi),
-                                ("theta", c[m:, :m, :m], theta), ("psi", c[m:, m:, :m], psi)):
-        arr = np.asarray(tensor, dtype=float)
+    maps = {"act": act, "phi": phi, "theta": theta, "psi": psi}
+    for name, axes in MAP_AXES.items():
+        block, arr = c[_cut(m, n, axes)], np.asarray(maps[name], dtype=float)
         if arr.shape != block.shape:
             raise DimensionError(f"{name} has shape {arr.shape}, expected {block.shape}")
-        if strict and name in ("phi", "theta") and arr.size and (
+        if strict and axes[1:] == "mm" and arr.size and (
                 np.max(np.abs(arr + arr.swapaxes(1, 2))) > tol):
             raise ValueError(f"{name} is not antisymmetric in its m arguments; "
                              "pass strict=False to construct anyway")
         block[...] = arr
-    c[:m, :m, m:] = -c[:m, m:, :m].swapaxes(1, 2)  # (e_i, f_b) slot: -n2 |> v1
-    c[m:, :m, m:] = -c[m:, m:, :m].swapaxes(1, 2)
-    c[m:, m:, m:] = h.c
+        if axes[1:] == "hm":  # its (k; m, h) mirror: -n2 |> v1 and -psi(n2, v1)
+            c[_cut(m, n, axes[0] + "mh")] = -arr.swapaxes(1, 2)
+    c[_cut(m, n, "hhh")] = h.c
     return UnifiedProductData(LieAlgebra(n, c, labels + h.labels, tol, False), m)
 
 
@@ -196,21 +216,6 @@ class AxiomReport:
         return self.jacobi_tol if name in AXIOM_BLOCKS else self.tol
 
 
-# Block (k; i, j, l) of the Jacobiator J[k, i, j, l] of d.algebra that each
-# axiom reads, "m" or "h" per axis.  On an antisymmetric c whose h closes, J
-# is alternating in (i, j, l) and its (m; h, h, h) block vanishes, so these
-# seven cover all of it; AxiomReport.jacobi covers all of J on any tensor.
-AXIOM_BLOCKS = {
-    "action_derivation": "mhmm",
-    "cocycle_action_compat": "hhmm",
-    "twist_derivation": "hhhm",
-    "m_jacobi": "mmmm",
-    "cocycle_jacobi": "hmmm",
-    "action_representation": "mhhm",
-    "h_jacobi": "hhhh",
-}
-
-
 def validate_axioms(d: UnifiedProductData) -> AxiomReport:
     """Evaluate the compatibility axioms of the structure maps.
 
@@ -221,27 +226,17 @@ def validate_axioms(d: UnifiedProductData) -> AxiomReport:
     """
     whole = d.algebra.validate()
     c, m, labels = d.algebra.c, d.dim_m, d.labels
-    span = {"m": slice(0, m), "h": slice(m, d.dim), "g": slice(0, d.dim)}
     res: dict[str, float] = {}
     wit: dict[str, tuple[str, ...]] = {}
-
-    def worst(arr: np.ndarray, axes: str) -> tuple[float, tuple[str, ...]]:
-        if arr.size == 0:
-            return 0.0, ()
-        idx = np.unravel_index(int(np.argmax(np.abs(arr))), arr.shape)
-        where = tuple(labels[span[a].start + i] for a, i in zip(axes, idx))
-        return float(abs(arr[idx])), where
-
     # c + c^T vanishes on a Lie algebra; up to its symmetry in (i, j), the
     # blocks (k; i, m) are all those with an m argument.
     anti = c + c.swapaxes(1, 2)
-    res["m_antisymmetry"], wit["m_antisymmetry"] = worst(anti[:, :, :m], "ggm")
+    res["m_antisymmetry"], wit["m_antisymmetry"] = _peak(anti, m, "ggm", labels)
     for name, axes in AXIOM_BLOCKS.items():
-        block = whole.jacobiator[tuple(span[a] for a in axes)]
-        res[name], wit[name] = worst(block, axes)
+        res[name], wit[name] = _peak(whole.jacobiator, m, axes, labels)
 
     return AxiomReport(residuals=res, witnesses=wit, tol=d.tol, jacobi_tol=whole.jacobi_tol,
-                       h_antisymmetry=worst(anti[m:, m:, m:], "hhh")[0], jacobi=whole.jacobi)
+                       h_antisymmetry=_peak(anti, m, "hhh", labels)[0], jacobi=whole.jacobi)
 
 
 # -- dual maps and the coadjoint ------------------------------------------------
@@ -318,16 +313,10 @@ def coad(d: UnifiedProductData, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def product_to_doc(d: UnifiedProductData) -> dict:
-    return {
-        "dim": d.dim,
-        "dim_m": d.dim_m,
-        "labels": list(d.labels),
-        "h": algebra_to_doc(d.h),
-        "act": sparse_entries(d.act),
-        "phi": sparse_entries(d.phi, skew=True),
-        "theta": sparse_entries(d.theta, skew=True),
-        "psi": sparse_entries(d.psi),
-    }
+    doc = {"dim": d.dim, "dim_m": d.dim_m, "labels": list(d.labels), "h": algebra_to_doc(d.h)}
+    for name, axes in MAP_AXES.items():
+        doc[name] = sparse_entries(getattr(d, name), skew=axes[1:] == "mm")
+    return doc
 
 
 def product_from_doc(doc: dict) -> UnifiedProductData:
@@ -337,28 +326,20 @@ def product_from_doc(doc: dict) -> UnifiedProductData:
         if key not in doc:
             raise ConfigError(f"product document is missing {key!r}")
     m = doc["dim_m"]
-    if not isinstance(m, int) or m < 0:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
         raise ConfigError(f"'dim_m' must be a non-negative integer, got {m!r}")
     h = algebra_from_doc(doc["h"])
-    dim = doc.get("dim", m + h.dim)
-    if dim != m + h.dim:
-        raise ConfigError(f"'dim' is {dim} but dim_m + dim_h = {m + h.dim}")
-    labels = tuple(doc.get("labels", ()))
-    m_labels: tuple[str, ...] = ()
+    n = m + h.dim
+    dim = doc.get("dim", n)
+    if isinstance(dim, bool) or dim != n:
+        raise ConfigError(f"'dim' is {dim} but dim_m + dim_h = {n}")
+    labels = doc_labels(doc, n)
     if labels:
-        if len(labels) != dim:
-            raise ConfigError(f"{len(labels)} labels for dimension {dim}")
-        m_labels = labels[:m]
         h = replace(h, labels=labels[m:])
-    return compose_bracket(
-        m,
-        h,
-        act=fill_entries((m, h.dim, m), doc.get("act", []), "act"),
-        phi=fill_entries((m, m, m), doc.get("phi", []), "phi", skew=True),
-        theta=fill_entries((h.dim, m, m), doc.get("theta", []), "theta", skew=True),
-        psi=fill_entries((h.dim, h.dim, m), doc.get("psi", []), "psi"),
-        m_labels=m_labels,
-    )
+    maps = {name: fill_entries(tuple(s.stop - s.start for s in _cut(m, n, axes)),
+                               doc.get(name, []), name, skew=axes[1:] == "mm")
+            for name, axes in MAP_AXES.items()}
+    return compose_bracket(m, h, m_labels=labels[:m], **maps)
 
 
 def save_product(d: UnifiedProductData, path: str | Path) -> None:

@@ -163,7 +163,7 @@ def test_tangent_algebra_bracket_is_binomial_in_the_levels():
 
 
 def test_tangent_algebra_order_must_be_a_natural_number():
-    for n in (-1, 1.5, "2"):
+    for n in (-1, 1.5, "2", True):
         with pytest.raises(ConfigError, match="tangent order"):
             tangent_algebra(preset("so3"), n)
 
@@ -367,6 +367,15 @@ def test_load_rejects_malformed_documents(tmp_path):
         algebra_from_doc({"dim": 2, "c": "nope"})
     with pytest.raises(ConfigError):
         algebra_from_doc([1, 2, 3])
+    # JSON bools are not numbers, and labels are a list of strings
+    with pytest.raises(ConfigError, match="'dim' must be a non-negative integer, got True"):
+        algebra_from_doc({"dim": True, "c": []})
+    for entry in ([2, 0, 1, True], [2, 0, True, 1.0]):
+        with pytest.raises(ConfigError, match="needs integer indices and a number"):
+            algebra_from_doc({"dim": 3, "c": [entry]})
+    for labels in ([1, 2, 3], "xyz", ["x", "y", None]):
+        with pytest.raises(ConfigError, match="'labels' must be a list of strings"):
+            algebra_from_doc({"dim": 3, "labels": labels, "c": []})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="line"):

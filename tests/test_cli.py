@@ -362,6 +362,14 @@ def test_run_blow_up_prints_only_its_error_line(tmp_path, warning_flags):
         ({"model": {"name": "kepler", "params": [1]}}, "params must be an object, got list"),
         ({"model": {"name": "so3", "params": "e"}}, "params must be an object, got str"),
         ({"integrator": {"h": float("inf"), "steps": 5}}, "step size must be positive and finite"),
+        ({"energy": {"inertia": [True, True, True]}}, "energy.inertia: True is not a number"),
+        ({"energy": {"inertia": ["1", "2", "3"]}}, "energy.inertia: '1' is not a number"),
+        ({"energy": {"inertia": [1.0, True, 3.0]}}, "energy.inertia: True is not a number"),
+        ({"energy": {"inertia": [[1, 0, 0], [0, "1", 0], [0, 0, 1]]}},
+         "energy.inertia: '1' is not a number"),
+        ({"initial": [True, False, True]}, "initial: True is not a number"),
+        ({"initial": ["1", "2", "3"]}, "initial: '1' is not a number"),
+        ({"initial": [[1.0, 2.0], [3.0]]}, "initial: [1.0, 2.0] is not a number"),
     ],
 )
 def test_run_config_errors(tmp_path, capsys, overrides, fragment):
@@ -434,6 +442,27 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     listy.write_text("[1, 2]")
     assert main(["run", str(listy)]) == 1
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "describe"])
+@pytest.mark.parametrize("doc,message", [
+    ({"dim": True, "c": []}, "'dim' must be a non-negative integer, got True"),
+    ({"dim_m": True, "h": {"dim": 3, "c": []}}, "'dim_m' must be a non-negative integer, got True"),
+    ({"dim": 3, "c": [[2, 0, 1, True]]},
+     "structure entry [2, 0, 1, True] needs integer indices and a number"),
+    ({"dim": 3, "labels": [1, 2, 3], "c": []}, "'labels' must be a list of strings, got [1, 2, 3]"),
+    ({"dim": 3, "labels": "xyz", "c": []}, "'labels' must be a list of strings, got 'xyz'"),
+    ({"dim_m": 1, "h": {"dim": 1}, "labels": ["v", 2]},
+     "'labels' must be a list of strings, got ['v', 2]"),
+])
+def test_model_documents_refuse_bools_and_non_string_labels(tmp_path, capsys, command, doc,
+                                                            message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_model_document_needs_a_recognized_shape(tmp_path, capsys):

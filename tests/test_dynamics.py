@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -691,6 +692,26 @@ def test_trajectory_keeps_private_copies():
     states[0, 0] = 7.0
     assert traj.times[1] == 1.0 and traj.states[0, 0] == 0.0
     assert not traj.times.flags.writeable and not traj.states.flags.writeable
+    # a read-only view of a writeable array is copied too; a frozen array
+    # that owns its data is kept
+    view = states.view()
+    view.setflags(write=False)
+    again = Trajectory(times=traj.times, states=view)
+    states[0, 0] = 9.0
+    assert again.states[0, 0] == 7.0
+    assert again.times is traj.times
+
+
+def test_rk4_holds_its_states_once():
+    steps, n = 20_000, 12
+    tracemalloc.start()
+    try:
+        traj = rk4(lambda y: -y, np.ones(n), 1e-3, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.states.shape == (steps + 1, n)
+    assert peak < 1.3 * traj.states.nbytes
 
 
 def test_rigid_body_long_run_conserves_casimir_and_energy():

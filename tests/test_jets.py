@@ -1162,6 +1162,12 @@ def test_doc_errors(tmp_path):
         jet_from_doc({**good, "slots": [[["x"] * 3] * 3, good["slots"][1]]})
     with pytest.raises(ConfigError, match="numeric"):
         jet_from_doc({**good, "slots": 7})
+    # JSON strings and bools are not numbers, though numpy would convert them
+    for base in ([["1", "0"], ["0", "1"]], [[True, False], [False, True]]):
+        with pytest.raises(ConfigError, match="must be numeric arrays"):
+            jet_from_doc({"group": "GL2", "base": base, "slots": []})
+    with pytest.raises(ConfigError, match="must be numeric arrays"):
+        jet_from_doc({**good, "slots": [good["slots"][0], [[0, 1, 0], [-1, 0, False], [0, 0, 0]]]})
     # well-formed documents that JetElement itself rejects
     with pytest.raises(ConfigError, match="unknown jet kind 'foo'"):
         jet_from_doc({**good, "kind": "foo"})

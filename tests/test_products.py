@@ -640,3 +640,15 @@ def test_doc_errors():
         product_from_doc({"dim_m": 2, "h": {"dim": 1}, "theta": 3})
     with pytest.raises(ConfigError):
         product_from_doc("not a dict")
+    with pytest.raises(ConfigError, match="'dim_m' must be a non-negative integer, got True"):
+        product_from_doc({"dim_m": True, "h": {"dim": 3, "c": []}})
+    with pytest.raises(ConfigError, match="'dim' is True"):
+        product_from_doc({"dim": True, "dim_m": 0, "h": {"dim": 1, "c": []}})
+    for labels in ([1, 2, 3], "xyz"):
+        with pytest.raises(ConfigError, match="'labels' must be a list of strings"):
+            product_from_doc({"dim_m": 2, "h": {"dim": 1}, "labels": labels})
+
+
+def test_doc_keys_follow_the_map_table():
+    doc = product_to_doc(build_model("kepler", {"e": 0.5}))
+    assert list(doc) == ["dim", "dim_m", "labels", "h", "act", "phi", "theta", "psi"]
