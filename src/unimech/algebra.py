@@ -214,6 +214,17 @@ def real_array(value, key: str) -> np.ndarray:
     return arr.astype(float)
 
 
+def read_only_floats(a) -> np.ndarray:
+    """`a` itself when it is a read-only float array owning its data (a
+    library result frozen by its maker), else a read-only float copy, so
+    no caller's writeable array is ever held."""
+    if not (isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
+            and not a.flags.writeable):
+        a = np.array(a, dtype=float)
+        a.setflags(write=False)
+    return a
+
+
 def sparse_entries(tensor: np.ndarray, skew: bool = False) -> list:
     """The nonzero [k, i, j, value] rows of a tensor, only i < j with `skew`;
     fill_entries reads them back."""

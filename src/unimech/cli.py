@@ -171,8 +171,11 @@ def _cmd_run(args) -> int:
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise ConfigError(f"integrator needs an integer steps >= 1, got {steps!r}")
 
+    tags = cfg.get("conserve", ["hamiltonian"])
+    if not isinstance(tags, list):
+        raise ConfigError(f"conserve must be a list of tags, got {tags!r}")
     functionals = {}
-    for tag in cfg.get("conserve", ["hamiltonian"]):
+    for tag in tags:
         if tag in ("hamiltonian", "energy"):
             functionals[tag] = spec.hamiltonian
         elif tag == "norm_sq_block":

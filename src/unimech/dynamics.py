@@ -48,7 +48,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, read_only_floats
 from .errors import DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge
 from .products import UnifiedProductData
 
@@ -271,16 +271,12 @@ class Trajectory:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        times, states = (a if isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
-                         and not a.flags.writeable else np.array(a, dtype=float)
-                         for a in (self.times, self.states))
+        times, states = read_only_floats(self.times), read_only_floats(self.states)
         if states.ndim != 2 or times.ndim != 1 or len(times) != len(states):
             raise ValueError("times and states rows must line up")
         labels = tuple(self.labels) or tuple(f"x{i + 1}" for i in range(states.shape[1]))
         if len(labels) != states.shape[1]:
             raise ValueError("one label per state component")
-        times.setflags(write=False)
-        states.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "labels", labels)
@@ -357,7 +353,9 @@ def rk4(
                 raise _non_finite(n, y, out[n - 1].copy(), labels)
             out[n] = y
             stages[4] = y
-    times = h * np.arange(steps + 1)
+    times = np.arange(steps + 1, dtype=float)
+    times *= h
+    times.setflags(write=False)
     out.setflags(write=False)
     return Trajectory(times=times, states=out, labels=labels)
 

@@ -31,9 +31,17 @@ unsigned trie off the element's own slots.  Each jet's base inverse is
 formed once, by the first product, inverse or factorization that conjugates
 by it, kept read-only on the jet and shared by every later one; a jet built
 over the same base (tn_to_iterated, replace_slots, the t of a
-factorization) shares it too.  Every
-JetElement, products and inverses included, is validated on construction,
-each check one or two ufunc passes over the base or the slot stack.
+factorization) shares it too, and an inverse takes the original base as
+its base inverse.
+
+Every JetElement, products and inverses included, is validated on
+construction.  It keeps a read-only float array that owns its data and
+copies any other, so products, inverses and factorizations freeze their
+fresh arrays and hand them over.  One fused value pass (_passes) judges
+the jet with the fewest numpy calls its group allows, the determinant
+(_det) a cofactor expansion up to size 3; only a jet it does not vouch for
+goes through _full_check, which names the failure or accepts what passes
+on a slower rule.
 
 Every iterated jet factorizes as complement_embed(n, q) * tn_to_iterated(t):
 q puts 2^n - 1 - n algebra elements on each slot but the top subsets
@@ -55,7 +63,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _expm, real_array
+from .algebra import _expm, read_only_floats, real_array
 from .errors import (
     ConfigError,
     DimensionError,
@@ -150,6 +158,32 @@ def _det_rounding(g: np.ndarray, tol: float) -> float:
     return bound if math.isfinite(bound) else math.nan
 
 
+def _det(g: np.ndarray) -> float:
+    """det g, non-finite whenever an entry of g is.
+
+    For d <= 3 the cofactor expansion on g.tolist(), in Python floats, so
+    nothing warns: every entry reaches the result through products, and a
+    non-finite factor stays non-finite (inf * 0 is NaN).  Each of its terms
+    is rounded at most five times, so the error is at most 5u * perm|g| <=
+    14 eps * prod_i |row_i| (perm|g| <= prod_i |row_i|_1 <= d^(d/2) prod_i
+    |row_i|), the Hadamard scale of _det_rounding, barring overflow and
+    underflow.  From d = 4, np.linalg.det after an isfinite screen, with
+    overflow quiet."""
+    d = len(g)
+    if d == 3:
+        (a, b, c), (e, f, h), (i, k, m) = g.tolist()
+        return a * (f * m - h * k) - b * (e * m - h * i) + c * (e * k - f * i)
+    if d == 2:
+        (a, b), (c, e) = g.tolist()
+        return a * e - b * c
+    if d < 2:
+        return g.item() if d else 1.0
+    if not _all(_isfinite(g), None):
+        return math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.det(g))
+
+
 @lru_cache(maxsize=None)
 def _identity(d: int) -> np.ndarray:
     """The read-only d x d identity, built on first use."""
@@ -181,6 +215,68 @@ def _inverse(g: np.ndarray) -> np.ndarray:
         raise SingularMatrix(f"base matrix is not invertible: {exc}") from exc
 
 
+def _passes(group: str, base: np.ndarray, slots: np.ndarray, tol: float) -> bool:
+    """The fused value pass: True when every entry is finite, |det| >=
+    1e-300, the base residual is <= tol and so is the worst slot defect.
+
+    Each value is computed as _full_check computes it, so a True is never a
+    jet _full_check rejects; a False leaves the verdict to _full_check.  A
+    finite det vouches for the base's entries (_det); an SO jet reaches
+    every other entry through its Gram and skew defects, formed in one
+    buffer with warnings off and judged by one reduction; GL screens the
+    slots with isfinite, SL with max|x| <= 1e300, which also keeps their
+    traces from overflowing."""
+    det = _det(base)
+    if not 1e-300 <= abs(det) < math.inf:
+        return False
+    if group == "GL":
+        return 0.0 <= tol and _all(_isfinite(slots), None)
+    if not abs(det - 1.0) <= tol:
+        return False
+    if group == "SL":  # entries below 1e300 keep the trace from overflowing
+        return (_max(np.abs(slots), None, initial=0.0) <= 1e300
+                and _max(np.abs(_algebra_defect(group, slots)), None, initial=0.0) <= tol)
+    d = len(base)
+    defects = np.empty((len(slots) + 1, d, d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(base.mT @ base, _identity(d), out=defects[0])
+        np.add(slots, slots.mT, out=defects[1:])
+    return _max(np.abs(defects, out=defects), None) <= tol
+
+
+def _full_check(group: str, base: np.ndarray, slots: np.ndarray, tol: float) -> None:
+    """Judge a jet _passes did not vouch for: raise naming the first failed
+    check, or return when only its slower rules hold (an SL base within the
+    Hadamard bound on det's rounding, a large slot within tol * max|x|).
+
+    Finite entries first (isfinite: no arithmetic, so nothing can overflow
+    or warn; an overflow further on is an infinite residual), then the base
+    in the group, then the slots in the algebra.  Each comparison asks for
+    the good case, so a NaN residual fails it."""
+    if not (_all(_isfinite(base), None) and _all(_isfinite(slots), None)):
+        finite = np.isfinite(np.concatenate((base[None], slots))).reshape(len(slots) + 1, -1)
+        i = int(finite.all(axis=1).argmin()) - 1  # -1 is the base
+        raise JetValidationError(i if i >= 0 else "base", math.inf, "has a non-finite entry")
+    d = len(base)
+    det = _det(base)
+    if not abs(det) >= 1e-300:
+        raise SingularMatrix("base matrix is not invertible")
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = float(_group_residual(group, base, det))
+        if not (res <= tol or group == "SL" and res <= _det_rounding(base, tol)):
+            raise JetValidationError("base", res, f"is not in {group}({d}) to "
+                                     f"tol={tol:g} (residual {res:.3g})")
+        if group == "GL" or _max(np.abs(_algebra_defect(group, slots)), None,
+                                 initial=0.0) <= tol:
+            return
+        res = algebra_residual(group, slots)
+        ok = res <= tol * np.maximum(_max_abs(slots), 1.0)
+    i = int(ok.argmin())
+    if not ok[i]:
+        raise JetValidationError(i, float(res[i]), f"is not in the Lie algebra of "
+                                 f"{group}({d}) to tol={tol:g} (residual {res[i]:.3g})")
+
+
 @dataclass(frozen=True, eq=False)
 class JetElement:
     """A jet of a curve in a matrix group: base point plus fiber slots.
@@ -192,7 +288,8 @@ class JetElement:
     max(1, prod_i |row_i|)`, the Hadamard bound on |det|) and that each slot
     x lies in its Lie algebra to `tol * max(1, max|x|)`; a failure is a
     JetValidationError naming the base or the first bad slot (SingularMatrix
-    for a singular base).
+    for a singular base).  A read-only float base or slot stack that owns its
+    data is kept, any other copied, so no caller's writeable array is held.
     """
 
     group: str
@@ -207,16 +304,17 @@ class JetElement:
             raise ValueError(f"unknown group tag {self.group!r}")
         if self.kind not in ("tangent", "iterated"):
             raise ValueError(f"unknown jet kind {self.kind!r}")
-        base = np.array(self.base, dtype=float)  # a private copy, frozen below
+        base = read_only_floats(self.base)
         if base.ndim != 2 or base.shape[0] != base.shape[1]:
             raise DimensionError(f"base must be a square matrix, got {base.shape}")
         d = base.shape[0]
         raw = self.slots
         if isinstance(raw, np.ndarray) and raw.ndim == 3:
-            slots = np.array(raw, dtype=float)
+            slots = read_only_floats(raw)
         else:
             mats = [np.asarray(s, dtype=float) for s in raw]
             slots = np.stack(mats) if mats else np.empty((0, d, d))
+            slots.setflags(write=False)
         if slots.shape[1:] != (d, d):
             raise DimensionError(
                 f"slots must be {d}x{d} matrices, got shape {slots.shape}"
@@ -227,35 +325,8 @@ class JetElement:
                 raise DimensionError(
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
-        # validity: finite entries (isfinite: no arithmetic, so nothing can
-        # overflow or warn), base in the group, slots in the algebra, each one
-        # reduction when it holds (a worst slot within tol passes at any
-        # scale); only a failure looks closer.  Each comparison asks for the
-        # good case, so a NaN residual fails it.  The ufuncs are called
-        # without the ndarray method wrappers.
-        if not (_all(_isfinite(base), None) and _all(_isfinite(slots), None)):
-            finite = np.isfinite(np.concatenate((base[None], slots))).reshape(len(slots) + 1, -1)
-            i = int(finite.all(axis=1).argmin()) - 1  # -1 is the base
-            raise JetValidationError(i if i >= 0 else "base", math.inf, "has a non-finite entry")
-        det = float(np.linalg.det(base))
-        if not abs(det) >= 1e-300:
-            raise SingularMatrix("base matrix is not invertible")
-        res = float(_group_residual(self.group, base, det))
-        if not (res <= self.tol or self.group == "SL" and res <= _det_rounding(base, self.tol)):
-            raise JetValidationError("base", res, f"is not in {self.group}({d}) to "
-                                     f"tol={self.tol:g} (residual {res:.3g})")
-        if self.group != "GL" and not (
-            _max(np.abs(_algebra_defect(self.group, slots)), None, initial=0.0) <= self.tol
-        ):
-            res = algebra_residual(self.group, slots)
-            ok = res <= self.tol * np.maximum(_max_abs(slots), 1.0)
-            i = int(ok.argmin())
-            if not ok[i]:
-                raise JetValidationError(i, float(res[i]), f"is not in the Lie algebra of "
-                                         f"{self.group}({d}) to tol={self.tol:g} "
-                                         f"(residual {res[i]:.3g})")
-        base.setflags(write=False)
-        slots.setflags(write=False)
+        if not _passes(self.group, base, slots, self.tol):
+            _full_check(self.group, base, slots, self.tol)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "slots", slots)
 
@@ -436,18 +507,24 @@ def _run_trie(trie: tuple, sources: np.ndarray, links: np.ndarray) -> np.ndarray
     return (scatter @ buf.reshape(nodes, d * d)).reshape(m, d, d)
 
 
-def _product_slots(kind: str, n: int, a: JetElement, b: JetElement) -> np.ndarray:
-    """Slots of (x, X) * (y, Y): Y plus the signed, counted ad_Y-chains of
-    Ad_{y^-1} X."""
-    conj = b._base_inverse() @ a.slots @ b.base  # Ad_{y^-1} of every slot
-    out = _run_trie(_trie(kind, n, False), conj, b.slots)
-    out += b.slots
-    return out
+def _product_slots(kind: str, n: int, xs: np.ndarray, y: np.ndarray, y_inv: np.ndarray,
+                   ys: np.ndarray) -> np.ndarray:
+    """Slots of (x, X) * (y, Y) from X, y, y^-1 and Y: Y plus the signed,
+    counted ad_Y-chains of Ad_{y^-1} X, in a fresh array."""
+    conj = y_inv @ xs @ y  # Ad_{y^-1} of every slot
+    return np.add(_run_trie(_trie(kind, n, False), conj, ys), ys)
+
+
+def _frozen(x: np.ndarray) -> np.ndarray:
+    """x, a fresh result, made read-only so that a jet keeps it uncopied."""
+    x.setflags(write=False)
+    return x
 
 
 def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
     _check_pair(a, b, kind, n)
-    return JetElement(a.group, a.base @ b.base, _product_slots(kind, n, a, b), kind=kind,
+    slots = _product_slots(kind, n, a.slots, b.base, b._base_inverse(), b.slots)
+    return JetElement(a.group, _frozen(a.base @ b.base), _frozen(slots), kind=kind,
                       tol=max(a.tol, b.tol))
 
 
@@ -459,7 +536,10 @@ def _invert(kind: str, n: int, a: JetElement) -> JetElement:
         raise DimensionError(f"expected {article} {kind} jet of order {n}")
     base_inv = a._base_inverse()
     out = a.base @ _run_trie(_trie(kind, n, True), a.slots, a.slots) @ base_inv
-    return JetElement(a.group, base_inv, np.negative(out, out=out), kind=kind, tol=a.tol)
+    inv = JetElement(a.group, base_inv, _frozen(np.negative(out, out=out)), kind=kind,
+                     tol=a.tol)
+    object.__setattr__(inv, "_inv", a.base)  # the inverse of base^-1 is the base
+    return inv
 
 
 def tn_multiply(n: int, a: JetElement, b: JetElement) -> JetElement:
@@ -491,7 +571,7 @@ def tn_to_iterated(j: JetElement) -> JetElement:
     |A|-th tangent slot.  This is a group homomorphism."""
     if j.kind != "tangent":
         raise ValueError("expected a tangent jet")
-    slots = j.slots.take(_layout(j.order)[0], axis=0)
+    slots = _frozen(j.slots.take(_layout(j.order)[0], axis=0))
     return j._over_same_base(JetElement(j.group, j.base, slots, kind="iterated", tol=j.tol))
 
 
@@ -518,7 +598,7 @@ def complement_embed(
                              f"got shape {q.shape}")
     slots = np.zeros((2**n - 1,) + q.shape[1:])
     slots[_layout(n)[2]] = q
-    return JetElement(group, np.eye(q.shape[1]), slots, kind="iterated",
+    return JetElement(group, _frozen(np.eye(q.shape[1])), _frozen(slots), kind="iterated",
                       tol=default_tol() if tol is None else tol)
 
 
@@ -552,11 +632,12 @@ def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
         level = fibers == k - 1
         tt[level] = rest[top]
         w[level] = rest[level] - rest[top]  # exactly zero on the top slot
-    q = x @ w[free] @ j._base_inverse()
-    t = j._over_same_base(JetElement(j.group, x, tt[tops], kind="tangent", tol=j.tol))
-    recon = _product_slots(  # over the base I @ x == x, conjugating by j's inverse
-        "iterated", n, complement_embed(n, q, group=j.group, tol=j.tol), tn_to_iterated(t)
-    )
+    x_inv = j._base_inverse()
+    q = x @ w[free] @ x_inv
+    t = j._over_same_base(JetElement(j.group, x, _frozen(tt[tops]), kind="tangent", tol=j.tol))
+    embedded = np.zeros_like(s)  # complement_embed(n, q).slots; tt is tn_to_iterated(t).slots
+    embedded[free] = q
+    recon = _product_slots("iterated", n, embedded, x, x_inv, tt)  # over the base I @ x == x
     err = float(_max_abs(recon - s).max(initial=0.0))
     limit = max(j.tol, 1e-10) * float(max(1.0, _max_abs(x), _max_abs(s).max(initial=0.0)))
     if not err <= limit:

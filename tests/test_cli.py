@@ -370,6 +370,9 @@ def test_run_blow_up_prints_only_its_error_line(tmp_path, warning_flags):
         ({"initial": [True, False, True]}, "initial: True is not a number"),
         ({"initial": ["1", "2", "3"]}, "initial: '1' is not a number"),
         ({"initial": [[1.0, 2.0], [3.0]]}, "initial: [1.0, 2.0] is not a number"),
+        ({"conserve": 5}, "conserve must be a list of tags, got 5"),
+        ({"conserve": None}, "conserve must be a list of tags, got None"),
+        ({"conserve": "hamiltonian"}, "conserve must be a list of tags, got 'hamiltonian'"),
     ],
 )
 def test_run_config_errors(tmp_path, capsys, overrides, fragment):

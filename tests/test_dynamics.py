@@ -711,7 +711,14 @@ def test_rk4_holds_its_states_once():
     finally:
         tracemalloc.stop()
     assert traj.states.shape == (steps + 1, n)
-    assert peak < 1.3 * traj.states.nbytes
+    assert peak < 1.15 * traj.states.nbytes
+
+
+def test_rk4_times_are_scaled_in_place_and_kept():
+    h, steps = 1e-3, 1000
+    traj = rk4(lambda y: -y, np.ones(2), h, steps)
+    assert np.array_equal(traj.times, h * np.arange(steps + 1))
+    assert traj.times.flags.owndata and not traj.times.flags.writeable
 
 
 def test_rigid_body_long_run_conserves_casimir_and_energy():

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import warnings
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -1050,6 +1051,156 @@ def test_validation_failures_keep_their_type_where_and_message():
     JetElement("SO", eye, [1e6 * skew + 2.5e-5 * bump, 1e-3 * skew + 2.5e-11 * bump])
     JetElement("GL", eye, [], tol=0.0)
     JetElement("SO", eye, [skew], tol=0.0)
+
+
+_DEFECTS = ("none", "nan", "inf", "huge", "flip", "base_off", "hadamard", "large_slot",
+            "negative_tol")
+
+
+def _with_defect(group, d, kind, order, defect, in_slot, rng):
+    """A random jet's (base, slots, tol) as writeable copies, with one defect."""
+    j = random_jet(group, d, order, kind=kind, rng=rng, scale=2.0 if defect == "hadamard" else 0.5)
+    base, slots, tol = j.base.copy(), j.slots.copy(), j.tol
+    i, k = (int(v) for v in rng.integers(d, size=2))
+    slot = slots[int(rng.integers(len(slots)))]
+    target = slot if in_slot else base
+    if defect == "nan":
+        target[i, k] = np.nan
+    elif defect == "inf":  # inf + -inf in a skew defect would be an invalid operation
+        target[i, k], target[k, i] = np.inf, -np.inf
+    elif defect == "huge":  # finite, but its squares overflow
+        target[i, k] = float(rng.choice([-1.0, 1.0])) * float(rng.uniform(0.5, 2.0)) * 1e200
+    elif defect == "flip":  # det -1: an orthogonal SO base leaves SO
+        base[0] = -base[0]
+    elif defect == "base_off":  # |det - 1| and the Gram defect a few tol
+        base *= 1.0 + tol
+    elif defect == "hadamard":  # |det - 1| between tol and tol * prod_i |row_i|
+        rows = np.prod(np.linalg.norm(base, axis=1))
+        base[0] *= 1.0 + tol * (1.0 + rows) / 2.0
+    elif defect == "large_slot":  # a defect above tol, below tol * max|x|
+        slot *= 1e6
+        slot[i, i] += 0.25 * tol * np.abs(slot).max()
+    elif defect == "negative_tol":
+        tol = -tol
+    return base, slots, tol
+
+
+def _verdict(check):
+    try:
+        check()
+    except ValueError as exc:
+        return type(exc), getattr(exc, "where", None), str(exc)
+    return "accepted"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    group=st.sampled_from(["SO", "SL", "GL"]),
+    d=st.integers(min_value=2, max_value=4),
+    kind=st.sampled_from(["tangent", "iterated"]),
+    order=st.integers(min_value=1, max_value=3),
+    defect=st.sampled_from(_DEFECTS),
+    in_slot=st.booleans(),
+)
+def test_the_fused_pass_accepts_nothing_the_full_check_rejects(
+    seed, group, d, kind, order, defect, in_slot
+):
+    # d = 4 takes np.linalg.det, d <= 3 the cofactor expansion
+    base, slots, tol = _with_defect(group, d, kind, order, defect, in_slot,
+                                    np.random.default_rng(seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = _verdict(lambda: jets._full_check(group, base, slots, tol))
+        built = _verdict(lambda: JetElement(group, base, slots, kind=kind, tol=tol))
+        fast = jets._passes(group, base, slots, tol)
+    assert built == alone
+    assert not fast or alone == "accepted"
+    if defect == "none":
+        assert fast  # a valid random jet never needs the full check
+
+
+def _exact_det(g):
+    rows = [[Fraction(v) for v in row] for row in g.tolist()]
+    if len(rows) == 2:
+        (a, b), (c, e) = rows
+        return a * e - b * c
+    (a, b, c), (e, f, h), (i, k, m) = rows
+    return a * (f * m - h * k) - b * (e * m - h * i) + c * (e * k - f * i)
+
+
+def test_the_closed_form_det_is_within_its_stated_bound():
+    # |error| <= 14 eps * prod_i |row_i|.  np.linalg.det rounds through
+    # exp(log|det|), so its own error grows with |log det|: it is compared
+    # at unit scale, the exact value at every row scale.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(50)
+    for n in range(2000):
+        d = 2 + n % 2
+        g = rng.standard_normal((d, d))
+        if n % 4 >= 2:  # near-singular: the last row nearly a combination of the others
+            g[-1] = (rng.standard_normal(d - 1) @ g[:-1]
+                     + 10.0 ** rng.uniform(-16, -6) * rng.standard_normal(d))
+        bound = 14 * eps * np.prod(np.linalg.norm(g, axis=1))
+        assert abs(jets._det(g) - np.linalg.det(g)) <= bound
+        g *= 10.0 ** rng.uniform(-3, 3, (d, 1))
+        bound = 14 * eps * np.prod(np.linalg.norm(g, axis=1))
+        assert abs(Fraction(jets._det(g)) - _exact_det(g)) <= Fraction(bound)
+
+
+def test_det_is_non_finite_with_any_non_finite_entry():
+    rng = np.random.default_rng(51)
+    for d in (1, 2, 3, 4):
+        g = rng.standard_normal((d, d))
+        assert jets._det(g) == pytest.approx(np.linalg.det(g), rel=1e-12)
+        for bad in (np.nan, np.inf, -np.inf):
+            for i, k in np.ndindex(d, d):
+                h = g.copy()
+                h[i, k] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert not np.isfinite(jets._det(h))
+        if d > 1:
+            zero = np.zeros((d, d))
+            zero[0, 0] = np.inf  # inf * 0 is NaN, not 0
+            assert np.isnan(jets._det(zero))
+    assert jets._det(np.ones((4, 4))) == np.linalg.det(np.ones((4, 4)))
+    assert jets._det(np.empty((0, 0))) == 1.0
+
+
+def test_jets_keep_fresh_read_only_arrays_and_copy_any_other():
+    rng = np.random.default_rng(52)
+    a, b = (random_jet("SO", 3, 2, rng=rng) for _ in range(2))
+    base, slots = a.base.copy(), a.slots.copy()
+    base.setflags(write=False)
+    slots.setflags(write=False)
+    kept = JetElement("SO", base, slots)
+    assert kept.base is base and kept.slots is slots
+    # a read-only view, or a read-only array of another dtype, is copied
+    view = JetElement("SO", a.base.copy()[:], a.slots.copy()[:])
+    assert view.base.flags.owndata and view.slots.flags.owndata
+    single = a.slots.astype(np.float32)
+    single.setflags(write=False)
+    assert JetElement("SO", base, single).slots.dtype == float
+    # products and inverses hand over their fresh arrays; an inverse stores
+    # the original base as its own base inverse
+    for jet in (tn_multiply(2, a, b), tn_inverse(2, a)):
+        assert jet.base.flags.owndata and jet.slots.flags.owndata
+        assert not (jet.base.flags.writeable or jet.slots.flags.writeable)
+    inv = tn_inverse(2, a)
+    assert inv._base_inverse() is a.base
+    inv_iterated = iterated_inverse(2, tn_to_iterated(a))
+    assert inv_iterated._base_inverse() is a.base
+
+
+def test_factorization_builds_no_jet_but_t(monkeypatch):
+    built = []
+    post_init = JetElement.__post_init__
+    monkeypatch.setattr(JetElement, "__post_init__", lambda j: built.append(j) or post_init(j))
+    j = random_jet("GL", 3, 3, kind="iterated", rng=np.random.default_rng(53))
+    built.clear()
+    q, t = iterated_factorize(3, j)
+    assert built == [t]
 
 
 def test_pair_checks_across_the_products():
