@@ -214,14 +214,25 @@ def real_array(value, key: str) -> np.ndarray:
     return arr.astype(float)
 
 
+class _Kept:
+    """A float array the library made or holds, frozen and handed over to
+    be kept uncopied; read_only_floats copies anything else."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        if array.flags.writeable:
+            array.setflags(write=False)
+        self.array = array
+
+
 def read_only_floats(a) -> np.ndarray:
-    """`a` itself when it is a read-only float array owning its data (a
-    library result frozen by its maker), else a read-only float copy, so
-    no caller's writeable array is ever held."""
-    if not (isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
-            and not a.flags.writeable):
-        a = np.array(a, dtype=float)
-        a.setflags(write=False)
+    """The array a _Kept hands over, else a read-only float copy of `a`, so
+    no array that a caller holds, or can make writeable again, is kept."""
+    if type(a) is _Kept:
+        return a.array
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
     return a
 
 

@@ -48,7 +48,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import LieAlgebra, read_only_floats
+from .algebra import LieAlgebra, _Kept, read_only_floats
 from .errors import DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge
 from .products import UnifiedProductData
 
@@ -263,8 +263,8 @@ def _state(tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Fixed-step integration output: times[i] pairs with states[i].  A
-    read-only float array owning its data (rk4's) is kept, any other copied."""
+    """Fixed-step integration output: times[i] pairs with states[i].  The
+    arrays rk4 hands over (_Kept) are kept, any other copied."""
 
     times: np.ndarray
     states: np.ndarray
@@ -355,9 +355,7 @@ def rk4(
             stages[4] = y
     times = np.arange(steps + 1, dtype=float)
     times *= h
-    times.setflags(write=False)
-    out.setflags(write=False)
-    return Trajectory(times=times, states=out, labels=labels)
+    return Trajectory(times=_Kept(times), states=_Kept(out), labels=labels)
 
 
 def _non_finite(

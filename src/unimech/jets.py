@@ -35,13 +35,14 @@ factorization) shares it too, and an inverse takes the original base as
 its base inverse.
 
 Every JetElement, products and inverses included, is validated on
-construction.  It keeps a read-only float array that owns its data and
-copies any other, so products, inverses and factorizations freeze their
-fresh arrays and hand them over.  One fused value pass (_passes) judges
-the jet with the fewest numpy calls its group allows, the determinant
-(_det) a cofactor expansion up to size 3; only a jet it does not vouch for
-goes through _full_check, which names the failure or accepts what passes
-on a slower rule.
+construction.  It copies every array a caller passes in; products,
+inverses, embeddings and the t of a factorization hand the arrays they
+made or hold over uncopied (algebra._Kept).  One judgment serves jets and
+the public residuals alike: _defects forms each defect once, with no
+warning, and a jet whose determinant (_det, a cofactor expansion up to
+size 3) is safely nonzero and whose defects all lie within tol passes at
+once.  Otherwise _judge_rows compares each row's largest defect with its
+own bound and raises the first failure.
 
 Every iterated jet factorizes as complement_embed(n, q) * tn_to_iterated(t):
 q puts 2^n - 1 - n algebra elements on each slot but the top subsets
@@ -63,7 +64,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _expm, read_only_floats, real_array
+from .algebra import _expm, _Kept, read_only_floats, real_array
 from .errors import (
     ConfigError,
     DimensionError,
@@ -108,43 +109,68 @@ GROUP_TAGS = ("GL", "SL", "SO")
 def group_residual(group: str, g: np.ndarray) -> float | np.ndarray:
     """How far g is from the named matrix group (0 for GL, which only needs
     invertibility -- checked separately).  A (..., d, d) stack gives one
-    residual per matrix; a single matrix gives a float."""
+    residual per matrix; a single matrix gives a float.  Nothing warns: an
+    overflow gives inf."""
     g = np.asarray(g, dtype=float)
-    return _as_float(_group_residual(group, g, np.linalg.det(g)))
-
-
-def _group_residual(group: str, g: np.ndarray, det: float | np.ndarray) -> np.ndarray:
-    """group_residual with det(g) already at hand; the SO Gram defect
-    x^T x - I is formed in one buffer against the cached identity."""
-    if group == "SO":
-        gram = g.mT @ g
-        gram -= _identity(g.shape[-1])
-        return np.maximum(_max_abs(gram, out=gram), abs(det - 1.0))
-    if group == "SL":
-        return abs(det - 1.0)
-    if group == "GL":
-        return np.zeros(g.shape[:-2])
-    raise ValueError(f"unknown group tag {group!r}")
+    bases = g.reshape((math.prod(g.shape[:-2]),) + g.shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = np.linalg.det(bases) if group in ("SO", "SL") else 1.0
+    head, _, rows = _defects(group, bases, dets, bases[:0])
+    res = np.maximum(_row_maxima(rows), head)
+    return _as_float(res.reshape(g.shape[:-2]))
 
 
 def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
     """How far x is from the Lie algebra of the named group.  A (..., d, d)
-    stack gives one residual per matrix; a single matrix gives a float."""
+    stack gives one residual per matrix; a single matrix gives a float.
+    Nothing warns: an overflow gives inf."""
     x = np.asarray(x, dtype=float)
+    slots = x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:])
+    rows = _defects(group, slots[:0], 1.0, slots)[2]
+    return _as_float(_row_maxima(rows).reshape(x.shape[:-2]))
+
+
+def _defects(group: str, bases: np.ndarray, dets: float | np.ndarray, slots: np.ndarray
+             ) -> tuple[float | np.ndarray, float, np.ndarray]:
+    """Every defect of group elements `bases` with determinants `dets` (one
+    d x d matrix and its det, or a (b, d, d) stack and b of them) and of
+    Lie algebra elements `slots` (m, d, d), with no warning: an overflow is
+    inf.  Returns (head, worst, rows).
+
+    head is each base's |det - 1|, 0 for GL.  rows holds one row of
+    magnitudes per base, then per slot: for SO the entries of x^T x - I,
+    then of x + x^T; for SL 0, then |tr x|; for GL 0.  worst is their
+    largest, NaN or inf when a slot entry is not finite: an SO slot reaches
+    each entry through x + x^T, GL screens with isfinite, and SL with
+    max|x| <= 1e300, below which no trace overflows and errstate is spared.
+    """
+    single = bases.ndim == 2
+    b, m = 1 if single else len(bases), len(slots)
     if group == "SO":
-        res = _max_abs(_algebra_defect(group, x))
-    elif group == "SL":
-        res = np.abs(_algebra_defect(group, x))
-    elif group == "GL":
-        res = np.zeros(x.shape[:-2])
-    else:
+        d = slots.shape[-1]
+        rows = np.empty((b + m, d, d))
+        with np.errstate(over="ignore", invalid="ignore"):  # a 2-D rows[0] spares a broadcast
+            np.subtract(bases.mT @ bases, _identity(d), out=rows[0] if single else rows[:b])
+            np.add(slots, slots.mT, out=rows[b:])
+        return abs(dets - 1.0), _max(np.abs(rows, out=rows), None, initial=0.0), rows
+    if group == "GL":
+        return 0.0, 0.0 if _all(_isfinite(slots), None) else math.inf, np.zeros(b + m)
+    if group != "SL":
         raise ValueError(f"unknown group tag {group!r}")
-    return _as_float(res)
+    peak = _max(np.abs(slots), None, initial=0.0)  # NaN or inf with a non-finite entry
+    rows = np.zeros(b + m)
+    if peak <= 1e300:
+        np.add.reduce(slots.diagonal(0, -2, -1), -1, out=rows[b:])
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.reduce(slots.diagonal(0, -2, -1), -1, out=rows[b:])
+    worst = _max(np.abs(rows, out=rows), None, initial=0.0) if peak <= 1e300 else math.inf
+    return abs(dets - 1.0), worst, rows
 
 
-def _algebra_defect(group: str, x: np.ndarray) -> np.ndarray:
-    """What vanishes on the Lie algebra: x + x^T for SO, the trace for SL."""
-    return x + x.mT if group == "SO" else np.add.reduce(x.diagonal(0, -2, -1), -1)
+def _row_maxima(rows: np.ndarray) -> np.ndarray:
+    """The largest entry of each row of _defects."""
+    return _max(rows, tuple(range(1, rows.ndim)), initial=0.0)
 
 
 _all, _isfinite, _max = np.logical_and.reduce, np.isfinite, np.maximum.reduce
@@ -192,10 +218,9 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-def _max_abs(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Largest entry magnitude of each matrix in a (..., d, d) stack; `out`
-    may be x itself, a scratch buffer the magnitudes overwrite."""
-    flat = np.abs(x, out=out).reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each matrix in a (..., d, d) stack."""
+    flat = np.abs(x).reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
     return _max(flat, -1, initial=0.0)
 
 
@@ -215,66 +240,33 @@ def _inverse(g: np.ndarray) -> np.ndarray:
         raise SingularMatrix(f"base matrix is not invertible: {exc}") from exc
 
 
-def _passes(group: str, base: np.ndarray, slots: np.ndarray, tol: float) -> bool:
-    """The fused value pass: True when every entry is finite, |det| >=
-    1e-300, the base residual is <= tol and so is the worst slot defect.
-
-    Each value is computed as _full_check computes it, so a True is never a
-    jet _full_check rejects; a False leaves the verdict to _full_check.  A
-    finite det vouches for the base's entries (_det); an SO jet reaches
-    every other entry through its Gram and skew defects, formed in one
-    buffer with warnings off and judged by one reduction; GL screens the
-    slots with isfinite, SL with max|x| <= 1e300, which also keeps their
-    traces from overflowing."""
-    det = _det(base)
-    if not 1e-300 <= abs(det) < math.inf:
-        return False
-    if group == "GL":
-        return 0.0 <= tol and _all(_isfinite(slots), None)
-    if not abs(det - 1.0) <= tol:
-        return False
-    if group == "SL":  # entries below 1e300 keep the trace from overflowing
-        return (_max(np.abs(slots), None, initial=0.0) <= 1e300
-                and _max(np.abs(_algebra_defect(group, slots)), None, initial=0.0) <= tol)
-    d = len(base)
-    defects = np.empty((len(slots) + 1, d, d))
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(base.mT @ base, _identity(d), out=defects[0])
-        np.add(slots, slots.mT, out=defects[1:])
-    return _max(np.abs(defects, out=defects), None) <= tol
-
-
-def _full_check(group: str, base: np.ndarray, slots: np.ndarray, tol: float) -> None:
-    """Judge a jet _passes did not vouch for: raise naming the first failed
-    check, or return when only its slower rules hold (an SL base within the
-    Hadamard bound on det's rounding, a large slot within tol * max|x|).
-
-    Finite entries first (isfinite: no arithmetic, so nothing can overflow
-    or warn; an overflow further on is an infinite residual), then the base
-    in the group, then the slots in the algebra.  Each comparison asks for
-    the good case, so a NaN residual fails it."""
+def _judge_rows(group: str, base: np.ndarray, slots: np.ndarray, tol: float, det: float,
+            head: float, rows: np.ndarray) -> None:
+    """Judge a jet that its _defects against tol did not pass: raise at the
+    first failure, a non-finite entry (isfinite, so nothing overflows), a
+    singular base, then the first row whose largest defect, a base's |det
+    - 1| included, exceeds its bound (tol for the base, at least
+    _det_rounding for SL; tol * max(1, max|x|) for a slot x); return if
+    there is none.  Each comparison asks for the good case, so NaN fails."""
     if not (_all(_isfinite(base), None) and _all(_isfinite(slots), None)):
         finite = np.isfinite(np.concatenate((base[None], slots))).reshape(len(slots) + 1, -1)
         i = int(finite.all(axis=1).argmin()) - 1  # -1 is the base
         raise JetValidationError(i if i >= 0 else "base", math.inf, "has a non-finite entry")
-    d = len(base)
-    det = _det(base)
     if not abs(det) >= 1e-300:
         raise SingularMatrix("base matrix is not invertible")
+    res = _row_maxima(rows)
+    res[0] = max(res[0], head)  # NaN stays NaN
+    bounds = np.empty(len(res))
+    bounds[0] = max(tol, _det_rounding(base, tol)) if group == "SL" else tol
     with np.errstate(over="ignore", invalid="ignore"):
-        res = float(_group_residual(group, base, det))
-        if not (res <= tol or group == "SL" and res <= _det_rounding(base, tol)):
-            raise JetValidationError("base", res, f"is not in {group}({d}) to "
-                                     f"tol={tol:g} (residual {res:.3g})")
-        if group == "GL" or _max(np.abs(_algebra_defect(group, slots)), None,
-                                 initial=0.0) <= tol:
-            return
-        res = algebra_residual(group, slots)
-        ok = res <= tol * np.maximum(_max_abs(slots), 1.0)
+        np.multiply(np.maximum(_max_abs(slots), 1.0), tol, out=bounds[1:])
+    ok = res <= bounds
     i = int(ok.argmin())
-    if not ok[i]:
-        raise JetValidationError(i, float(res[i]), f"is not in the Lie algebra of "
-                                 f"{group}({d}) to tol={tol:g} (residual {res[i]:.3g})")
+    if ok[i]:
+        return
+    r, name = float(res[i]), f"{group}({len(base)})"
+    where, place = ("base", name) if i == 0 else (i - 1, f"the Lie algebra of {name}")
+    raise JetValidationError(where, r, f"is not in {place} to tol={tol:g} (residual {r:.3g})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,8 +280,10 @@ class JetElement:
     max(1, prod_i |row_i|)`, the Hadamard bound on |det|) and that each slot
     x lies in its Lie algebra to `tol * max(1, max|x|)`; a failure is a
     JetValidationError naming the base or the first bad slot (SingularMatrix
-    for a singular base).  A read-only float base or slot stack that owns its
-    data is kept, any other copied, so no caller's writeable array is held.
+    for a singular base).  The defects are formed once: a jet whose defects
+    all lie within `tol` passes on that alone, and only another is judged
+    row by row against the bounds above.  The base and slots are copied to
+    read-only arrays, so no caller can change a validated jet.
     """
 
     group: str
@@ -309,12 +303,10 @@ class JetElement:
             raise DimensionError(f"base must be a square matrix, got {base.shape}")
         d = base.shape[0]
         raw = self.slots
-        if isinstance(raw, np.ndarray) and raw.ndim == 3:
-            slots = read_only_floats(raw)
-        else:
-            mats = [np.asarray(s, dtype=float) for s in raw]
-            slots = np.stack(mats) if mats else np.empty((0, d, d))
-            slots.setflags(write=False)
+        if type(raw) is not _Kept and not (isinstance(raw, np.ndarray) and raw.ndim == 3):
+            mats = [np.asarray(s, dtype=float) for s in raw]  # stacked afresh, so kept
+            raw = _Kept(np.stack(mats) if mats else np.empty((0, d, d)))
+        slots = read_only_floats(raw)
         if slots.shape[1:] != (d, d):
             raise DimensionError(
                 f"slots must be {d}x{d} matrices, got shape {slots.shape}"
@@ -325,8 +317,10 @@ class JetElement:
                 raise DimensionError(
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
-        if not _passes(self.group, base, slots, self.tol):
-            _full_check(self.group, base, slots, self.tol)
+        det, tol = _det(base), self.tol
+        head, worst, rows = _defects(self.group, base, det, slots)
+        if not (1e-300 <= abs(det) < math.inf and head <= tol and worst <= tol):
+            _judge_rows(self.group, base, slots, tol, det, head, rows)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "slots", slots)
 
@@ -340,9 +334,10 @@ class JetElement:
             object.__setattr__(self, "_inv", inv)
         return inv
 
-    def _over_same_base(self, other: "JetElement") -> "JetElement":
-        """other, a jet built over a copy of this base, sharing its inverse
-        if that is formed."""
+    def _over_same_base(self, slots, kind: str) -> "JetElement":
+        """A jet of `kind` with `slots` over this very base, sharing its
+        inverse if that is formed."""
+        other = JetElement(self.group, _Kept(self.base), slots, kind=kind, tol=self.tol)
         object.__setattr__(other, "_inv", self._inv)
         return other
 
@@ -357,8 +352,7 @@ class JetElement:
         return (len(self.slots) + 1).bit_length() - 1
 
     def replace_slots(self, slots) -> "JetElement":
-        return self._over_same_base(
-            JetElement(self.group, self.base, slots, kind=self.kind, tol=self.tol))
+        return self._over_same_base(slots, self.kind)
 
 
 def _check_pair(a: JetElement, b: JetElement, kind: str, n: int) -> None:
@@ -515,16 +509,10 @@ def _product_slots(kind: str, n: int, xs: np.ndarray, y: np.ndarray, y_inv: np.n
     return np.add(_run_trie(_trie(kind, n, False), conj, ys), ys)
 
 
-def _frozen(x: np.ndarray) -> np.ndarray:
-    """x, a fresh result, made read-only so that a jet keeps it uncopied."""
-    x.setflags(write=False)
-    return x
-
-
 def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
     _check_pair(a, b, kind, n)
     slots = _product_slots(kind, n, a.slots, b.base, b._base_inverse(), b.slots)
-    return JetElement(a.group, _frozen(a.base @ b.base), _frozen(slots), kind=kind,
+    return JetElement(a.group, _Kept(a.base @ b.base), _Kept(slots), kind=kind,
                       tol=max(a.tol, b.tol))
 
 
@@ -536,7 +524,7 @@ def _invert(kind: str, n: int, a: JetElement) -> JetElement:
         raise DimensionError(f"expected {article} {kind} jet of order {n}")
     base_inv = a._base_inverse()
     out = a.base @ _run_trie(_trie(kind, n, True), a.slots, a.slots) @ base_inv
-    inv = JetElement(a.group, base_inv, _frozen(np.negative(out, out=out)), kind=kind,
+    inv = JetElement(a.group, _Kept(base_inv), _Kept(np.negative(out, out=out)), kind=kind,
                      tol=a.tol)
     object.__setattr__(inv, "_inv", a.base)  # the inverse of base^-1 is the base
     return inv
@@ -571,8 +559,7 @@ def tn_to_iterated(j: JetElement) -> JetElement:
     |A|-th tangent slot.  This is a group homomorphism."""
     if j.kind != "tangent":
         raise ValueError("expected a tangent jet")
-    slots = _frozen(j.slots.take(_layout(j.order)[0], axis=0))
-    return j._over_same_base(JetElement(j.group, j.base, slots, kind="iterated", tol=j.tol))
+    return j._over_same_base(_Kept(j.slots.take(_layout(j.order)[0], axis=0)), "iterated")
 
 
 @lru_cache(maxsize=None)
@@ -598,7 +585,7 @@ def complement_embed(
                              f"got shape {q.shape}")
     slots = np.zeros((2**n - 1,) + q.shape[1:])
     slots[_layout(n)[2]] = q
-    return JetElement(group, _frozen(np.eye(q.shape[1])), _frozen(slots), kind="iterated",
+    return JetElement(group, _Kept(np.eye(q.shape[1])), _Kept(slots), kind="iterated",
                       tol=default_tol() if tol is None else tol)
 
 
@@ -634,7 +621,7 @@ def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
         w[level] = rest[level] - rest[top]  # exactly zero on the top slot
     x_inv = j._base_inverse()
     q = x @ w[free] @ x_inv
-    t = j._over_same_base(JetElement(j.group, x, _frozen(tt[tops]), kind="tangent", tol=j.tol))
+    t = j._over_same_base(_Kept(tt[tops]), "tangent")
     embedded = np.zeros_like(s)  # complement_embed(n, q).slots; tt is tn_to_iterated(t).slots
     embedded[free] = q
     recon = _product_slots("iterated", n, embedded, x, x_inv, tt)  # over the base I @ x == x

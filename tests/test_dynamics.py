@@ -692,14 +692,25 @@ def test_trajectory_keeps_private_copies():
     states[0, 0] = 7.0
     assert traj.times[1] == 1.0 and traj.states[0, 0] == 0.0
     assert not traj.times.flags.writeable and not traj.states.flags.writeable
-    # a read-only view of a writeable array is copied too; a frozen array
-    # that owns its data is kept
+    # a read-only view of a writeable array is copied too, and so is a
+    # frozen array that owns its data: its owner can make it writeable again
     view = states.view()
     view.setflags(write=False)
     again = Trajectory(times=traj.times, states=view)
     states[0, 0] = 9.0
     assert again.states[0, 0] == 7.0
-    assert again.times is traj.times
+    assert again.times is not traj.times
+
+
+def test_trajectory_arrays_stay_fixed_when_their_owner_thaws_them():
+    times, states = np.array([0.0, 1.0]), np.zeros((2, 3))
+    times.setflags(write=False)
+    states.setflags(write=False)
+    traj = Trajectory(times=times, states=states)
+    times.setflags(write=True)
+    states.setflags(write=True)
+    times[1], states[0, 0] = 5.0, 7.0
+    assert traj.times[1] == 1.0 and traj.states[0, 0] == 0.0
 
 
 def test_rk4_holds_its_states_once():

@@ -4,6 +4,7 @@ import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1040,6 +1041,8 @@ def test_validation_failures_keep_their_type_where_and_message():
         (("SO", eye, [skew, np.full((3, 3), np.nan)]), JetValidationError, 1,
          "slot 1 has a non-finite entry"),
         (("GL", np.zeros((3, 3))), SingularMatrix, None, "base matrix is not invertible"),
+        (("SL", _sheared(1.2e-7)), JetValidationError, "base",  # past tol * prod_i |row_i|
+         "base is not in SL(3) to tol=1e-10 (residual 1.2e-07)"),
     ]
     for args, kind, where, message in cases:
         with pytest.raises(ValueError) as err:
@@ -1051,6 +1054,13 @@ def test_validation_failures_keep_their_type_where_and_message():
     JetElement("SO", eye, [1e6 * skew + 2.5e-5 * bump, 1e-3 * skew + 2.5e-11 * bump])
     JetElement("GL", eye, [], tol=0.0)
     JetElement("SO", eye, [skew], tol=0.0)
+    JetElement("SL", _sheared(8e-8))  # |det - 1| above tol, below tol * prod_i |row_i|
+
+
+def _sheared(excess):
+    """An SL(3) base with det 1 + excess and rows whose norms multiply to
+    about 1000, so det's rounding bound is about 1e3 * tol."""
+    return np.array([[1.0, 1e3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0 + excess]])
 
 
 _DEFECTS = ("none", "nan", "inf", "huge", "flip", "base_off", "hadamard", "large_slot",
@@ -1093,6 +1103,41 @@ def _verdict(check):
     return "accepted"
 
 
+def _reference_verdict(group, base, slots, tol):
+    """The jet check written out slot by slot in plain numpy: finite entries,
+    an invertible base, the base in its group to tol (an SL base's |det - 1|
+    also to tol * prod_i |row_i|), each slot x in its algebra to tol * max(1,
+    max|x|).  det is jets._det, whose own accuracy is tested against exact
+    arithmetic below."""
+    d = len(base)
+    if not np.isfinite(base).all():
+        return JetValidationError, "base", "base has a non-finite entry"
+    for i, x in enumerate(slots):
+        if not np.isfinite(x).all():
+            return JetValidationError, i, f"slot {i} has a non-finite entry"
+    det = jets._det(base)
+    if not abs(det) >= 1e-300:
+        return SingularMatrix, None, "base matrix is not invertible"
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, bound = (0.0 if group == "GL" else abs(det - 1.0)), tol
+        if group == "SO":
+            res = max(np.abs(base.T @ base - np.eye(d)).max(), res)
+        if group == "SL":
+            bound = max(tol, tol * float(np.prod(np.hypot.reduce(base, axis=1))))
+        if not res <= bound:
+            return (JetValidationError, "base",
+                    f"base is not in {group}({d}) to tol={tol:g} (residual {res:.3g})")
+        for i, x in enumerate(slots):
+            if group == "SO":
+                res = np.abs(x + x.T).max()
+            elif group == "SL":
+                res = abs(np.trace(x))
+            if group != "GL" and not res <= tol * max(1.0, np.abs(x).max()):
+                return (JetValidationError, i, f"slot {i} is not in the Lie algebra of "
+                        f"{group}({d}) to tol={tol:g} (residual {res:.3g})")
+    return "accepted"
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -1103,21 +1148,17 @@ def _verdict(check):
     defect=st.sampled_from(_DEFECTS),
     in_slot=st.booleans(),
 )
-def test_the_fused_pass_accepts_nothing_the_full_check_rejects(
-    seed, group, d, kind, order, defect, in_slot
-):
+def test_jet_verdicts_match_a_per_slot_reference(seed, group, d, kind, order, defect, in_slot):
     # d = 4 takes np.linalg.det, d <= 3 the cofactor expansion
     base, slots, tol = _with_defect(group, d, kind, order, defect, in_slot,
                                     np.random.default_rng(seed))
-    with warnings.catch_warnings():
+    spy = mock.patch.object(jets, "_judge_rows", wraps=jets._judge_rows)
+    with warnings.catch_warnings(), spy as judge_rows:
         warnings.simplefilter("error")
-        alone = _verdict(lambda: jets._full_check(group, base, slots, tol))
         built = _verdict(lambda: JetElement(group, base, slots, kind=kind, tol=tol))
-        fast = jets._passes(group, base, slots, tol)
-    assert built == alone
-    assert not fast or alone == "accepted"
-    if defect == "none":
-        assert fast  # a valid random jet never needs the full check
+    assert built == _reference_verdict(group, base, slots, tol)
+    if defect == "none":  # a valid random jet passes on tol alone, before any bound
+        assert built == "accepted" and not judge_rows.called
 
 
 def _exact_det(g):
@@ -1175,7 +1216,7 @@ def test_jets_keep_fresh_read_only_arrays_and_copy_any_other():
     base.setflags(write=False)
     slots.setflags(write=False)
     kept = JetElement("SO", base, slots)
-    assert kept.base is base and kept.slots is slots
+    assert kept.base is not base and kept.slots is not slots
     # a read-only view, or a read-only array of another dtype, is copied
     view = JetElement("SO", a.base.copy()[:], a.slots.copy()[:])
     assert view.base.flags.owndata and view.slots.flags.owndata
@@ -1191,6 +1232,15 @@ def test_jets_keep_fresh_read_only_arrays_and_copy_any_other():
     assert inv._base_inverse() is a.base
     inv_iterated = iterated_inverse(2, tn_to_iterated(a))
     assert inv_iterated._base_inverse() is a.base
+
+
+def test_a_jet_stays_in_its_group_when_its_callers_array_is_thawed():
+    b = np.eye(3)
+    b.setflags(write=False)
+    j = JetElement("SO", b)
+    b.setflags(write=True)
+    b[0, 0] = 5.0
+    assert j.base[0, 0] == 1.0 and not j.base.flags.writeable
 
 
 def test_factorization_builds_no_jet_but_t(monkeypatch):
@@ -1255,6 +1305,17 @@ def test_group_and_algebra_residuals():
         group_residual("SP", np.eye(2))
     with pytest.raises(ValueError, match="unknown group"):
         algebra_residual("SP", np.eye(2))
+
+
+def test_residuals_past_the_float_range_are_inf_without_a_warning():
+    # det, the SO Gram and an SL trace all overflow here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert group_residual("SL", np.diag([1e200, 1e200, 1.0])) == np.inf
+        assert group_residual("SO", 1e200 * np.eye(3)) == np.inf
+        assert algebra_residual("SL", np.diag([1e308, 1e308, 0.0])) == np.inf
+        np.testing.assert_array_equal(
+            group_residual("SO", np.stack([np.eye(3), np.full((3, 3), 1e200)])), [0.0, np.inf])
 
 
 def test_random_jets_land_on_their_manifolds():
