@@ -41,8 +41,9 @@ made or hold over uncopied (algebra._Kept).  One judgment serves jets and
 the public residuals alike: _defects forms each defect once, with no
 warning, and a jet whose determinant (_det, a cofactor expansion up to
 size 3) is safely nonzero and whose defects all lie within tol passes at
-once.  Otherwise _judge_rows compares each row's largest defect with its
-own bound and raises the first failure.
+once.  Otherwise _judge_rows reads each base's and slot's residual off the
+same defects (_residuals), compares it with its own bound and raises the
+first failure.
 
 Every iterated jet factorizes as complement_embed(n, q) * tn_to_iterated(t):
 q puts 2^n - 1 - n algebra elements on each slot but the top subsets
@@ -53,6 +54,7 @@ the T^nG part t of the product of two embedded complements.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -116,8 +118,7 @@ def group_residual(group: str, g: np.ndarray) -> float | np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(bases) if group in ("SO", "SL") else 1.0
     head, _, rows = _defects(group, bases, dets, bases[:0])
-    res = np.maximum(_row_maxima(rows), head)
-    return _as_float(res.reshape(g.shape[:-2]))
+    return _as_float(_residuals(group, head, rows, len(bases), 0).reshape(g.shape[:-2]))
 
 
 def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
@@ -126,54 +127,56 @@ def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
     Nothing warns: an overflow gives inf."""
     x = np.asarray(x, dtype=float)
     slots = x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:])
-    rows = _defects(group, slots[:0], 1.0, slots)[2]
-    return _as_float(_row_maxima(rows).reshape(x.shape[:-2]))
+    head, _, rows = _defects(group, slots[:0], 1.0, slots)
+    return _as_float(_residuals(group, head, rows, 0, len(slots)).reshape(x.shape[:-2]))
 
 
 def _defects(group: str, bases: np.ndarray, dets: float | np.ndarray, slots: np.ndarray
-             ) -> tuple[float | np.ndarray, float, np.ndarray]:
+             ) -> tuple[float | np.ndarray, float, np.ndarray | None]:
     """Every defect of group elements `bases` with determinants `dets` (one
     d x d matrix and its det, or a (b, d, d) stack and b of them) and of
     Lie algebra elements `slots` (m, d, d), with no warning: an overflow is
     inf.  Returns (head, worst, rows).
 
-    head is each base's |det - 1|, 0 for GL.  rows holds one row of
-    magnitudes per base, then per slot: for SO the entries of x^T x - I,
-    then of x + x^T; for SL 0, then |tr x|; for GL 0.  worst is their
-    largest, NaN or inf when a slot entry is not finite: an SO slot reaches
-    each entry through x + x^T, GL screens with isfinite, and SL with
-    max|x| <= 1e300, below which no trace overflows and errstate is spared.
+    head is each base's |det - 1|, 0 for GL.  rows holds magnitudes: for SO
+    the entries of x^T x - I for each base, then of x + x^T for each slot;
+    for SL |tr x| for each slot; None for GL.  worst is their largest, NaN
+    or inf when a slot entry is not finite: an SO slot reaches each entry
+    through x + x^T, GL screens with isfinite, and SL with max|x| <= 1e300,
+    below which no trace overflows and errstate is spared.
     """
-    single = bases.ndim == 2
-    b, m = 1 if single else len(bases), len(slots)
     if group == "SO":
-        d = slots.shape[-1]
-        rows = np.empty((b + m, d, d))
+        single = bases.ndim == 2
+        b, d = 1 if single else len(bases), slots.shape[-1]
+        rows = np.empty((b + len(slots), d, d))
         with np.errstate(over="ignore", invalid="ignore"):  # a 2-D rows[0] spares a broadcast
             np.subtract(bases.mT @ bases, _identity(d), out=rows[0] if single else rows[:b])
             np.add(slots, slots.mT, out=rows[b:])
         return abs(dets - 1.0), _max(np.abs(rows, out=rows), None, initial=0.0), rows
     if group == "GL":
-        return 0.0, 0.0 if _all(_isfinite(slots), None) else math.inf, np.zeros(b + m)
+        return 0.0, 0.0 if _all(_isfinite(slots), None) else math.inf, None
     if group != "SL":
         raise ValueError(f"unknown group tag {group!r}")
     peak = _max(np.abs(slots), None, initial=0.0)  # NaN or inf with a non-finite entry
-    rows = np.zeros(b + m)
-    if peak <= 1e300:
-        np.add.reduce(slots.diagonal(0, -2, -1), -1, out=rows[b:])
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.add.reduce(slots.diagonal(0, -2, -1), -1, out=rows[b:])
-    worst = _max(np.abs(rows, out=rows), None, initial=0.0) if peak <= 1e300 else math.inf
-    return abs(dets - 1.0), worst, rows
+    with _AS_IS if peak <= 1e300 else np.errstate(over="ignore", invalid="ignore"):
+        rows = np.add.reduce(slots.diagonal(0, -2, -1), -1)
+    np.abs(rows, out=rows)
+    return abs(dets - 1.0), _max(rows, None, initial=0.0) if peak <= 1e300 else math.inf, rows
 
 
-def _row_maxima(rows: np.ndarray) -> np.ndarray:
-    """The largest entry of each row of _defects."""
-    return _max(rows, tuple(range(1, rows.ndim)), initial=0.0)
+def _residuals(group: str, head: float | np.ndarray, rows: np.ndarray | None, b: int,
+               m: int) -> np.ndarray:
+    """Each of b bases' and then m slots' residual off _defects: its rows'
+    largest entry, a base's |det - 1| included."""
+    res = _max(rows, (1, 2), initial=0.0) if group == "SO" else np.zeros(b + m)
+    if group == "SL":
+        res[b:] = rows
+    res[:b] = np.maximum(res[:b], head)  # NaN stays NaN
+    return res
 
 
 _all, _isfinite, _max = np.logical_and.reduce, np.isfinite, np.maximum.reduce
+_AS_IS = contextlib.nullcontext()  # numpy's error state, unchanged
 
 
 def _det_rounding(g: np.ndarray, tol: float) -> float:
@@ -241,21 +244,20 @@ def _inverse(g: np.ndarray) -> np.ndarray:
 
 
 def _judge_rows(group: str, base: np.ndarray, slots: np.ndarray, tol: float, det: float,
-            head: float, rows: np.ndarray) -> None:
+                head: float, rows: np.ndarray | None) -> None:
     """Judge a jet that its _defects against tol did not pass: raise at the
     first failure, a non-finite entry (isfinite, so nothing overflows), a
-    singular base, then the first row whose largest defect, a base's |det
-    - 1| included, exceeds its bound (tol for the base, at least
-    _det_rounding for SL; tol * max(1, max|x|) for a slot x); return if
-    there is none.  Each comparison asks for the good case, so NaN fails."""
+    singular base, then the base or first slot whose residual exceeds its
+    bound (tol for the base, at least _det_rounding for SL; tol * max(1,
+    max|x|) for a slot x); return if there is none.  Each comparison asks
+    for the good case, so NaN fails."""
     if not (_all(_isfinite(base), None) and _all(_isfinite(slots), None)):
         finite = np.isfinite(np.concatenate((base[None], slots))).reshape(len(slots) + 1, -1)
         i = int(finite.all(axis=1).argmin()) - 1  # -1 is the base
         raise JetValidationError(i if i >= 0 else "base", math.inf, "has a non-finite entry")
     if not abs(det) >= 1e-300:
         raise SingularMatrix("base matrix is not invertible")
-    res = _row_maxima(rows)
-    res[0] = max(res[0], head)  # NaN stays NaN
+    res = _residuals(group, head, rows, 1, len(slots))
     bounds = np.empty(len(res))
     bounds[0] = max(tol, _det_rounding(base, tol)) if group == "SL" else tol
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1043,6 +1043,10 @@ def test_validation_failures_keep_their_type_where_and_message():
         (("GL", np.zeros((3, 3))), SingularMatrix, None, "base matrix is not invertible"),
         (("SL", _sheared(1.2e-7)), JetValidationError, "base",  # past tol * prod_i |row_i|
          "base is not in SL(3) to tol=1e-10 (residual 1.2e-07)"),
+        (("SL", eye, [np.diag([-1e301, 0.0, 0.0])]), JetValidationError, 0,  # a negative
+         "slot 0 is not in the Lie algebra of SL(3) to tol=1e-10 (residual 1e+301)"),  # trace
+        (("SL", eye, [-bump, np.diag([1e301, -1e301, 0.0])]), JetValidationError, 0,
+         "slot 0 is not in the Lie algebra of SL(3) to tol=1e-10 (residual 1)"),
     ]
     for args, kind, where, message in cases:
         with pytest.raises(ValueError) as err:
@@ -1064,7 +1068,7 @@ def _sheared(excess):
 
 
 _DEFECTS = ("none", "nan", "inf", "huge", "flip", "base_off", "hadamard", "large_slot",
-            "negative_tol")
+            "negative_tol", "past_1e300")
 
 
 def _with_defect(group, d, kind, order, defect, in_slot, rng):
@@ -1092,6 +1096,9 @@ def _with_defect(group, d, kind, order, defect, in_slot, rng):
         slot[i, i] += 0.25 * tol * np.abs(slot).max()
     elif defect == "negative_tol":
         tol = -tol
+    elif defect == "past_1e300":  # a diagonal entry of either sign beyond 1e300, and a
+        slots[0][k, k] -= 1.0     # trace or skew defect of -1 in the first slot
+        target[i, i] = float(rng.choice([-1.0, 1.0])) * float(rng.uniform(1.0, 10.0)) * 1e301
     return base, slots, tol
 
 
@@ -1314,6 +1321,15 @@ def test_residuals_past_the_float_range_are_inf_without_a_warning():
         assert group_residual("SL", np.diag([1e200, 1e200, 1.0])) == np.inf
         assert group_residual("SO", 1e200 * np.eye(3)) == np.inf
         assert algebra_residual("SL", np.diag([1e308, 1e308, 0.0])) == np.inf
+        # past 1e300 a trace is still judged by its magnitude, and in a stack
+        # one such entry leaves every other matrix's residual as it was
+        assert algebra_residual("SL", np.diag([-1e301, 0.0, 0.0])) == 1e301
+        np.testing.assert_array_equal(
+            algebra_residual("SL", np.stack([np.diag([-1.0, 0.0, 0.0]),
+                                             np.diag([1e301, 0.0, 0.0])])), [1.0, 1e301])
+        np.testing.assert_array_equal(
+            algebra_residual("SL", np.stack([np.diag([-1.0, 0.0, 0.0]),
+                                             np.diag([-1e301, 0.0, 0.0])])), [1.0, 1e301])
         np.testing.assert_array_equal(
             group_residual("SO", np.stack([np.eye(3), np.full((3, 3), 1e200)])), [0.0, np.inf])
 
