@@ -11,10 +11,11 @@ Conventions used throughout the package:
 Antisymmetry of c in its last two indices is enforced at construction (pass
 strict=False to build a deliberately broken tensor for diagnostics; validate()
 will report the violation).  The Jacobi identity is never enforced at
-construction -- validate() builds the Jacobiator and reports it, so that
-near-miss tensors can be examined rather than rejected.  It is judged against
-tol * max(1, max|c|)**2, the scale of its rounding error, so a large-scale
-basis is not read as a defect.
+construction, so that near-miss tensors can be examined rather than
+rejected.  validate() judges a plain algebra as the unified product with an
+empty m, products.validate_axioms(UnifiedProductData(g, 0)), whose
+Jacobiator is judged against tol * max(1, max|c|)**2, the scale of its
+rounding error, so a large-scale basis is not read as a defect.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class LieAlgebra:
     strict: InitVar[bool] = True
 
     def __post_init__(self, strict: bool) -> None:
-        c = np.array(self.c, dtype=float, copy=True)
+        c = read_only_floats(self.c)
         if c.shape != (self.dim, self.dim, self.dim):
             raise DimensionError(
                 f"structure tensor has shape {c.shape}, expected {(self.dim,) * 3}"
@@ -59,12 +60,11 @@ class LieAlgebra:
             raise DimensionError(
                 f"{len(labels)} labels for a dimension-{self.dim} algebra"
             )
-        c.setflags(write=False)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "labels", labels)
         if strict:
             res = self.antisymmetry_residual()
-            if res > self.tol:
+            if not res <= self.tol:  # a nan residual fails too
                 raise ValueError(
                     f"structure tensor is not antisymmetric (residual {res:.3e}); "
                     "pass strict=False to construct anyway"
@@ -110,9 +110,9 @@ class LieAlgebra:
     # -- diagnostics --------------------------------------------------------
 
     def antisymmetry_residual(self) -> float:
-        if self.dim == 0:
-            return 0.0
-        return float(np.max(np.abs(self.c + self.c.swapaxes(1, 2))))
+        """max|c + c^T|; an inf -inf pair gives nan, without a warning."""
+        with np.errstate(invalid="ignore"):
+            return float(np.max(np.abs(self.c + self.c.swapaxes(1, 2)), initial=0.0))
 
     def jacobiator(self) -> np.ndarray:
         """J[k, i, j, l] = ([[e_i, e_j], e_l] + cyclic)_k, over all basis triples."""
@@ -127,42 +127,12 @@ class LieAlgebra:
             t = t.reshape(n, n, n, n).transpose(0, 2, 3, 1)
             return t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
 
-    def jacobi_residual(self) -> float:
-        """Max over basis triples of |[[e_i,e_j],e_l] + cyclic|."""
-        return float(np.max(np.abs(self.jacobiator()), initial=0.0))
+    def validate(self) -> "AxiomReport":
+        """validate_axioms of the cut with an empty m: antisymmetry against
+        tol, the Jacobiator against tol * max(1, max|c|)**2."""
+        from .products import UnifiedProductData, validate_axioms
 
-    def validate(self) -> "AlgebraReport":
-        """Antisymmetry against tol; the Jacobiator against
-        tol * max(1, max|c|)**2, the scale of a product of two brackets.  A
-        scale past the float range gives no threshold: jacobi_tol is then
-        nan, and nothing passes."""
-        anti = self.antisymmetry_residual()
-        jacobiator = self.jacobiator()
-        jac = float(np.max(np.abs(jacobiator), initial=0.0))
-        scale = max(1.0, float(np.max(np.abs(self.c), initial=0.0)))
-        jacobi_tol = self.tol * (scale * scale)
-        jacobi_tol = jacobi_tol if jacobi_tol < math.inf else math.nan
-        return AlgebraReport(
-            antisymmetry=anti,
-            jacobi=jac,
-            tol=self.tol,
-            jacobi_tol=jacobi_tol,
-            ok=(anti <= self.tol and jac <= jacobi_tol),
-            jacobiator=jacobiator,
-        )
-
-
-@dataclass(frozen=True)
-class AlgebraReport:
-    """Residuals of a structure tensor and the thresholds they were judged
-    against; `jacobiator` is the full J[k, i, j, l] behind `jacobi`."""
-
-    antisymmetry: float
-    jacobi: float
-    tol: float
-    jacobi_tol: float
-    ok: bool
-    jacobiator: np.ndarray = field(repr=False, compare=False)
+        return validate_axioms(UnifiedProductData(self, 0))
 
 
 # -- constructions ------------------------------------------------------------

@@ -110,7 +110,7 @@ class EnergySpec:
         if self.kind == "quadratic":
             if self.inertia is None:
                 raise ValueError("quadratic energy needs an inertia matrix")
-            inertia = np.array(self.inertia, dtype=float)  # a private copy, frozen below
+            inertia = read_only_floats(self.inertia)
             if inertia.ndim != 2 or inertia.shape[0] != inertia.shape[1]:
                 raise ValueError(f"inertia must be square, got shape {inertia.shape}")
             if not np.isfinite(inertia).all():
@@ -123,7 +123,6 @@ class EnergySpec:
             except np.linalg.LinAlgError as exc:
                 raise SingularInertia(f"inertia is not positive definite: {exc}") from exc
             inv = linv.T @ linv
-            inertia.setflags(write=False)
             inv.setflags(write=False)
             object.__setattr__(self, "inertia", inertia)
             object.__setattr__(self, "_inv", inv)

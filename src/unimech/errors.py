@@ -6,6 +6,7 @@ may monkeypatch the environment).
 """
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -21,8 +22,8 @@ def default_tol() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"UM_TOL must parse as a float, got {raw!r}") from exc
-    if not value > 0.0:
-        raise ConfigError(f"UM_TOL must be positive, got {value}")
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"UM_TOL must be positive and finite, got {value}")
     return value
 
 

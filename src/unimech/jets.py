@@ -196,17 +196,19 @@ def _det(g: np.ndarray) -> float:
     is rounded at most five times, so the error is at most 5u * perm|g| <=
     14 eps * prod_i |row_i| (perm|g| <= prod_i |row_i|_1 <= d^(d/2) prod_i
     |row_i|), the Hadamard scale of _det_rounding, barring overflow and
-    underflow.  From d = 4, np.linalg.det after an isfinite screen, with
-    overflow quiet."""
-    d = len(g)
+    underflow.  From d = 4, or where it overflows (inf - inf on a finite g),
+    np.linalg.det after an isfinite screen, with overflow quiet."""
+    d, det = len(g), math.nan
     if d == 3:
         (a, b, c), (e, f, h), (i, k, m) = g.tolist()
-        return a * (f * m - h * k) - b * (e * m - h * i) + c * (e * k - f * i)
-    if d == 2:
+        det = a * (f * m - h * k) - b * (e * m - h * i) + c * (e * k - f * i)
+    elif d == 2:
         (a, b), (c, e) = g.tolist()
-        return a * e - b * c
-    if d < 2:
+        det = a * e - b * c
+    elif d < 2:
         return g.item() if d else 1.0
+    if -math.inf < det < math.inf:
+        return det
     if not _all(_isfinite(g), None):
         return math.nan
     with np.errstate(over="ignore", invalid="ignore"):

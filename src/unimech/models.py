@@ -100,10 +100,15 @@ class TokamakParams:
             raise TypeError("base must be a LieAlgebra")
         _check_real("b_i", self.b_i)
         report = self.base.validate()
-        if not report.ok:
+        if not report.ok:  # name the worst failed check, nan first, and where
+            checks = {"h_antisymmetry": report.h_antisymmetry, **report.residuals}
+            failed = [k for k, v in checks.items() if not v <= report.threshold(k)]
+            name = failed[int(np.argmax([checks[k] for k in failed]))]
+            where = report.witnesses.get(name)
             raise ValueError(
-                f"base fails the Lie algebra checks (worst residual "
-                f"{max(report.antisymmetry, report.jacobi):.3g})"
+                f"base fails the Lie algebra checks: {name} residual {checks[name]:.3g} "
+                f"(threshold {report.threshold(name):.3g})"
+                + (f" at ({','.join(where)})" if where else "")
             )
 
 

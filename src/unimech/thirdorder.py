@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import LieAlgebra, _expm, tangent_algebra
+from .algebra import LieAlgebra, _expm, read_only_floats, tangent_algebra
 from .dynamics import EnergySpec, ep_field, fd_gradient
 from .errors import DimensionError, NonUniformGrid, SingularFiberMap, TooFewPoints, default_tol
 from .products import UnifiedProductData
@@ -91,7 +91,7 @@ class MatrixBasis:
     tol: float = field(default_factory=default_tol)
 
     def __post_init__(self) -> None:
-        mats = np.asarray(self.mats, dtype=float)
+        mats = read_only_floats(self.mats)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected a stack of square matrices, got {mats.shape}")
         n = mats.shape[0]
@@ -108,7 +108,6 @@ class MatrixBasis:
         for i in range(n):
             for j in range(n):
                 c[:, i, j] = proj @ (mats[i] @ mats[j] - mats[j] @ mats[i]).ravel()
-        mats.setflags(write=False)
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_proj", proj)

@@ -83,7 +83,7 @@ def test_heisenberg_relations():
 def test_presets_satisfy_jacobi(name):
     report = preset(name).validate()
     assert report.ok
-    assert report.antisymmetry == 0.0
+    assert report.h_antisymmetry == 0.0
     assert report.jacobi == 0.0
 
 
@@ -273,7 +273,21 @@ def test_constructor_enforces_antisymmetry():
     g = LieAlgebra(dim=2, c=c, strict=False)
     report = g.validate()
     assert not report.ok
-    assert report.antisymmetry == 1.0
+    assert report.h_antisymmetry == 1.0
+
+
+def test_strict_antisymmetry_refuses_nan_and_inf():
+    # nan fails the residual check, and an inf -inf pair (residual nan) no
+    # longer warns; strict=False still constructs
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            from_sparse_entries(3, [(0, 1, 2, value)])
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2], c[0, 2, 1] = value, -value
+        with pytest.raises(ValueError, match=r"not antisymmetric \(residual nan\)"):
+            LieAlgebra(3, c)
+        loose = LieAlgebra(3, c, strict=False)
+        assert np.isnan(loose.antisymmetry_residual()) and not loose.validate().ok
 
 
 def test_constructor_shape_and_label_checks():
@@ -299,7 +313,7 @@ def test_jacobi_residual_flags_broken_tensor():
     c[0, 1, 0] -= 0.5
     g = LieAlgebra(dim=3, c=c)
     assert g.antisymmetry_residual() == 0.0
-    np.testing.assert_allclose(g.jacobi_residual(), 0.5, atol=1e-15)
+    np.testing.assert_allclose(g.validate().jacobi, 0.5, atol=1e-15)
     assert not g.validate().ok
 
 
@@ -323,7 +337,7 @@ def test_jacobi_residual_matches_the_einsum_oracle(dim):
             want = _jacobi_residual_by_einsum(g.c)
             if dim >= 3:
                 assert want > 1e-3
-            np.testing.assert_allclose(g.jacobi_residual(), want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(g.validate().jacobi, want, rtol=1e-12, atol=0.0)
 
 
 def test_zero_dimensional_algebra():

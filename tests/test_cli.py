@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unimech import LieAlgebra, build_model, save_algebra, save_product, preset, tangent_algebra
+from unimech import (ConfigError, JetElement, LieAlgebra, build_model, save_algebra, save_product,
+                     preset, tangent_algebra)
 from unimech import cli, products
 from unimech.cli import main
+from unimech.errors import default_tol
 from model_equations import with_maps
 
 
@@ -137,6 +140,31 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("UM_TOL", "1e-3")
     assert main(["validate", str(path)]) == 0
     assert "result: ok" in capsys.readouterr().out
+
+
+def test_validate_refuses_a_non_finite_structure_constant(tmp_path, capsys):
+    # JSON's NaN and Infinity reach the strict antisymmetry checks, which
+    # refuse them: exit 1 with an error line, not a table of nan
+    for token in ("NaN", "Infinity"):
+        docs = {"alg.json": f'{{"dim": 3, "c": [[0, 1, 2, {token}]]}}',
+                "prod.json": f'{{"dim_m": 2, "h": {{"dim": 1}}, "phi": [[0, 0, 1, {token}]]}}'}
+        for name, text in docs.items():
+            (tmp_path / name).write_text(text)
+            assert main(["validate", str(tmp_path / name)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and re.match(r"error: \w+ (tensor )?is not antisymmetric", err), err
+
+
+@pytest.mark.parametrize("raw", ["inf", "nan", "-inf", "0", "-1e-3"])
+def test_a_tolerance_that_is_not_positive_and_finite_is_refused(raw, monkeypatch, capsys):
+    # under UM_TOL=inf every tol check would pass: 5 I would read as SO(3)
+    monkeypatch.setenv("UM_TOL", raw)
+    with pytest.raises(ConfigError, match="^UM_TOL must be positive and finite"):
+        JetElement("SO", 5.0 * np.eye(3))
+    assert main(["validate", "so3"]) == 1
+    assert capsys.readouterr().err.startswith("error: UM_TOL must be positive and finite")
+    monkeypatch.setenv("UM_TOL", "1e-3")
+    assert default_tol() == 1e-3 and JetElement("SO", np.eye(3)).tol == 1e-3
 
 
 # -- describe -------------------------------------------------------------------

@@ -1216,6 +1216,27 @@ def test_det_is_non_finite_with_any_non_finite_entry():
     assert jets._det(np.empty((0, 0))) == 1.0
 
 
+def test_an_overflowing_cofactor_expansion_falls_back_to_the_lu_det(monkeypatch):
+    # the cofactor products of this invertible block overflow to inf - inf;
+    # the block, its 3x3 base and its 4x4 embedding (np.linalg.det) get one
+    # verdict, with no warning
+    block = np.array([[1e200, 1e200], [1e200, 2e200]])
+    for d in (2, 3, 4):
+        g = np.eye(d)
+        g[-2:, -2:] = block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert jets._det(g) == np.inf
+            assert JetElement("GL", g).base[-1, -1] == 2e200
+            for group in ("SL", "SO"):
+                with pytest.raises(JetValidationError, match=r"^base .*\(residual inf\)$"):
+                    JetElement(group, g)
+    # a finite closed form takes no LU det
+    monkeypatch.setattr(np.linalg, "det", None)
+    for d in (1, 2, 3):
+        assert JetElement("GL", 2.0 * np.eye(d)).dim == d
+
+
 def test_jets_keep_fresh_read_only_arrays_and_copy_any_other():
     rng = np.random.default_rng(52)
     a, b = (random_jet("SO", 3, 2, rng=rng) for _ in range(2))

@@ -208,8 +208,15 @@ def test_tokamak_parameter_checks():
     bad_c[0, 1, 0] -= 0.5
     from unimech import LieAlgebra
 
-    with pytest.raises(ValueError, match="fails the Lie algebra checks"):
+    with pytest.raises(ValueError, match="fails the Lie algebra checks") as info:
         TokamakParams(base=LieAlgebra(dim=3, c=bad_c))
+    # the worst axiom of the base, its residual, its threshold and where
+    assert str(info.value).endswith(": h_jacobi residual 0.5 (threshold 1e-10) at (e2,e1,e2,e3)")
+    skew = np.zeros((2, 2, 2))
+    skew[0, 0, 1] = 1.0  # no mirror entry
+    with pytest.raises(ValueError, match="fails the Lie algebra checks: h_antisymmetry "
+                                         r"residual 1 \(threshold 1e-10\)$"):
+        TokamakParams(base=LieAlgebra(dim=2, c=skew, strict=False))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="^b_i must be finite"):
             TokamakParams(base=preset("so3"), b_i=bad)

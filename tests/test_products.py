@@ -175,7 +175,19 @@ def test_axioms_flag_a_perturbed_cocycle():
     report = validate_axioms(broken)
     assert not report.ok
     assert report.worst > 1e-4
-    assert broken.algebra.jacobi_residual() > 1e-4
+    assert broken.algebra.validate().jacobi > 1e-4
+
+
+def test_strict_compose_bracket_refuses_nan_and_inf_maps():
+    h = abelian(1)
+    for name in ("phi", "theta"):
+        for value in (np.nan, np.inf):
+            maps = {"act": np.zeros((2, 1, 2)), "phi": np.zeros((2, 2, 2)),
+                    "theta": np.zeros((1, 2, 2)), "psi": np.zeros((1, 1, 2))}
+            maps[name][0, 0, 1], maps[name][0, 1, 0] = value, -value
+            with pytest.raises(ValueError, match=f"^{name} is not antisymmetric"):
+                compose_bracket(2, h, **maps)
+            assert compose_bracket(2, h, **maps, strict=False).dim == 3
 
 
 def test_witness_points_at_the_worst_entry():
@@ -332,7 +344,7 @@ def test_twice_the_adjoint_action_is_rejected():
     assert not report.ok
     assert report.residuals["action_representation"] == 2.0
     assert len(report.witnesses["action_representation"]) == 4
-    assert report.jacobi == d.algebra.jacobi_residual() == 2.0
+    assert report.jacobi == d.algebra.validate().jacobi == 2.0
 
 
 def test_cli_names_the_failed_representation_axiom(tmp_path, capsys):

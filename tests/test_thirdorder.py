@@ -52,7 +52,7 @@ def test_third_order_product_satisfies_the_axioms(name):
     assert report.ok
     assert report.worst <= 1e-12
     check = d.algebra.validate()
-    assert check.jacobi <= 1e-12 and check.antisymmetry <= 1e-12
+    assert check.jacobi <= 1e-12 and check.h_antisymmetry <= 1e-12
 
 
 def test_composed_bracket_is_the_graded_jet_bracket():
@@ -423,6 +423,18 @@ def test_nonorthogonal_basis_round_trip():
     np.testing.assert_allclose(
         basis.matrix(basis.algebra.bracket(a, b)), am @ bm - bm @ am, atol=1e-12
     )
+
+
+def test_matrix_basis_keeps_its_own_copy():
+    mats = np.array(MatrixBasis.so3().mats)
+    basis = MatrixBasis(mats)
+    kept, c = basis.mats.copy(), basis.algebra.c.copy()
+    assert mats.flags.writeable and not basis.mats.flags.writeable
+    mats[0] = 5.0
+    np.testing.assert_array_equal(basis.mats, kept)
+    np.testing.assert_array_equal(basis.matrix([1.0, 0.0, 0.0]), kept[0])
+    np.testing.assert_array_equal(basis.coords(kept[1]), [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(basis.algebra.c, c)
 
 
 def test_matrix_basis_rejects_bad_input():
