@@ -64,10 +64,13 @@ class LieAlgebra:
         object.__setattr__(self, "labels", labels)
         if strict:
             res = self.antisymmetry_residual()
-            if not res <= self.tol:  # a nan residual fails too
+            if not res <= self.tol:  # a nan residual fails too, and argmax stops at a nan
+                with np.errstate(invalid="ignore"):
+                    worst = np.abs(c + c.swapaxes(1, 2)).argmax()
+                k, i, j = (labels[q] for q in np.unravel_index(worst, c.shape))
                 raise ValueError(
-                    f"structure tensor is not antisymmetric (residual {res:.3e}); "
-                    "pass strict=False to construct anyway"
+                    f"structure tensor is not antisymmetric (residual {res:.3e}) worst at "
+                    f"({k}; {i}, {j}); pass strict=False to construct anyway"
                 )
 
     # -- basic operations ---------------------------------------------------

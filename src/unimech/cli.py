@@ -30,7 +30,7 @@ from .dynamics import (
     write_report_json,
     write_trajectory_csv,
 )
-from .errors import ConfigError, NonFiniteState, UnknownPreset, load_json, parse_json
+from .errors import ConfigError, NonFiniteState, load_json, parse_json
 from .models import build_model
 from .products import MAP_AXES, UnifiedProductData, product_from_doc, validate_axioms
 from .thirdorder import ep3_field
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnknownPreset, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

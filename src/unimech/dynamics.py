@@ -230,11 +230,12 @@ def ep_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, pi: np.ndarra
 
     Two matrix-vector products of pi with `d.field_tensor` with I^-1 folded
     in (built once and cached on the spec); it agrees with the blockwise
-    six-map `products.coad`, which the tests check."""
-    if spec.kind != "quadratic":
-        raise ValueError("Euler-Poincare reduction needs a quadratic energy")
+    six-map `products.coad`, which the tests check.  A bad state is named
+    before a non-quadratic energy."""
     tensor = d.field_tensor
     pi = _state(tensor, pi)
+    if spec.kind != "quadratic":
+        raise ValueError("Euler-Poincare reduction needs a quadratic energy")
     return spec._folded(tensor).dot(pi).reshape(pi.size, pi.size).dot(pi)
 
 
@@ -318,8 +319,8 @@ def rk4(
     """
     if not 0 < h < math.inf:
         raise ValueError("step size must be positive and finite")
-    if steps < 1:
-        raise ValueError("need at least one step")
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+        raise ValueError(f"need an integer number of steps, at least one, got {steps!r}")
     y = np.array(y0, dtype=float).ravel()
     labels = tuple(labels) or tuple(f"x{i + 1}" for i in range(y.size))
     if len(labels) != y.size:

@@ -31,10 +31,6 @@ class DimensionError(ValueError):
     """Array shapes or block dimensions are inconsistent."""
 
 
-class UnknownPreset(KeyError):
-    """Requested preset name is not registered."""
-
-
 class SingularInertia(ValueError):
     """Inertia operator is not symmetric positive definite."""
 
@@ -114,6 +110,10 @@ class NonUniformGrid(ValueError):
 
 class ConfigError(ValueError):
     """Run configuration is missing keys, has bad values, or failed to parse."""
+
+
+class UnknownPreset(ConfigError):
+    """Requested preset name is not registered."""
 
 
 def parse_json(text: str, source) -> object:

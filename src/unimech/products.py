@@ -51,7 +51,7 @@ from .algebra import (
 )
 from .errors import ConfigError, DimensionError, NotASubalgebra, default_tol, load_json
 
-# In compose_bracket's check order and a document's key order; "?mm" maps are skew.
+# In compose_bracket's shape-check order and a document's key order; "?mm" maps are skew.
 MAP_AXES = {"act": "mhm", "phi": "mmm", "theta": "hmm", "psi": "hhm"}
 
 # Block (k; i, j, l) of the Jacobiator J[k, i, j, l] of d.algebra that each
@@ -159,9 +159,11 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
                     tol: float | None = None, strict: bool = True) -> UnifiedProductData:
     """The unified product of an m of dimension dim_m and h under the four maps.
 
-    A map of the wrong shape raises DimensionError; with strict, phi and
-    theta must be antisymmetric in their m arguments within tol.  m_labels
-    default to m1, m2, ... and tol to default_tol() read at call time.
+    A map of the wrong shape raises DimensionError.  With strict, the
+    LieAlgebra constructor judges the antisymmetry of the composed tensor:
+    of phi, theta and h directly, and through their mirrored blocks of act
+    and psi, so a nan or inf in any map is refused too.  m_labels default
+    to m1, m2, ... and tol to default_tol() read at call time.
     """
     m, n = dim_m, dim_m + h.dim
     tol = default_tol() if tol is None else tol
@@ -174,17 +176,11 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
         block, arr = c[_cut(m, n, axes)], np.asarray(maps[name], dtype=float)
         if arr.shape != block.shape:
             raise DimensionError(f"{name} has shape {arr.shape}, expected {block.shape}")
-        if strict and axes[1:] == "mm":
-            with np.errstate(invalid="ignore"):  # an inf -inf pair: nan, which fails
-                skew = np.max(np.abs(arr + arr.swapaxes(1, 2)), initial=0.0)
-            if not skew <= tol:
-                raise ValueError(f"{name} is not antisymmetric in its m arguments; "
-                                 "pass strict=False to construct anyway")
         block[...] = arr
         if axes[1:] == "hm":  # its (k; m, h) mirror: -n2 |> v1 and -psi(n2, v1)
             c[_cut(m, n, axes[0] + "mh")] = -arr.swapaxes(1, 2)
     c[_cut(m, n, "hhh")] = h.c
-    return UnifiedProductData(LieAlgebra(n, c, labels + h.labels, tol, False), m)
+    return UnifiedProductData(LieAlgebra(n, c, labels + h.labels, tol, strict), m)
 
 
 # -- axiom residuals -----------------------------------------------------------

@@ -63,15 +63,11 @@ def ep3_field(g: LieAlgebra, spec: EnergySpec, pi: np.ndarray) -> np.ndarray:
       dpi1/dt = -ad*_eta0 pi1 - 2 ad*_eta1 pi2
       dpi2/dt = -ad*_eta0 pi2
 
-    computed as one ep_field contraction of the cached tangent_algebra(g, 2);
-    the tests check it against these levels written out with g.coad.
+    computed as one ep_field contraction of the cached tangent_algebra(g, 2),
+    which judges the state before the energy; the tests check it against
+    these levels written out with g.coad.
     """
-    try:
-        return ep_field(tangent_algebra(g, 2), spec, pi)
-    except ValueError:  # ep_field checks the state once; a bad one is named first
-        if np.shape(pi) == (3 * g.dim,):
-            raise
-        raise DimensionError(f"state must have length {3 * g.dim}, got {np.shape(pi)}") from None
+    return ep_field(tangent_algebra(g, 2), spec, pi)
 
 
 # -- matrix realizations ------------------------------------------------------
@@ -220,8 +216,9 @@ def third_order_identity_residual(
     identity exactly; here the time derivatives are fourth-order central
     differences, so for an RK4 trajectory with step h the residual floor is
     O(h^4) plus differencing noise.  Returns the max-abs residual at each
-    interior point (indices 3 .. len-4).  Needs at least 7 points on a
-    uniform grid; the first off-grid step raises NonUniformGrid.
+    interior point (indices 3 .. len-4).  Needs at least 7 states of width
+    3 * g.dim (else DimensionError) on a uniform grid; the first off-grid
+    step raises NonUniformGrid.
 
     One array pass over the interior: each stencil is a sum of shifted
     slices, eta0 at every interior state comes from one stacked
@@ -231,6 +228,8 @@ def third_order_identity_residual(
     n = g.dim
     states = np.asarray(traj.states, dtype=float)
     times = np.asarray(traj.times, dtype=float)
+    if states.shape[1:] != (3 * n,):
+        raise DimensionError(f"states have shape {states.shape}, expected (m, 3 * g.dim = {3 * n})")
     if len(states) < 7:
         raise TooFewPoints(
             f"need at least 7 trajectory points for the interior stencils, got {len(states)}"

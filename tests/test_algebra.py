@@ -236,6 +236,7 @@ def test_structures_compare_and_hash_by_identity(make):
 def test_unknown_preset_and_extra_params():
     with pytest.raises(UnknownPreset):
         preset("su5")
+    assert issubclass(UnknownPreset, ConfigError) and not issubclass(UnknownPreset, KeyError)
     with pytest.raises(ConfigError):
         preset("so3", dim=3)
 
@@ -267,8 +268,9 @@ def test_from_sparse_entries_rejects_bad_rows():
 def test_constructor_enforces_antisymmetry():
     c = np.zeros((2, 2, 2))
     c[0, 0, 1] = 1.0  # missing the mirror entry
-    with pytest.raises(ValueError, match="antisymmetric"):
-        LieAlgebra(dim=2, c=c)
+    with pytest.raises(ValueError, match=r"antisymmetric \(residual 1.000e\+00\) "
+                       r"worst at \(a; a, b\);"):
+        LieAlgebra(dim=2, c=c, labels=("a", "b"))
     # escape hatch for diagnostics: construct anyway, validate flags it
     g = LieAlgebra(dim=2, c=c, strict=False)
     report = g.validate()
@@ -284,7 +286,8 @@ def test_strict_antisymmetry_refuses_nan_and_inf():
             from_sparse_entries(3, [(0, 1, 2, value)])
         c = np.zeros((3, 3, 3))
         c[0, 1, 2], c[0, 2, 1] = value, -value
-        with pytest.raises(ValueError, match=r"not antisymmetric \(residual nan\)"):
+        with pytest.raises(ValueError, match=r"not antisymmetric \(residual nan\) "
+                           r"worst at \(e1; e2, e3\);"):
             LieAlgebra(3, c)
         loose = LieAlgebra(3, c, strict=False)
         assert np.isnan(loose.antisymmetry_residual()) and not loose.validate().ok

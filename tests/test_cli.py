@@ -143,16 +143,32 @@ def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
 
 
 def test_validate_refuses_a_non_finite_structure_constant(tmp_path, capsys):
-    # JSON's NaN and Infinity reach the strict antisymmetry checks, which
-    # refuse them: exit 1 with an error line, not a table of nan
+    # JSON's NaN and Infinity reach the strict antisymmetry check of the
+    # composed tensor, which refuses them in any map: exit 1 with an error
+    # line naming the worst entry, not a table of nan
     for token in ("NaN", "Infinity"):
         docs = {"alg.json": f'{{"dim": 3, "c": [[0, 1, 2, {token}]]}}',
-                "prod.json": f'{{"dim_m": 2, "h": {{"dim": 1}}, "phi": [[0, 0, 1, {token}]]}}'}
+                "prod.json": f'{{"dim_m": 2, "h": {{"dim": 1}}, "phi": [[0, 0, 1, {token}]]}}',
+                "act.json": f'{{"dim_m": 2, "h": {{"dim": 1}}, "act": [[0, 0, 1, {token}]]}}',
+                "psi.json": f'{{"dim_m": 2, "h": {{"dim": 1}}, "psi": [[0, 0, 1, {token}]]}}'}
         for name, text in docs.items():
             (tmp_path / name).write_text(text)
-            assert main(["validate", str(tmp_path / name)]) == 1
-            out, err = capsys.readouterr()
-            assert out == "" and re.match(r"error: \w+ (tensor )?is not antisymmetric", err), err
+            # every model has dimension 3, so the default run config fits it
+            cfg = _write_config(tmp_path, model=json.loads(text),
+                                outputs={"trajectory": str(tmp_path / "traj.csv")})
+            for argv in (["validate", str(tmp_path / name)], ["run", str(cfg)]):
+                assert main(argv) == 1
+                out, err = capsys.readouterr()
+                assert out == "" and re.fullmatch(
+                    r"error: structure tensor is not antisymmetric \(residual nan\) worst at "
+                    r"\(\w+; \w+, \w+\); pass strict=False to construct anyway\n", err), err
+            assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "describe"])
+def test_an_unknown_preset_is_one_error_line(command, capsys):
+    assert main([command, "nosuch"]) == 1
+    assert capsys.readouterr() == ("", "error: unknown algebra preset 'nosuch'\n")
 
 
 @pytest.mark.parametrize("raw", ["inf", "nan", "-inf", "0", "-1e-3"])

@@ -508,6 +508,11 @@ def test_rk4_argument_validation():
             rk4(field, np.ones(1), h, 5)
     with pytest.raises(ValueError, match="at least one"):
         rk4(field, np.ones(1), 0.1, 0)
+    for steps in (True, 3.0):  # True would run one step, 3.0 fail inside range()
+        with pytest.raises(ValueError, match=rf"^need an integer number of steps, at least one, "
+                           rf"got {steps!r}$"):
+            rk4(field, np.ones(1), 0.1, steps)
+    assert len(rk4(field, np.ones(1), 0.1, np.int64(3))) == 4
 
 
 def test_rk4_reports_a_state_array_it_cannot_allocate():

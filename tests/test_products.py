@@ -179,15 +179,27 @@ def test_axioms_flag_a_perturbed_cocycle():
 
 
 def test_strict_compose_bracket_refuses_nan_and_inf_maps():
-    h = abelian(1)
-    for name in ("phi", "theta"):
+    # the one strict check reads the composed tensor: a skew pair of phi or
+    # theta and h directly, an entry of act or psi through its mirrored block
+    shapes = {"act": (2, 1, 2), "phi": (2, 2, 2), "theta": (1, 2, 2), "psi": (1, 1, 2)}
+    worst = {"act": "(m1; m2, e1)", "phi": "(m1; m1, m2)",
+             "theta": "(e1; m1, m2)", "psi": "(e1; m2, e1)"}
+    cases = []
+    for name, witness in worst.items():
         for value in (np.nan, np.inf):
-            maps = {"act": np.zeros((2, 1, 2)), "phi": np.zeros((2, 2, 2)),
-                    "theta": np.zeros((1, 2, 2)), "psi": np.zeros((1, 1, 2))}
-            maps[name][0, 0, 1], maps[name][0, 1, 0] = value, -value
-            with pytest.raises(ValueError, match=f"^{name} is not antisymmetric"):
-                compose_bracket(2, h, **maps)
-            assert compose_bracket(2, h, **maps, strict=False).dim == 3
+            maps = {key: np.zeros(shape) for key, shape in shapes.items()}
+            maps[name][0, 0, 1] = value
+            if name in ("phi", "theta"):
+                maps[name][0, 1, 0] = -value
+            cases.append((abelian(1), maps, "nan", witness))
+    skew_h = LieAlgebra(1, np.ones((1, 1, 1)), labels=("z",), strict=False)
+    cases.append((skew_h, {key: np.zeros(shape) for key, shape in shapes.items()},
+                  "2.000e+00", "(z; z, z)"))
+    for h, maps, residual, witness in cases:
+        with pytest.raises(ValueError, match=r"^structure tensor is not antisymmetric "
+                           rf"\(residual {re.escape(residual)}\) worst at {re.escape(witness)};"):
+            compose_bracket(2, h, **maps)
+        assert not validate_axioms(compose_bracket(2, h, **maps, strict=False)).ok
 
 
 def test_witness_points_at_the_worst_entry():

@@ -215,9 +215,10 @@ def test_ep3_input_checks():
     g = preset("so3")
     with pytest.raises(ValueError, match="quadratic"):
         ep3_field(g, EnergySpec.blackbox(lambda mu: float(mu @ mu)), np.zeros(9))
-    with pytest.raises(DimensionError, match="state must have length 9"):
+    with pytest.raises(DimensionError, match=r"^state has shape \(6,\), expected \(9,\)$"):
         ep3_field(g, EnergySpec.identity(9), np.zeros(6))
-    with pytest.raises(DimensionError, match="state must have length 9"):  # before the spec
+    with pytest.raises(DimensionError, match=r"^state has shape \(6,\), expected \(9,\)$"):
+        # the state is named before the spec
         ep3_field(g, EnergySpec.blackbox(lambda mu: float(mu @ mu)), np.zeros(6))
     with pytest.raises(DimensionError, match="^inertia is 6x6, the state has length 9$"):
         ep3_field(g, EnergySpec.identity(6), np.zeros(9))
@@ -373,6 +374,11 @@ def test_identity_residual_input_checks():
     assert isinstance(info.value, NonUniformGrid)
     assert (info.value.step, info.value.size) == (2, 1.5)
     assert str(info.value).startswith("time step 2 has size 1.5, expected 1:")
+    for width in (6, 10, 12):  # not three levels of so3
+        wrong = Trajectory(times=np.arange(7.0), states=np.zeros((7, width)))
+        with pytest.raises(DimensionError, match=rf"^states have shape \(7, {width}\), "
+                           r"expected \(m, 3 \* g.dim = 9\)$"):
+            third_order_identity_residual(g, spec, wrong)
 
 
 # -- matrix bases ---------------------------------------------------------------
