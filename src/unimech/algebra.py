@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -31,7 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, UnknownPreset, default_tol, load_json
+from .errors import (ConfigError, DimensionError, UnknownPreset, default_tol, integer, load_json,
+                     positive, real)
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -40,8 +40,8 @@ def _default_labels(dim: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Structure-constant presentation of a real Lie algebra; two compare
-    equal only when they are the same object."""
+    """Structure-constant presentation of a real Lie algebra, `tol` a finite
+    real number >= 0; two compare equal only when they are the same object."""
 
     dim: int
     c: np.ndarray
@@ -50,6 +50,7 @@ class LieAlgebra:
     strict: InitVar[bool] = True
 
     def __post_init__(self, strict: bool) -> None:
+        positive(self.tol, "tol", zero=True)
         c = read_only_floats(self.c)
         if c.shape != (self.dim, self.dim, self.dim):
             raise DimensionError(
@@ -144,10 +145,10 @@ class LieAlgebra:
 def fill_entries(shape: tuple[int, ...], entries, name: str, skew: bool = False) -> np.ndarray:
     """Dense tensor of `shape` from sparse rows [k, i, j, value].
 
-    Indices must be integers in range (a negative one does not wrap) and the
-    value a number; a bad row raises ConfigError naming `name`.  With
-    `skew` a row needs i < j and also contributes -value to [k, j, i], so the
-    result is antisymmetric in its last two indices.
+    Each entry must be a real number, the indices integral and in range (a
+    negative one does not wrap); a bad row raises ConfigError naming `name`.
+    With `skew` a row needs i < j and also contributes -value to [k, j, i], so
+    the result is antisymmetric in its last two indices.
     """
     arr = np.zeros(shape)
     try:
@@ -159,12 +160,10 @@ def fill_entries(shape: tuple[int, ...], entries, name: str, skew: bool = False)
             k, i, j, value = entry
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{name} entry {entry!r} is not [k, i, j, value]") from exc
-        if not (
-            all(isinstance(q, numbers.Real) and not isinstance(q, bool) for q in (k, i, j, value))
-            and all(float(q).is_integer() for q in (k, i, j))
-        ):
-            raise ConfigError(f"{name} entry {entry!r} needs integer indices and a number")
-        idx, value = (int(k), int(i), int(j)), float(value)
+        k, i, j, value = (float(real(q, f"{name} entry {entry!r}")) for q in (k, i, j, value))
+        if not all(q.is_integer() for q in (k, i, j)):
+            raise ConfigError(f"{name} entry {entry!r} needs integer indices")
+        idx = (int(k), int(i), int(j))
         if not all(0 <= q < size for q, size in zip(idx, shape)):
             raise ConfigError(f"{name} entry {entry!r} out of range for shape {shape}")
         if skew:
@@ -179,11 +178,10 @@ def fill_entries(shape: tuple[int, ...], entries, name: str, skew: bool = False)
 
 
 def real_array(value, key: str) -> np.ndarray:
-    """Nested lists of numbers as a float array; a bool or other entry is a ConfigError."""
+    """Nested lists of real numbers as a float array; ConfigError names `key`."""
     arr = np.asarray(value, dtype=object)
     for x in arr.flat:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"{key}: {x!r} is not a number")
+        real(x, key)
     return arr.astype(float)
 
 
@@ -230,30 +228,24 @@ def from_sparse_entries(
     result is antisymmetric by construction.
     """
     c = fill_entries((dim, dim, dim), entries, "structure", skew=True)
-    kwargs = {} if tol is None else {"tol": tol}
-    return LieAlgebra(dim=dim, c=c, labels=labels, **kwargs)
+    return LieAlgebra(dim, c, labels, default_tol() if tol is None else tol)
 
 
 def abelian(dim: int, labels: tuple[str, ...] = (), tol: float | None = None) -> LieAlgebra:
-    """The abelian algebra of the given dimension (all brackets zero)."""
-    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
-        raise ConfigError(f"abelian dimension must be an integer, got {dim!r}")
-    if dim < 0:
-        raise ConfigError(f"abelian dimension must be >= 0, got {dim}")
-    kwargs = {} if tol is None else {"tol": tol}
-    return LieAlgebra(dim=dim, c=np.zeros((dim, dim, dim)), labels=labels, **kwargs)
+    """The abelian algebra of dimension `dim`, an integer >= 0 (all brackets zero)."""
+    dim = integer(dim, "dim")
+    return LieAlgebra(dim, np.zeros((dim, dim, dim)), labels, default_tol() if tol is None else tol)
 
 
 def tangent_algebra(g: LieAlgebra, n: int = 1) -> LieAlgebra:
-    """The order-n tangent algebra g (x) R[t]/(t^(n+1)) in derivative
-    coordinates: levels 0..n, level k labelled "d"*k + label, and
+    """The order-n tangent algebra g (x) R[t]/(t^(n+1)), n an integer >= 0,
+    in derivative coordinates: levels 0..n, level k labelled "d"*k + label, and
 
       [a, b]_k = sum_{i=0..k} C(k, i) [a_i, b_(k-i)].
 
     n = 1 is the tangent-bundle algebra g |x g.  Built once per (g, n) and
     kept in g's instance dict, beside its cached field_tensor."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ConfigError(f"tangent order must be a non-negative integer, got {n!r}")
+    n = integer(n, "n")
     cache = g.__dict__.get("_tangent_algebras")
     if cache is None:
         cache = g.__dict__["_tangent_algebras"] = {}
@@ -383,9 +375,7 @@ def algebra_from_doc(doc: dict) -> LieAlgebra:
         raise ConfigError(f"algebra document must be an object, got {type(doc).__name__}")
     if "dim" not in doc:
         raise ConfigError("algebra document is missing 'dim'")
-    dim = doc["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
-        raise ConfigError(f"'dim' must be a non-negative integer, got {dim!r}")
+    dim = integer(doc["dim"], "'dim'")
     labels = doc_labels(doc, dim)
     entries = doc.get("c", [])
     if not isinstance(entries, list):

@@ -165,11 +165,6 @@ def _cmd_run(args) -> int:
     integ = cfg["integrator"]
     if not isinstance(integ, dict) or "h" not in integ or "steps" not in integ:
         raise ConfigError("integrator needs 'h' and 'steps'")
-    h, steps = integ["h"], integ["steps"]
-    if isinstance(h, bool) or not isinstance(h, (int, float)) or not h > 0:
-        raise ConfigError(f"integrator needs a number h > 0, got {h!r}")
-    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
-        raise ConfigError(f"integrator needs an integer steps >= 1, got {steps!r}")
 
     tags = cfg.get("conserve", ["hamiltonian"])
     if not isinstance(tags, list):
@@ -195,7 +190,8 @@ def _cmd_run(args) -> int:
             raise ConfigError(f"outputs.{key}: directory {parent} does not exist")
 
     try:
-        traj = rk4(lambda y: field(structure, spec, y), y0, h, steps, labels=state.labels)
+        traj = rk4(lambda y: field(structure, spec, y), y0, integ["h"], integ["steps"],
+                   labels=state.labels)
     except NonFiniteState as exc:
         print(
             f"error: state became non-finite at step {exc.step} in component {exc.component}",

@@ -49,7 +49,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .algebra import LieAlgebra, _Kept, read_only_floats
-from .errors import DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge
+from .errors import (DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge, integer,
+                     positive)
 from .products import UnifiedProductData
 
 __all__ = [
@@ -70,10 +71,9 @@ _SYM_TOL = 1e-12
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of a flat vector.
 
-    `eps` must be finite and positive (else ValueError) and `x` 1-D (else
+    `eps` must be finite and > 0 (else ConfigError) and `x` 1-D (else
     DimensionError)."""
-    if not 0 < eps < math.inf:
-        raise ValueError(f"finite-difference step must be positive and finite, got {eps!r}")
+    eps = positive(eps, "eps")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"x has shape {x.shape}, expected a flat vector (n,)")
@@ -129,8 +129,7 @@ class EnergySpec:
         elif self.kind == "blackbox":
             if self.f is None or not callable(self.f):
                 raise ValueError("blackbox energy needs a callable f")
-            if not 0 < self.fd_eps < math.inf:
-                raise ValueError("fd_eps must be positive and finite")
+            positive(self.fd_eps, "fd_eps")
         else:
             raise ValueError(f"unknown energy kind {self.kind!r}")
 
@@ -298,10 +297,11 @@ def rk4(
 ) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta.
 
-    Raises NonFiniteState as soon as a state stops being finite, so a
-    blown-up run fails at the step that produced it rather than at write-out
-    time; it carries .step, .component (the label of the first non-finite
-    entry) and .last_finite (the state before, None at step 0).  Raises
+    `h` must be finite and > 0, `steps` an integer >= 1 and `y0` 1-D.  Raises
+    NonFiniteState as soon as a state stops being finite, so a blown-up run
+    fails at the step that produced it rather than at write-out time; it
+    carries .step, .component (the label of the first non-finite entry) and
+    .last_finite (the state before, None at step 0).  Raises
     TrajectoryTooLarge when the (steps + 1, n) array of states cannot be
     allocated; frozen, that array is the trajectory's states, not a copy.
 
@@ -317,11 +317,10 @@ def rk4(
     whose sum overflows is not flagged.  Overflow and invalid warnings are
     off in the loop, field calls included: a blow-up is a NonFiniteState.
     """
-    if not 0 < h < math.inf:
-        raise ValueError("step size must be positive and finite")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise ValueError(f"need an integer number of steps, at least one, got {steps!r}")
-    y = np.array(y0, dtype=float).ravel()
+    h, steps = positive(h, "h"), integer(steps, "steps", 1)
+    y = np.array(y0, dtype=float)
+    if y.ndim != 1:
+        raise DimensionError(f"y0 has shape {y.shape}, expected a flat vector (n,)")
     labels = tuple(labels) or tuple(f"x{i + 1}" for i in range(y.size))
     if len(labels) != y.size:
         raise ValueError("one label per state component")

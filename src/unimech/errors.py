@@ -1,16 +1,43 @@
-"""Exception types, shared tolerance handling and the JSON document reader.
+"""Exception types, scalar judges, tolerance handling and the JSON reader.
 
-All numerical tolerances in the package default to 1e-10 and can be overridden
-globally through the UM_TOL environment variable (read at call time, so tests
-may monkeypatch the environment).
-"""
+`real`, `positive` and `integer` judge every scalar argument by one rule: a bool
+is refused, numpy scalars are accepted, and a bad value raises ConfigError
+naming the argument.  Tolerances default to 1e-10, overridden globally by the
+UM_TOL environment variable (read at call time, so tests may monkeypatch it)."""
 
 import json
 import math
+import numbers
 import os
 from pathlib import Path
 
 DEFAULT_TOL = 1e-10
+
+
+def real(value, name: str, finite: bool = False):
+    """`value` if it is a real number, and finite if `finite`."""
+    kind = type(value)
+    if kind is float or kind is int or kind is not bool and isinstance(value, numbers.Real):
+        if not finite or -math.inf < value < math.inf:
+            return value
+    raise ConfigError(f"{name} must be a {'finite ' if finite else ''}real number, got {value!r}")
+
+
+def positive(value, name: str, zero: bool = False):
+    """`value` if it is a real number, finite and > 0 (>= 0 if `zero`)."""
+    if type(value) is not float:
+        real(value, name)
+    if 0.0 < value < math.inf or zero and value == 0.0:
+        return value
+    raise ConfigError(f"{name} must be finite and {'>=' if zero else '>'} 0, got {value!r}")
+
+
+def integer(value, name: str, low: int = 0) -> int:
+    """`value` as an int if it is an integer >= `low` (numpy's too), not a float."""
+    kind = type(value)
+    if (kind is int or kind is not bool and isinstance(value, numbers.Integral)) and value >= low:
+        return value if kind is int else int(value)
+    raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def default_tol() -> float:
@@ -22,9 +49,7 @@ def default_tol() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"UM_TOL must parse as a float, got {raw!r}") from exc
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"UM_TOL must be positive and finite, got {value}")
-    return value
+    return positive(value, "UM_TOL")
 
 
 class DimensionError(ValueError):

@@ -75,7 +75,9 @@ from .errors import (
     JetValidationError,
     SingularMatrix,
     default_tol,
+    integer,
     load_json,
+    positive,
 )
 
 __all__ = [
@@ -279,15 +281,15 @@ class JetElement:
 
     With no slots this is a plain group element.  The order is inferred from
     the slot count: kind "tangent" has `order` slots, kind "iterated" has
-    2**order - 1.  Construction checks that every entry is finite, that the
-    base lies in the tagged group to `tol` (an SL base's |det - 1| to `tol *
-    max(1, prod_i |row_i|)`, the Hadamard bound on |det|) and that each slot
-    x lies in its Lie algebra to `tol * max(1, max|x|)`; a failure is a
-    JetValidationError naming the base or the first bad slot (SingularMatrix
-    for a singular base).  The defects are formed once: a jet whose defects
-    all lie within `tol` passes on that alone, and only another is judged
-    row by row against the bounds above.  The base and slots are copied to
-    read-only arrays, so no caller can change a validated jet.
+    2**order - 1.  Construction checks `tol` (finite, >= 0), that every entry
+    is finite, that the base lies in the tagged group to `tol` (an SL base's
+    |det - 1| to `tol * max(1, prod_i |row_i|)`, the Hadamard bound on |det|)
+    and that each slot x lies in its Lie algebra to `tol * max(1, max|x|)`; a
+    failure is a JetValidationError naming the base or the first bad slot
+    (SingularMatrix for a singular base).  The defects are formed once: a jet
+    whose defects all lie within `tol` passes on that alone, and only another
+    is judged row by row against the bounds above.  The base and slots are
+    copied to read-only arrays, so no caller can change a validated jet.
     """
 
     group: str
@@ -321,7 +323,7 @@ class JetElement:
                 raise DimensionError(
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
-        det, tol = _det(base), self.tol
+        det, tol = _det(base), positive(self.tol, "tol", zero=True)
         head, worst, rows = _defects(self.group, base, det, slots)
         if not (1e-300 <= abs(det) < math.inf and head <= tol and worst <= tol):
             _judge_rows(self.group, base, slots, tol, det, head, rows)
@@ -371,6 +373,7 @@ def _check_pair(a: JetElement, b: JetElement, kind: str, n: int) -> None:
 
 
 def unit_jet(group: str, dim: int, order: int, kind: str = "tangent") -> JetElement:
+    dim, order = integer(dim, "dim"), integer(order, "order")
     n_slots = order if kind == "tangent" else 2**order - 1
     return JetElement(group, np.eye(dim), np.zeros((n_slots, dim, dim)), kind=kind)
 
@@ -398,8 +401,7 @@ def partition_coefficient(i_list: Sequence[int]) -> int:
     """
     if not i_list:
         raise ValueError("need at least one block size")
-    if any(int(i) != i or i < 1 for i in i_list):
-        raise ValueError(f"block sizes must be positive integers, got {i_list!r}")
+    i_list = [integer(i, "block size", 1) for i in i_list]
     coeff = 1
     total = i_list[0]
     for size in i_list[1:]:
@@ -663,6 +665,7 @@ def random_jet(
 ) -> JetElement:
     """Random jet with base exp(random algebra element): always lands in the
     tagged group, and stays well-conditioned for moderate `scale`."""
+    dim, order = integer(dim, "dim"), integer(order, "order")
     rng = np.random.default_rng() if rng is None else rng
     base = _expm(_random_algebra(group, dim, rng, scale))
     n_slots = order if kind == "tangent" else 2**order - 1

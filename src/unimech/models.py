@@ -22,14 +22,12 @@ paper's hand-written form of them, tests/model_equations.py, is their oracle.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LieAlgebra, _base_algebra, _current_algebra, preset
-from .errors import ConfigError
+from .errors import ConfigError, positive, real
 from .products import UnifiedProductData
 
 __all__ = [
@@ -39,14 +37,6 @@ __all__ = [
     "tokamak_algebra",
     "build_model",
 ]
-
-
-def _check_real(name: str, value) -> None:
-    """A bool or a non-real value raises TypeError, a non-finite one ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 # -- central-force family ------------------------------------------------------
@@ -62,12 +52,9 @@ class KeplerParams:
     k: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("e", "m", "k"):
-            _check_real(name, getattr(self, name))
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if not self.k > 0:
-            raise ValueError(f"force constant must be positive, got {self.k}")
+        real(self.e, "e", finite=True)
+        positive(self.m, "m")
+        positive(self.k, "k")
 
     @property
     def coupling(self) -> float:
@@ -89,8 +76,8 @@ def kepler_algebra(params: KeplerParams) -> UnifiedProductData:
 
 @dataclass(frozen=True)
 class TokamakParams:
-    """A base Lie algebra and the field-strength parameter multiplying the
-    cocycle."""
+    """A base Lie algebra and the field-strength parameter b_i, a finite real
+    number, multiplying the cocycle."""
 
     base: LieAlgebra
     b_i: float = 1.0
@@ -98,7 +85,7 @@ class TokamakParams:
     def __post_init__(self) -> None:
         if not isinstance(self.base, LieAlgebra):
             raise TypeError("base must be a LieAlgebra")
-        _check_real("b_i", self.b_i)
+        real(self.b_i, "b_i", finite=True)
         report = self.base.validate()
         if not report.ok:  # name the worst failed check, nan first, and where
             checks = {"h_antisymmetry": report.h_antisymmetry, **report.residuals}

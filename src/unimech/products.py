@@ -49,7 +49,7 @@ from .algebra import (
     fill_entries,
     sparse_entries,
 )
-from .errors import ConfigError, DimensionError, NotASubalgebra, default_tol, load_json
+from .errors import ConfigError, DimensionError, NotASubalgebra, default_tol, integer, load_json
 
 # In compose_bracket's shape-check order and a document's key order; "?mm" maps are skew.
 MAP_AXES = {"act": "mhm", "phi": "mmm", "theta": "hmm", "psi": "hhm"}
@@ -334,13 +334,11 @@ def product_from_doc(doc: dict) -> UnifiedProductData:
     for key in ("dim_m", "h"):
         if key not in doc:
             raise ConfigError(f"product document is missing {key!r}")
-    m = doc["dim_m"]
-    if isinstance(m, bool) or not isinstance(m, int) or m < 0:
-        raise ConfigError(f"'dim_m' must be a non-negative integer, got {m!r}")
+    m = integer(doc["dim_m"], "'dim_m'")
     h = algebra_from_doc(doc["h"])
     n = m + h.dim
-    dim = doc.get("dim", n)
-    if isinstance(dim, bool) or dim != n:
+    dim = integer(doc.get("dim", n), "'dim'")
+    if dim != n:
         raise ConfigError(f"'dim' is {dim} but dim_m + dim_h = {n}")
     labels = doc_labels(doc, n)
     if labels:

@@ -54,21 +54,39 @@ def test_validate_without_required_params(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# A case whose pinned message differs from the rule it breaks keeps that
+# rule as its test id.
 @pytest.mark.parametrize("model,params,message", [
-    ("kepler", '{"e": NaN}', "e must be finite, got nan"),
-    ("kepler", '{"e": 0.5, "k": Infinity}', "k must be finite, got inf"),
-    ("tokamak", '{"b_i": Infinity}', "b_i must be finite, got inf"),
+    pytest.param("kepler", '{"e": NaN}', "e must be a finite real number, got nan",
+                 id='kepler-{"e": NaN}-e must be finite, got nan'),
+    pytest.param("kepler", '{"e": 0.5, "k": Infinity}', "k must be finite and > 0, got inf",
+                 id='kepler-{"e": 0.5, "k": Infinity}-k must be finite, got inf'),
+    pytest.param("tokamak", '{"b_i": Infinity}', "b_i must be a finite real number, got inf",
+                 id='tokamak-{"b_i": Infinity}-b_i must be finite, got inf'),
     # JSON gives bools, nulls, strings and lists as easily as numbers
-    ("abelian", '{"dim": 2.5}', "abelian dimension must be an integer, got 2.5"),
-    ("abelian", '{"dim": null}', "abelian dimension must be an integer, got None"),
-    ("abelian", '{"dim": [3]}', "abelian dimension must be an integer, got [3]"),
-    ("abelian", '{"dim": true}', "abelian dimension must be an integer, got True"),
-    ("kepler", '{"e": true}', "bad kepler parameters: e must be a real number, got True"),
-    ("kepler", '{"e": 0.5, "m": false}',
-     "bad kepler parameters: m must be a real number, got False"),
-    ("kepler", '{"e": "0.5"}', "bad kepler parameters: e must be a real number, got '0.5'"),
-    ("tokamak", '{"b_i": true}', "bad tokamak parameters: b_i must be a real number, got True"),
-    ("tokamak", '{"b_i": [1]}', "bad tokamak parameters: b_i must be a real number, got [1]"),
+    pytest.param("abelian", '{"dim": 2.5}', "dim must be an integer >= 0, got 2.5",
+                 id='abelian-{"dim": 2.5}-abelian dimension must be an integer, got 2.5'),
+    pytest.param("abelian", '{"dim": null}', "dim must be an integer >= 0, got None",
+                 id='abelian-{"dim": null}-abelian dimension must be an integer, got None'),
+    pytest.param("abelian", '{"dim": [3]}', "dim must be an integer >= 0, got [3]",
+                 id='abelian-{"dim": [3]}-abelian dimension must be an integer, got [3]'),
+    pytest.param("abelian", '{"dim": true}', "dim must be an integer >= 0, got True",
+                 id='abelian-{"dim": true}-abelian dimension must be an integer, got True'),
+    pytest.param("kepler", '{"e": true}', "e must be a finite real number, got True",
+                 id='kepler-{"e": true}-bad kepler parameters: e must be a real number, '
+                    'got True'),
+    pytest.param("kepler", '{"e": 0.5, "m": false}', "m must be a real number, got False",
+                 id='kepler-{"e": 0.5, "m": false}-bad kepler parameters: m must be a real '
+                    'number, got False'),
+    pytest.param("kepler", '{"e": "0.5"}', "e must be a finite real number, got '0.5'",
+                 id='kepler-{"e": "0.5"}-bad kepler parameters: e must be a real number, '
+                    "got '0.5'"),
+    pytest.param("tokamak", '{"b_i": true}', "b_i must be a finite real number, got True",
+                 id='tokamak-{"b_i": true}-bad tokamak parameters: b_i must be a real '
+                    'number, got True'),
+    pytest.param("tokamak", '{"b_i": [1]}', "b_i must be a finite real number, got [1]",
+                 id='tokamak-{"b_i": [1]}-bad tokamak parameters: b_i must be a real '
+                    'number, got [1]'),
 ])
 def test_non_finite_model_parameters_are_refused(model, params, message, capsys):
     assert main(["validate", model, "--params", params]) == 1
@@ -175,10 +193,12 @@ def test_an_unknown_preset_is_one_error_line(command, capsys):
 def test_a_tolerance_that_is_not_positive_and_finite_is_refused(raw, monkeypatch, capsys):
     # under UM_TOL=inf every tol check would pass: 5 I would read as SO(3)
     monkeypatch.setenv("UM_TOL", raw)
-    with pytest.raises(ConfigError, match="^UM_TOL must be positive and finite"):
+    message = f"UM_TOL must be finite and > 0, got {float(raw)!r}"
+    with pytest.raises(ConfigError) as excinfo:
         JetElement("SO", 5.0 * np.eye(3))
+    assert str(excinfo.value) == message
     assert main(["validate", "so3"]) == 1
-    assert capsys.readouterr().err.startswith("error: UM_TOL must be positive and finite")
+    assert capsys.readouterr().err == f"error: {message}\n"
     monkeypatch.setenv("UM_TOL", "1e-3")
     assert default_tol() == 1e-3 and JetElement("SO", np.eye(3)).tol == 1e-3
 
@@ -381,6 +401,8 @@ def test_run_blow_up_prints_only_its_error_line(tmp_path, warning_flags):
     assert proc.stderr == "error: state became non-finite at step 2 in component e1\n"
 
 
+# A case whose pinned message differs from the rule it breaks keeps that
+# rule as its test id.
 @pytest.mark.parametrize(
     "overrides,fragment",
     [
@@ -388,7 +410,8 @@ def test_run_blow_up_prints_only_its_error_line(tmp_path, warning_flags):
         ({"dynamics": "rk"}, "dynamics must be"),
         ({"initial": [1.0, 2.0]}, "initial state needs 3"),
         ({"conserve": ["wobble"]}, "unknown conserved-quantity"),
-        ({"integrator": {"h": -1.0, "steps": 5}}, "h > 0"),
+        pytest.param({"integrator": {"h": -1.0, "steps": 5}}, "h must be finite and > 0, got -1.0",
+                     id="overrides4-h > 0"),
         ({"integrator": {"steps": 5}}, "'h' and 'steps'"),
         ({"energy": 5}, "energy must be an object"),
         ({"energy": {"kind": "blackbox"}}, "quadratic energies only"),
@@ -396,24 +419,49 @@ def test_run_blow_up_prints_only_its_error_line(tmp_path, warning_flags):
         ({"model": "kepler", "dynamics": "ep3"}, "bad kepler"),
         ({"outputs": ["traj.csv"]}, "outputs must be an object"),
         ({"outputs": {"report": 5}}, "outputs.report must be a path"),
-        ({"integrator": {"h": None, "steps": 5}}, "number h > 0, got None"),
-        ({"integrator": {"h": True, "steps": 5}}, "number h > 0, got True"),
-        ({"integrator": {"h": 1e-3, "steps": 2.7}}, "integer steps >= 1, got 2.7"),
-        ({"integrator": {"h": 1e-3, "steps": True}}, "integer steps >= 1, got True"),
-        ({"integrator": {"h": 1e-3, "steps": 1e12}}, "integer steps >= 1, got 1000000000000.0"),
-        ({"integrator": {"h": 1e-3, "steps": 0}}, "integer steps >= 1, got 0"),
-        ({"integrator": {"h": 1e-3, "steps": "10"}}, "integer steps >= 1, got '10'"),
+        pytest.param({"integrator": {"h": None, "steps": 5}}, "h must be a real number, got None",
+                     id="overrides12-number h > 0, got None"),
+        pytest.param({"integrator": {"h": True, "steps": 5}}, "h must be a real number, got True",
+                     id="overrides13-number h > 0, got True"),
+        pytest.param({"integrator": {"h": 1e-3, "steps": 2.7}},
+                     "steps must be an integer >= 1, got 2.7",
+                     id="overrides14-integer steps >= 1, got 2.7"),
+        pytest.param({"integrator": {"h": 1e-3, "steps": True}},
+                     "steps must be an integer >= 1, got True",
+                     id="overrides15-integer steps >= 1, got True"),
+        pytest.param({"integrator": {"h": 1e-3, "steps": 1e12}},
+                     "steps must be an integer >= 1, got 1000000000000.0",
+                     id="overrides16-integer steps >= 1, got 1000000000000.0"),
+        pytest.param({"integrator": {"h": 1e-3, "steps": 0}},
+                     "steps must be an integer >= 1, got 0",
+                     id="overrides17-integer steps >= 1, got 0"),
+        pytest.param({"integrator": {"h": 1e-3, "steps": "10"}},
+                     "steps must be an integer >= 1, got '10'",
+                     id="overrides18-integer steps >= 1, got '10'"),
         ({"model": {"name": "kepler", "params": [1]}}, "params must be an object, got list"),
         ({"model": {"name": "so3", "params": "e"}}, "params must be an object, got str"),
-        ({"integrator": {"h": float("inf"), "steps": 5}}, "step size must be positive and finite"),
-        ({"energy": {"inertia": [True, True, True]}}, "energy.inertia: True is not a number"),
-        ({"energy": {"inertia": ["1", "2", "3"]}}, "energy.inertia: '1' is not a number"),
-        ({"energy": {"inertia": [1.0, True, 3.0]}}, "energy.inertia: True is not a number"),
-        ({"energy": {"inertia": [[1, 0, 0], [0, "1", 0], [0, 0, 1]]}},
-         "energy.inertia: '1' is not a number"),
-        ({"initial": [True, False, True]}, "initial: True is not a number"),
-        ({"initial": ["1", "2", "3"]}, "initial: '1' is not a number"),
-        ({"initial": [[1.0, 2.0], [3.0]]}, "initial: [1.0, 2.0] is not a number"),
+        pytest.param({"integrator": {"h": float("inf"), "steps": 5}},
+                     "h must be finite and > 0, got inf",
+                     id="overrides21-step size must be positive and finite"),
+        pytest.param({"energy": {"inertia": [True, True, True]}},
+                     "energy.inertia must be a real number, got True",
+                     id="overrides22-energy.inertia: True is not a number"),
+        pytest.param({"energy": {"inertia": ["1", "2", "3"]}},
+                     "energy.inertia must be a real number, got '1'",
+                     id="overrides23-energy.inertia: '1' is not a number"),
+        pytest.param({"energy": {"inertia": [1.0, True, 3.0]}},
+                     "energy.inertia must be a real number, got True",
+                     id="overrides24-energy.inertia: True is not a number"),
+        pytest.param({"energy": {"inertia": [[1, 0, 0], [0, "1", 0], [0, 0, 1]]}},
+                     "energy.inertia must be a real number, got '1'",
+                     id="overrides25-energy.inertia: '1' is not a number"),
+        pytest.param({"initial": [True, False, True]}, "initial must be a real number, got True",
+                     id="overrides26-initial: True is not a number"),
+        pytest.param({"initial": ["1", "2", "3"]}, "initial must be a real number, got '1'",
+                     id="overrides27-initial: '1' is not a number"),
+        pytest.param({"initial": [[1.0, 2.0], [3.0]]},
+                     "initial must be a real number, got [1.0, 2.0]",
+                     id="overrides28-initial: [1.0, 2.0] is not a number"),
         ({"conserve": 5}, "conserve must be a list of tags, got 5"),
         ({"conserve": None}, "conserve must be a list of tags, got None"),
         ({"conserve": "hamiltonian"}, "conserve must be a list of tags, got 'hamiltonian'"),
@@ -493,10 +541,15 @@ def test_missing_and_malformed_files(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "describe"])
 @pytest.mark.parametrize("doc,message", [
-    ({"dim": True, "c": []}, "'dim' must be a non-negative integer, got True"),
-    ({"dim_m": True, "h": {"dim": 3, "c": []}}, "'dim_m' must be a non-negative integer, got True"),
-    ({"dim": 3, "c": [[2, 0, 1, True]]},
-     "structure entry [2, 0, 1, True] needs integer indices and a number"),
+    # ids as in test_non_finite_model_parameters_are_refused
+    pytest.param({"dim": True, "c": []}, "'dim' must be an integer >= 0, got True",
+                 id="doc0-'dim' must be a non-negative integer, got True"),
+    pytest.param({"dim_m": True, "h": {"dim": 3, "c": []}},
+                 "'dim_m' must be an integer >= 0, got True",
+                 id="doc1-'dim_m' must be a non-negative integer, got True"),
+    pytest.param({"dim": 3, "c": [[2, 0, 1, True]]},
+                 "structure entry [2, 0, 1, True] must be a real number, got True",
+                 id="doc2-structure entry [2, 0, 1, True] needs integer indices and a number"),
     ({"dim": 3, "labels": [1, 2, 3], "c": []}, "'labels' must be a list of strings, got [1, 2, 3]"),
     ({"dim": 3, "labels": "xyz", "c": []}, "'labels' must be a list of strings, got 'xyz'"),
     ({"dim_m": 1, "h": {"dim": 1}, "labels": ["v", 2]},

@@ -209,10 +209,10 @@ def test_partition_coefficient_counts_actual_partitions():
 def test_partition_coefficient_input_checks():
     with pytest.raises(ValueError, match="at least one"):
         partition_coefficient(())
-    with pytest.raises(ValueError, match="positive integers"):
-        partition_coefficient((1, 0))
-    with pytest.raises(ValueError, match="positive integers"):
-        partition_coefficient((1.5, 2))
+    for sizes, bad in (((1, 0), "0"), ((1.5, 2), "1.5"), ((2.0,), "2.0"), ((True, 2), "True")):
+        with pytest.raises(ConfigError) as excinfo:
+            partition_coefficient(sizes)
+        assert str(excinfo.value) == f"block size must be an integer >= 1, got {bad}"
 
 
 # -- tangent-group product, written out ---------------------------------------
@@ -1028,8 +1028,8 @@ def test_validation_failures_keep_their_type_where_and_message():
          "base is not in SO(3) to tol=1e-10 (residual 2e-10)"),  # Gram test, det 1
         (("SL", 2.0 * np.eye(2)), JetValidationError, "base",
          "base is not in SL(2) to tol=1e-10 (residual 3)"),
-        (("GL", eye, [], "tangent", -1.0), JetValidationError, "base",
-         "base is not in GL(3) to tol=-1 (residual 0)"),
+        (("GL", eye, [], "tangent", -1.0), ConfigError, None,
+         "tol must be finite and >= 0, got -1.0"),
         (("SO", eye, [skew, skew + 0.125 * bump]), JetValidationError, 1,
          f"slot 1 {so} (residual 0.25)"),
         (("SO", eye, [1e6 * skew, 1e-3 * skew + 1e-10 * bump]), JetValidationError, 1,
@@ -1111,12 +1111,14 @@ def _verdict(check):
 
 
 def _reference_verdict(group, base, slots, tol):
-    """The jet check written out slot by slot in plain numpy: finite entries,
-    an invertible base, the base in its group to tol (an SL base's |det - 1|
-    also to tol * prod_i |row_i|), each slot x in its algebra to tol * max(1,
-    max|x|).  det is jets._det, whose own accuracy is tested against exact
-    arithmetic below."""
+    """The jet check written out slot by slot in plain numpy: a finite tol
+    >= 0, finite entries, an invertible base, the base in its group to tol
+    (an SL base's |det - 1| also to tol * prod_i |row_i|), each slot x in its
+    algebra to tol * max(1, max|x|).  det is jets._det, whose own accuracy is
+    tested against exact arithmetic below."""
     d = len(base)
+    if not 0.0 <= tol < np.inf:
+        return ConfigError, None, f"tol must be finite and >= 0, got {tol!r}"
     if not np.isfinite(base).all():
         return JetValidationError, "base", "base has a non-finite entry"
     for i, x in enumerate(slots):

@@ -105,13 +105,15 @@ def test_kepler_rhs_helpers_are_what_they_say():
 
 
 def test_kepler_parameter_checks():
-    with pytest.raises(ValueError, match="mass"):
+    with pytest.raises(ConfigError, match=r"^m must be finite and > 0, got 0\.0$"):
         KeplerParams(e=0.5, m=0.0)
-    with pytest.raises(ValueError, match="force constant"):
+    with pytest.raises(ConfigError, match=r"^k must be finite and > 0, got -1\.0$"):
         KeplerParams(e=0.5, k=-1.0)
-    for name in ("e", "m", "k"):
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigError, match=rf"^e must be a finite real number, got {bad}$"):
+            KeplerParams(e=bad)
+        for name in ("m", "k"):
+            with pytest.raises(ConfigError, match=rf"^{name} must be finite and > 0, got {bad}$"):
                 KeplerParams(**{"e": 0.5, name: bad})
     assert KeplerParams(e=-2.0).coupling == pytest.approx(-4.0)
 
@@ -218,7 +220,7 @@ def test_tokamak_parameter_checks():
                                          r"residual 1 \(threshold 1e-10\)$"):
         TokamakParams(base=LieAlgebra(dim=2, c=skew, strict=False))
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="^b_i must be finite"):
+        with pytest.raises(ConfigError, match=rf"^b_i must be a finite real number, got {bad}$"):
             TokamakParams(base=preset("so3"), b_i=bad)
 
 

@@ -67,6 +67,23 @@ def test_package_imports_only_stdlib_numpy_and_itself():
                 assert name.partition(".")[0] in ALLOWED, f"{source.name}:{node.lineno} imports {name}"
 
 
+def test_only_errors_decides_which_scalars_pass():
+    # every count, tolerance, step and parameter is judged by the helpers of
+    # errors.py, so a bool test or a numbers ABC anywhere else is a second rule
+    for source in sorted(PACKAGE.glob("*.py")):
+        if source.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            where = f"{source.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+                assert not any(getattr(k, "id", None) == "bool" for k in kinds), where
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "numbers":
+                assert node.attr not in ("Real", "Integral"), where
+            if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+                assert not {a.name for a in node.names} & {"Real", "Integral"}, where
+
+
 def _benchmark_names() -> set[tuple[str, str]]:
     """(module, dotted name) of every library name perfbench's workloads
     call and its tracer reads spans of, found in the source text."""

@@ -655,19 +655,23 @@ def test_doc_errors():
     ):
         with pytest.raises(ConfigError, match="out of range"):
             product_from_doc({"dim_m": 2, "h": {"dim": 1}, key: [entry]})
-    for key, entry in (("act", [0, 0, 0, "one"]), ("phi", [0, 0, "1", 1.0])):
-        with pytest.raises(ConfigError, match="integer indices and a number"):
+    for key, entry, bad in (("act", [0, 0, 0, "one"], "'one'"), ("phi", [0, 0, "1", 1.0], "'1'")):
+        with pytest.raises(ConfigError) as excinfo:
             product_from_doc({"dim_m": 2, "h": {"dim": 1}, key: [entry]})
+        assert str(excinfo.value) == f"{key} entry {entry} must be a real number, got {bad}"
     with pytest.raises(ConfigError, match="not \\[k, i, j, value\\]"):
         product_from_doc({"dim_m": 2, "h": {"dim": 1}, "psi": [[0, 0, 1.0]]})
     with pytest.raises(ConfigError, match="must be a list"):
         product_from_doc({"dim_m": 2, "h": {"dim": 1}, "theta": 3})
     with pytest.raises(ConfigError):
         product_from_doc("not a dict")
-    with pytest.raises(ConfigError, match="'dim_m' must be a non-negative integer, got True"):
+    with pytest.raises(ConfigError, match=r"^'dim_m' must be an integer >= 0, got True$"):
         product_from_doc({"dim_m": True, "h": {"dim": 3, "c": []}})
-    with pytest.raises(ConfigError, match="'dim' is True"):
-        product_from_doc({"dim": True, "dim_m": 0, "h": {"dim": 1, "c": []}})
+    for dim in (True, 1.0):
+        with pytest.raises(ConfigError, match=rf"^'dim' must be an integer >= 0, got {dim}$"):
+            product_from_doc({"dim": dim, "dim_m": 0, "h": {"dim": 1, "c": []}})
+    with pytest.raises(ConfigError, match=r"^'dim' is 2 but dim_m \+ dim_h = 1$"):
+        product_from_doc({"dim": 2, "dim_m": 0, "h": {"dim": 1, "c": []}})
     for labels in ([1, 2, 3], "xyz"):
         with pytest.raises(ConfigError, match="'labels' must be a list of strings"):
             product_from_doc({"dim_m": 2, "h": {"dim": 1}, "labels": labels})
