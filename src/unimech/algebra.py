@@ -40,8 +40,9 @@ def _default_labels(dim: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
-    """Structure-constant presentation of a real Lie algebra, `tol` a finite
-    real number >= 0; two compare equal only when they are the same object."""
+    """Structure-constant presentation of a real Lie algebra, `dim` an integer
+    >= 0 and `tol` a finite real number >= 0; two compare equal only when they
+    are the same object."""
 
     dim: int
     c: np.ndarray
@@ -50,6 +51,7 @@ class LieAlgebra:
     strict: InitVar[bool] = True
 
     def __post_init__(self, strict: bool) -> None:
+        object.__setattr__(self, "dim", integer(self.dim, "dim"))
         positive(self.tol, "tol", zero=True)
         c = read_only_floats(self.c)
         if c.shape != (self.dim, self.dim, self.dim):
@@ -227,6 +229,7 @@ def from_sparse_entries(
     Each entry contributes value to c[k, i, j] and -value to c[k, j, i], so the
     result is antisymmetric by construction.
     """
+    dim = integer(dim, "dim")
     c = fill_entries((dim, dim, dim), entries, "structure", skew=True)
     return LieAlgebra(dim, c, labels, default_tol() if tol is None else tol)
 

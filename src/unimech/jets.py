@@ -86,11 +86,9 @@ __all__ = [
     "ad",
     "group_residual",
     "algebra_residual",
-    "compositions",
     "partition_coefficient",
     "set_partitions",
     "subsets_by_slot",
-    "subset_label",
     "unit_jet",
     "tn_multiply",
     "tn_inverse",
@@ -381,16 +379,6 @@ def unit_jet(group: str, dim: int, order: int, kind: str = "tangent") -> JetElem
 # -- combinatorics ----------------------------------------------------------
 
 
-def compositions(k: int) -> Iterator[tuple[int, ...]]:
-    """All ordered tuples of positive integers summing to k."""
-    if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in compositions(k - first):
-            yield (first,) + rest
-
-
 def partition_coefficient(i_list: Sequence[int]) -> int:
     """Number of set partitions of {1..k} whose block sizes, with blocks
     ordered by increasing maximum, are exactly (i1, ..., il).
@@ -437,10 +425,6 @@ def subsets_by_slot(n: int) -> tuple[tuple[int, ...], ...]:
         tuple(i for i in range(1, n + 1) if mask & (1 << (i - 1)))
         for mask in range(1, 2**n)
     )
-
-
-def subset_label(subset: tuple[int, ...]) -> str:
-    return "".join(str(i) for i in sorted(subset, reverse=True))
 
 
 def _slot_index(subset: tuple[int, ...]) -> int:
@@ -516,6 +500,7 @@ def _product_slots(kind: str, n: int, xs: np.ndarray, y: np.ndarray, y_inv: np.n
 
 
 def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
+    n = integer(n, "n")
     _check_pair(a, b, kind, n)
     slots = _product_slots(kind, n, a.slots, b.base, b._base_inverse(), b.slots)
     return JetElement(a.group, _Kept(a.base @ b.base), _Kept(slots), kind=kind,
@@ -525,6 +510,7 @@ def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
 def _invert(kind: str, n: int, a: JetElement) -> JetElement:
     """The product's terms read off the element's own slots, chains in
     reverse and unsigned, then conjugated back by the base and negated."""
+    n = integer(n, "n")
     if a.kind != kind or a.order != n:
         article = "an" if kind == "iterated" else "a"
         raise DimensionError(f"expected {article} {kind} jet of order {n}")
@@ -584,7 +570,7 @@ def complement_embed(
     """Embed 2^n - 1 - n algebra elements into the n-fold iterated bundle
     over the identity: q fills every slot but the top subsets {n-k+1..n},
     in slot order.  For n = 3 the slots are (X1, X2, X21, 0, X31, 0, 0)."""
-    q = np.asarray(q, dtype=float)
+    n, q = integer(n, "n"), np.asarray(q, dtype=float)
     count = 2**n - 1 - n
     if q.ndim != 3 or len(q) != count or q.shape[1] != q.shape[2]:
         raise DimensionError(f"order {n} needs {count} square algebra elements, "
@@ -611,6 +597,7 @@ def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
     a jet check would judge the rounding of the factors' larger slots
     against each output slot's own size.
     """
+    n = integer(n, "n")
     if j.kind != "iterated" or j.order != n:
         raise DimensionError(f"expected an iterated jet of order {n}")
     s, x = j.slots, j.base

@@ -96,17 +96,19 @@ def _peak(t: np.ndarray, m: int, axes: str, labels: tuple[str, ...]) -> tuple[fl
 class UnifiedProductData:
     """A Lie algebra cut after its first dim_m coordinates: m those, h the rest.
 
-    h must close: an (m; h, h) entry above tol * max(1, max|c|) raises
-    NotASubalgebra naming the worst one.  The algebra is not checked again,
-    so a strict=False algebra cuts too, for validate_axioms to report on.
+    dim_m is an integer from 0 to the algebra's dim.  h must close: an
+    (m; h, h) entry above tol * max(1, max|c|) raises NotASubalgebra naming
+    the worst one.  The algebra is not checked again, so a strict=False
+    algebra cuts too, for validate_axioms to report on.
     """
 
     algebra: LieAlgebra
     dim_m: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim_m", integer(self.dim_m, "dim_m"))
         m, alg = self.dim_m, self.algebra
-        if not 0 <= m <= alg.dim:
+        if m > alg.dim:
             raise DimensionError(f"dim_m={m} outside 0..{alg.dim}")
         leak, witness = _peak(alg.c, m, "mhh", alg.labels)
         limit = alg.tol * max(1.0, float(np.max(np.abs(alg.c), initial=0.0)))
@@ -165,7 +167,8 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
     and psi, so a nan or inf in any map is refused too.  m_labels default
     to m1, m2, ... and tol to default_tol() read at call time.
     """
-    m, n = dim_m, dim_m + h.dim
+    m = integer(dim_m, "dim_m")
+    n = m + h.dim
     tol = default_tol() if tol is None else tol
     labels = tuple(m_labels) or tuple(f"m{i + 1}" for i in range(m))
     if len(labels) != m:

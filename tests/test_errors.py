@@ -15,16 +15,25 @@ from unimech import (
     KeplerParams,
     LieAlgebra,
     TokamakParams,
+    UnifiedProductData,
     abelian,
     algebra_from_doc,
+    complement_embed,
+    compose_bracket,
     default_tol,
     fd_gradient,
+    from_sparse_entries,
+    iterated_factorize,
+    iterated_inverse,
+    iterated_multiply,
     partition_coefficient,
     preset,
     product_from_doc,
     random_jet,
     rk4,
     tangent_algebra,
+    tn_inverse,
+    tn_multiply,
     unit_jet,
 )
 from unimech.algebra import real_array
@@ -43,10 +52,17 @@ def _um_tol(value):
         return default_tol()
 
 
+TANGENT, ITERATED = unit_jet("SO", 3, 1), unit_jet("SO", 3, 1, kind="iterated")  # order 1
+
 # argument -> (the name its message gives, a call that passes the value, bad values)
 ARGUMENTS = {
     "UM_TOL": ("UM_TOL", _um_tol, (NAN, INF, 0.0, -1.0)),
+    "LieAlgebra.dim": ("dim", lambda v: LieAlgebra(v, np.zeros((1, 1, 1))), NOT_COUNT),
     "LieAlgebra.tol": ("tol", lambda v: LieAlgebra(3, np.zeros((3, 3, 3)), tol=v), NOT_TOL),
+    "from_sparse_entries.dim": ("dim", lambda v: from_sparse_entries(v, []), NOT_COUNT),
+    "UnifiedProductData.dim_m": ("dim_m", lambda v: UnifiedProductData(abelian(2), v), NOT_COUNT),
+    "compose_bracket.dim_m": (  # maps that fit dim_m = 1
+        "dim_m", lambda v: compose_bracket(v, abelian(1), *[np.zeros((1, 1, 1))] * 4), NOT_COUNT),
     "JetElement.tol": ("tol", lambda v: JetElement("SO", np.eye(3), tol=v), NOT_TOL),
     "abelian.dim": ("dim", abelian, NOT_COUNT),
     "tangent_algebra.n": ("n", lambda v: tangent_algebra(preset("so3"), v), NOT_COUNT),
@@ -73,6 +89,12 @@ ARGUMENTS = {
     "unit_jet.order": ("order", lambda v: unit_jet("SO", 3, v), NOT_COUNT),
     "random_jet.dim": ("dim", lambda v: random_jet("SO", v, 1), NOT_COUNT),
     "random_jet.order": ("order", lambda v: random_jet("SO", 3, v), NOT_COUNT),
+    "tn_multiply.n": ("n", lambda v: tn_multiply(v, TANGENT, TANGENT), NOT_COUNT),
+    "tn_inverse.n": ("n", lambda v: tn_inverse(v, TANGENT), NOT_COUNT),
+    "iterated_multiply.n": ("n", lambda v: iterated_multiply(v, ITERATED, ITERATED), NOT_COUNT),
+    "iterated_inverse.n": ("n", lambda v: iterated_inverse(v, ITERATED), NOT_COUNT),
+    "iterated_factorize.n": ("n", lambda v: iterated_factorize(v, ITERATED), NOT_COUNT),
+    "complement_embed.n": ("n", lambda v: complement_embed(v, np.zeros((1, 3, 3))), NOT_COUNT),
     "partition_coefficient.block": (
         "block size", lambda v: partition_coefficient((1, v)), NOT_COUNT + (0,)),
 }
@@ -105,6 +127,9 @@ def test_numpy_scalars_are_accepted():
     assert unit_jet("SO", np.int64(3), np.int64(2)).order == 2
     assert JetElement("SO", np.eye(3), tol=np.float64(0.0)).tol == 0.0
     assert LieAlgebra(1, np.zeros((1, 1, 1)), tol=np.int64(1)).tol == 1
+    assert type(LieAlgebra(np.int64(1), np.zeros((1, 1, 1))).dim) is int
+    assert type(UnifiedProductData(abelian(2), np.int64(1)).dim_m) is int
+    assert tn_multiply(np.int64(1), TANGENT, TANGENT).order == 1
 
 
 def test_the_holes_the_scalar_judges_close():

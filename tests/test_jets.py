@@ -1,9 +1,7 @@
 import copy
 import dataclasses
 import warnings
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -37,16 +35,15 @@ from unimech import (
 )
 from unimech import jets
 from unimech.jets import (
-    _slot_index,
     _trie,
     ad,
     algebra_residual,
-    compositions,
     group_residual,
     set_partitions,
-    subset_label,
     subsets_by_slot,
 )
+
+from jet_oracle import block
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
 
@@ -89,59 +86,29 @@ def _iterated3_by_hand(a, b):
     return a.base @ b.base, (z1, z2, z21, z3, z31, z32, z321)
 
 
-@lru_cache(maxsize=None)
-def _terms_one_by_one(kind, n):
-    """The order-n product sum as (target slot, count, chain slots, head slot)
-    terms, one per distinct slot pattern of a set partition of a target
-    subset (blocks ordered by increasing maximum)."""
-    if kind == "iterated":
-        targets, slot = subsets_by_slot(n), _slot_index
-    else:
-        targets = [tuple(range(1, k + 1)) for k in range(1, n + 1)]
-        slot = lambda block: len(block) - 1
-    counts = Counter()
-    for target in targets:
-        for blocks in set_partitions(target):
-            counts[slot(target), tuple(map(slot, blocks[:-1])), slot(blocks[-1])] += 1
-    return tuple((t, count, chain, head) for (t, chain, head), count in counts.items())
+def _block(j):
+    """The block matrix M_n of a jet; a tangent jet through tn_to_iterated."""
+    j = tn_to_iterated(j) if j.kind == "tangent" else j
+    return block(j.order, j.base, j.slots)
 
 
-def _multiply_one_term_at_a_time(kind, n, a, b):
-    """(x, X) * (y, Y) one term and one ad per chain link at a time: the
-    oracle for the batched product kernel."""
-    conj = np.linalg.solve(b.base, a.slots @ b.base)
-    out = np.array(b.slots)
-    for target, count, chain, head in _terms_one_by_one(kind, n):
-        acc = conj[head]
-        for s in chain:
-            acc = ad(b.slots[s], acc)
-        out[target] += (-1) ** len(chain) * count * acc
-    return JetElement(a.group, a.base @ b.base, out, kind=kind, tol=max(a.tol, b.tol))
+# An entry of M_a @ M_b sums at most 2^n d products (96 at n = 5, d = 3), so it
+# is rounded within gamma_96 = 96 u / (1 - 96 u) ~ 1.1e-14 (u = 2^-53) of the
+# same entry of |M_a| @ |M_b|.  The library reaches that entry through a few
+# more products: conjugations by well-conditioned bases and ad-chains of the
+# same slots, each rounded on the same scale.  1e-13 is about nine gamma_96;
+# the worst entry measured in the tests below is 3.3e-15 of the scale.
+BLOCK_RTOL = 1e-13
 
 
-def _invert_one_term_at_a_time(kind, n, a):
-    """The inverse one term at a time: chains read off the element's own
-    slots in reverse and unsigned, then conjugated back by the base."""
-    base_inv = np.linalg.inv(a.base)
-    out = np.zeros_like(a.slots)
-    for target, count, chain, head in _terms_one_by_one(kind, n):
-        acc = a.slots[head]
-        for s in reversed(chain):
-            acc = ad(a.slots[s], acc)
-        out[target] += count * acc
-    return JetElement(a.group, base_inv, -(a.base @ out @ base_inv), kind=kind, tol=a.tol)
+def _assert_block_product(ma, mb, want):
+    """ma @ mb equals want, entry by entry, to BLOCK_RTOL * (|ma| @ |mb|)."""
+    err = np.abs(ma @ mb - want)
+    bound = BLOCK_RTOL * (np.abs(ma) @ np.abs(mb))
+    assert np.all(err <= bound), f"an entry exceeds its bound by {np.max(err - bound):.3g}"
 
 
 # -- combinatorial layer ------------------------------------------------------
-
-
-def test_compositions_enumeration():
-    assert list(compositions(0)) == [()]
-    assert sorted(compositions(3)) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
-    for k in range(1, 7):
-        comps = list(compositions(k))
-        assert len(comps) == 2 ** (k - 1)
-        assert all(sum(c) == k and min(c) >= 1 for c in comps)
 
 
 def _partitions_by_growth_string(k):
@@ -201,9 +168,14 @@ def test_partition_coefficient_counts_actual_partitions():
         for blocks in _partitions_by_growth_string(k):
             sizes = tuple(len(b) for b in blocks)
             counts[sizes] = counts.get(sizes, 0) + 1
-        for comp in compositions(k):
+        # every composition of k: bit i of mask ends a block after i + 1
+        ends = [[i + 1 for i in range(k - 1) if mask >> i & 1] + [k]
+                for mask in range(2 ** (k - 1))]
+        comps = {tuple(b - a for a, b in zip([0] + e, e)) for e in ends}
+        assert len(comps) == 2 ** (k - 1) and set(counts) <= comps
+        for comp in comps:
             assert partition_coefficient(comp) == counts.get(comp, 0)
-        assert sum(partition_coefficient(c) for c in compositions(k)) == BELL[k]
+        assert sum(partition_coefficient(c) for c in comps) == BELL[k]
 
 
 def test_partition_coefficient_input_checks():
@@ -381,15 +353,6 @@ def test_subset_bookkeeping():
         (2, 3),
         (1, 2, 3),
     )
-    assert [subset_label(s) for s in subsets_by_slot(3)] == [
-        "1",
-        "2",
-        "21",
-        "3",
-        "31",
-        "32",
-        "321",
-    ]
 
 
 def test_double_bundle_product_written_out():
@@ -435,30 +398,34 @@ def test_iterated_group_laws(order):
             _assert_jets_close(iterated_multiply(order, inv, a), e, atol=1e-10)
 
 
-@pytest.mark.parametrize("kind", ["tangent", "iterated"])
-@pytest.mark.parametrize("group,dim", [("SO", 3), ("SL", 2), ("GL", 3)])
-def test_batched_kernels_match_the_per_term_oracle(kind, group, dim):
-    # order 0 is a bare group element: no slots, no terms
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("group,dim", _GROUPS)
+def test_jets_multiply_invert_and_factorize_as_block_matrices(group, dim, n):
+    # M_n(a) M_n(b) = M_n(a b) and M_n(a) M_n(a^-1) = I in both layouts; and
+    # M_n(complement_embed(n, q)) M_n(tn_to_iterated(t)) = M_n(j) for the
+    # factors (q, t) of a random j and of a product of two complements, whose
+    # t is their cocycle.  Order 0 is a bare group element.
     rng = np.random.default_rng(29)
-    if kind == "tangent":
-        mul, inv = tn_multiply, tn_inverse
-    else:
-        mul, inv = iterated_multiply, iterated_inverse
-    for order in (0, 1, 2, 3, 4, 5) if kind == "tangent" else (0, 1, 2, 3, 4):
-        for _ in range(3):
-            a = random_jet(group, dim, order, kind=kind, rng=rng)
-            b = random_jet(group, dim, order, kind=kind, rng=rng)
-            _assert_jets_close(
-                mul(order, a, b), _multiply_one_term_at_a_time(kind, order, a, b), atol=1e-13
-            )
-            _assert_jets_close(
-                inv(order, a), _invert_one_term_at_a_time(kind, order, a), atol=1e-13
-            )
+    for _ in range(3):
+        for kind, (mul, inv) in _LAYOUTS.items():
+            a, b = (random_jet(group, dim, n, kind=kind, rng=rng) for _ in range(2))
+            _assert_block_product(_block(a), _block(b), _block(mul(n, a, b)))
+            _assert_block_product(_block(a), _block(inv(n, a)), np.eye(2**n * dim))
+        # the slots of a tangent jet of order 2^n - 1 - n: algebra elements
+        ea, eb = (complement_embed(n, random_jet(group, dim, 2**n - 1 - n, rng=rng).slots,
+                                   group=group) for _ in range(2))
+        pair = iterated_multiply(n, ea, eb)
+        _assert_block_product(_block(ea), _block(eb), _block(pair))
+        for j in (random_jet(group, dim, n, kind="iterated", rng=rng), pair):
+            q, t = iterated_factorize(n, j)
+            _assert_block_product(_block(complement_embed(n, q, group=group, tol=j.tol)),
+                                  _block(t), _block(j))
 
 
 @pytest.mark.parametrize("kind", ["tangent", "iterated"])
 def test_term_trie_structure(kind):
-    # the trie holds exactly the oracle's terms, its nodes depth by depth
+    # the trie's nodes lie depth by depth, each a distinct path; its weights
+    # are checked through the products, against the block matrices above
     for n in range(6):
         m = n if kind == "tangent" else 2**n - 1
         for reverse in (False, True):
@@ -473,12 +440,6 @@ def test_term_trie_structure(kind):
                 paths += [paths[p] + (s,) for p, s in zip(parents, links)]
                 above, lo = lo, lo + len(parents)
             assert len(paths) == scatter.shape[1] == len(set(paths))
-            got = {(t, paths[i]): w for (t, i), w in np.ndenumerate(scatter) if w}
-            want = Counter()
-            for target, count, chain, head in _terms_one_by_one(kind, n):
-                steps = chain[::-1] if reverse else chain
-                want[target, (head,) + steps] += count if reverse else (-1) ** len(chain) * count
-            assert got == dict(want)
         # the unsigned counts of a target are its number of set partitions
         counts = _trie(kind, n, True)[1].sum(axis=1)
         sizes = range(1, n + 1) if kind == "tangent" else map(len, subsets_by_slot(n))
@@ -875,9 +836,7 @@ def test_slots_are_judged_relative_to_their_scale():
     for _ in range(20):
         a, b = (random_jet("SO", 3, 3, rng=rng) for _ in range(2))
         a, b = a.replace_slots(100.0 * a.slots), b.replace_slots(100.0 * b.slots)
-        prod = tn_multiply(3, a, b)
-        want = _multiply_one_term_at_a_time("tangent", 3, a, b)
-        np.testing.assert_allclose(prod.slots, want.slots, atol=1e-13 * np.abs(want.slots).max())
+        _assert_block_product(_block(a), _block(b), _block(tn_multiply(3, a, b)))
     skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     bump = np.diag([0.0, 1.0, 0.0])  # x + x^T gains 2 * its weight
     # a slot of size 1e6 is judged against 1e-10 * 1e6, one below size 1

@@ -557,9 +557,10 @@ def test_split_product_refuses_an_open_h_and_a_bad_dim_m():
     c[0, 4, 5], c[0, 5, 4] = 1e-9, -1e-9
     with pytest.raises(NotASubalgebra, match=r"\[e5, e6\] has e1-component"):
         UnifiedProductData(LieAlgebra(6, c), 3)
-    for dim_m in (-1, 4):
-        with pytest.raises(DimensionError, match="dim_m"):
-            UnifiedProductData(g, dim_m)
+    with pytest.raises(DimensionError, match="dim_m"):
+        UnifiedProductData(g, 4)
+    with pytest.raises(ConfigError, match=r"^dim_m must be an integer >= 0, got -1$"):
+        UnifiedProductData(g, -1)
 
 
 def test_constructor_checks():
