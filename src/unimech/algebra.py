@@ -30,8 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, UnknownPreset, default_tol, integer, load_json,
-                     positive, real)
+from .errors import (ConfigError, DimensionError, UnknownPreset, default_tol, floats, integer,
+                     load_json, positive, real)
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -42,7 +42,8 @@ def _default_labels(dim: int) -> tuple[str, ...]:
 class LieAlgebra:
     """Structure-constant presentation of a real Lie algebra, `dim` an integer
     >= 0 and `tol` a finite real number >= 0; two compare equal only when they
-    are the same object."""
+    are the same object.  c and every vector argument, a (dim,) array, are
+    judged by errors.floats."""
 
     dim: int
     c: np.ndarray
@@ -53,11 +54,7 @@ class LieAlgebra:
     def __post_init__(self, strict: bool) -> None:
         object.__setattr__(self, "dim", integer(self.dim, "dim"))
         positive(self.tol, "tol", zero=True)
-        c = read_only_floats(self.c)
-        if c.shape != (self.dim, self.dim, self.dim):
-            raise DimensionError(
-                f"structure tensor has shape {c.shape}, expected {(self.dim,) * 3}"
-            )
+        c = read_only_floats(self.c, "c", (self.dim,) * 3)
         labels = tuple(self.labels) if self.labels else _default_labels(self.dim)
         if len(labels) != self.dim:
             raise DimensionError(
@@ -79,22 +76,20 @@ class LieAlgebra:
     # -- basic operations ---------------------------------------------------
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = self._coerce(x)
-        y = self._coerce(y)
-        return np.einsum("kij,i,j->k", self.c, x, y)
+        shape = (self.dim,)
+        return np.einsum("kij,i,j->k", self.c, floats(x, "x", shape), floats(y, "y", shape))
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of ad_x = [x, .] acting on coordinate vectors."""
-        return np.einsum("kij,i->kj", self.c, self._coerce(x))
+        return np.einsum("kij,i->kj", self.c, floats(x, "x", (self.dim,)))
 
     def coad_matrix(self, x: np.ndarray) -> np.ndarray:
         """Matrix of the coadjoint action, <coad(x) mu, y> = -<mu, [x, y]>."""
         return -self.ad_matrix(x).T
 
     def coad(self, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
-        x = self._coerce(x)
-        mu = self._coerce(mu)
-        return -np.einsum("kij,i,k->j", self.c, x, mu)
+        shape = (self.dim,)
+        return -np.einsum("kij,i,k->j", self.c, floats(x, "x", shape), floats(mu, "mu", shape))
 
     @cached_property
     def field_tensor(self) -> np.ndarray:
@@ -106,12 +101,6 @@ class LieAlgebra:
         t = np.ascontiguousarray(self.c.transpose(2, 1, 0)).reshape(self.dim, -1)
         t.setflags(write=False)
         return t
-
-    def _coerce(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise DimensionError(f"vector has shape {v.shape}, expected ({self.dim},)")
-        return v
 
     # -- diagnostics --------------------------------------------------------
 
@@ -179,14 +168,6 @@ def fill_entries(shape: tuple[int, ...], entries, name: str, skew: bool = False)
     return arr
 
 
-def real_array(value, key: str) -> np.ndarray:
-    """Nested lists of real numbers as a float array; ConfigError names `key`."""
-    arr = np.asarray(value, dtype=object)
-    for x in arr.flat:
-        real(x, key)
-    return arr.astype(float)
-
-
 class _Kept:
     """A float array the library made or holds, frozen and handed over to
     be kept uncopied; read_only_floats copies anything else."""
@@ -199,14 +180,16 @@ class _Kept:
         self.array = array
 
 
-def read_only_floats(a) -> np.ndarray:
+def read_only_floats(a, name: str, shape: tuple | None = None) -> np.ndarray:
     """The array a _Kept hands over, else a read-only float copy of `a`, so
-    no array that a caller holds, or can make writeable again, is kept."""
+    no array that a caller holds, or can make writeable again, is kept.
+    Either is judged by errors.floats(..., name, shape) first."""
     if type(a) is _Kept:
-        return a.array
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+        return floats(a.array, name, shape)
+    b = floats(a, name, shape)
+    b = b.copy() if b is a else b
+    b.setflags(write=False)
+    return b
 
 
 def sparse_entries(tensor: np.ndarray, skew: bool = False) -> list:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import algebra_from_doc, real_array, tangent_algebra
+from .algebra import algebra_from_doc, tangent_algebra
 from .dynamics import (
     EnergySpec,
     conservation_report,
@@ -30,7 +30,7 @@ from .dynamics import (
     write_report_json,
     write_trajectory_csv,
 )
-from .errors import ConfigError, NonFiniteState, load_json, parse_json
+from .errors import ConfigError, NonFiniteState, floats, load_json, parse_json
 from .models import build_model
 from .products import MAP_AXES, UnifiedProductData, product_from_doc, validate_axioms
 from .thirdorder import ep3_field
@@ -114,7 +114,7 @@ def _resolve_energy(node, dim: int) -> EnergySpec:
     inertia = node.get("inertia", "identity")
     if inertia == "identity":
         return EnergySpec.identity(dim)
-    arr = real_array(inertia, "energy.inertia")
+    arr = floats(inertia, "energy.inertia")
     if arr.ndim == 1:
         if arr.size != dim:
             raise ConfigError(f"diagonal inertia needs {dim} entries, got {arr.size}")
@@ -159,9 +159,7 @@ def _cmd_run(args) -> int:
     dim = state.dim
 
     spec = _resolve_energy(cfg.get("energy"), dim)
-    y0 = real_array(cfg["initial"], "initial")
-    if y0.shape != (dim,):
-        raise ConfigError(f"initial state needs {dim} entries, got {y0.shape}")
+    y0 = floats(cfg["initial"], "initial", (dim,))
     integ = cfg["integrator"]
     if not isinstance(integ, dict) or "h" not in integ or "steps" not in integ:
         raise ConfigError("integrator needs 'h' and 'steps'")

@@ -49,8 +49,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .algebra import LieAlgebra, _Kept, read_only_floats
-from .errors import (DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge, integer,
-                     positive)
+from .errors import (ConfigError, DimensionError, NonFiniteState, SingularInertia,
+                     TrajectoryTooLarge, floats, integer, positive)
 from .products import UnifiedProductData
 
 __all__ = [
@@ -71,12 +71,10 @@ _SYM_TOL = 1e-12
 def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of a flat vector.
 
-    `eps` must be finite and > 0 (else ConfigError) and `x` 1-D (else
-    DimensionError)."""
+    `eps` must be finite and > 0 (else ConfigError) and `x` a flat vector of
+    real numbers (errors.floats)."""
     eps = positive(eps, "eps")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DimensionError(f"x has shape {x.shape}, expected a flat vector (n,)")
+    x = floats(x, "x", (None,))
     g = np.empty_like(x)
     for i in range(x.size):
         step = np.zeros_like(x)
@@ -89,10 +87,11 @@ def fd_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e
 class EnergySpec:
     """Energy function on g* (equivalently a Lagrangian on g).
 
-    kind "quadratic" uses H(mu) = 1/2 <mu, I^-1 mu>; the inertia matrix must
-    be finite, symmetric and positive definite, else SingularInertia (a
-    non-finite entry or a failed numpy Cholesky factorization I = L L^T) or
-    ValueError (not symmetric: an asymmetry above 1e-12 * max(1, max|I|)).
+    kind "quadratic" uses H(mu) = 1/2 <mu, I^-1 mu>; the inertia matrix, an
+    array of real numbers (errors.floats), must be square, finite, symmetric
+    and positive definite, else SingularInertia (a non-finite entry or a
+    failed numpy Cholesky factorization I = L L^T) or ValueError (not
+    symmetric: an asymmetry above 1e-12 * max(1, max|I|)).
     X = I^-1 is formed once from the factor, as L^-T L^-1.  kind "blackbox"
     wraps an arbitrary callable and differentiates it by central differences,
     so tolerances downstream are limited to ~sqrt(machine eps) * |f|''
@@ -110,9 +109,10 @@ class EnergySpec:
         if self.kind == "quadratic":
             if self.inertia is None:
                 raise ValueError("quadratic energy needs an inertia matrix")
-            inertia = read_only_floats(self.inertia)
+            inertia = read_only_floats(self.inertia, "inertia")
             if inertia.ndim != 2 or inertia.shape[0] != inertia.shape[1]:
-                raise ValueError(f"inertia must be square, got shape {inertia.shape}")
+                raise DimensionError(
+                    f"inertia has shape {inertia.shape}, expected a square matrix")
             if not np.isfinite(inertia).all():
                 raise SingularInertia("inertia has a non-finite entry")
             scale = max(1.0, np.max(np.abs(inertia), initial=0.0))
@@ -137,7 +137,7 @@ class EnergySpec:
 
     @classmethod
     def quadratic(cls, inertia: np.ndarray) -> "EnergySpec":
-        return cls(kind="quadratic", inertia=np.asarray(inertia, dtype=float))
+        return cls(kind="quadratic", inertia=inertia)
 
     @classmethod
     def identity(cls, dim: int) -> "EnergySpec":
@@ -145,7 +145,7 @@ class EnergySpec:
 
     @classmethod
     def diagonal(cls, entries) -> "EnergySpec":
-        return cls(kind="quadratic", inertia=np.diag(np.asarray(entries, dtype=float)))
+        return cls(kind="quadratic", inertia=np.diag(floats(entries, "entries", (None,))))
 
     @classmethod
     def blackbox(cls, f: Callable[[np.ndarray], float], fd_eps: float = 1e-6) -> "EnergySpec":
@@ -156,9 +156,8 @@ class EnergySpec:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """delta f / delta x.  For the quadratic kind this reads x as a
         velocity and returns the momentum I x."""
-        x = np.asarray(x, dtype=float)
         if self.kind == "quadratic":
-            return self.inertia @ x
+            return self.inertia @ floats(x, "x", self.inertia.shape[:1])
         return fd_gradient(self.f, x, self.fd_eps)
 
     def dual_gradient(self, mu: np.ndarray) -> np.ndarray:
@@ -167,17 +166,13 @@ class EnergySpec:
         mu @ X.T with the inverse inertia X formed at construction (X @ mu,
         the orientation the folded tensor uses); a non-finite mu propagates,
         the integrator detects blown-up states itself.  A blackbox energy
-        takes one fd_gradient per row."""
-        mu = np.asarray(mu, dtype=float)
-        if self.kind == "quadratic":
-            n = self.inertia.shape[0]
-            if mu.ndim not in (1, 2) or mu.shape[-1] != n:
-                raise DimensionError(
-                    f"mu has shape {mu.shape}, expected ({n},) or (m, {n})"
-                )
+        takes one fd_gradient per row.  mu is judged by errors.floats."""
+        mu, quadratic = floats(mu, "mu"), self.kind == "quadratic"
+        n = len(self.inertia) if quadratic else "n"
+        if mu.ndim not in (1, 2) or quadratic and mu.shape[-1] != n:
+            raise DimensionError(f"mu has shape {mu.shape}, expected ({n},) or (m, {n})")
+        if quadratic:
             return mu @ self._inv.T
-        if mu.ndim not in (1, 2):
-            raise DimensionError(f"mu has shape {mu.shape}, expected (n,) or (m, n)")
         grads = [fd_gradient(self.f, row, self.fd_eps) for row in np.atleast_2d(mu)]
         return np.array(grads).reshape(mu.shape)
 
@@ -188,7 +183,7 @@ class EnergySpec:
         A quadratic energy makes one stacked dual_gradient product and a
         row-wise dot (a batched matmul, the same dot product as one row's
         mu @ v).  A blackbox energy calls f once per row."""
-        mu = np.asarray(mu, dtype=float)
+        mu = floats(mu, "mu")
         if self.kind == "quadratic":
             v = self.dual_gradient(mu)
             if mu.ndim == 1:
@@ -229,10 +224,10 @@ def ep_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, pi: np.ndarra
 
     Two matrix-vector products of pi with `d.field_tensor` with I^-1 folded
     in (built once and cached on the spec); it agrees with the blockwise
-    six-map `products.coad`, which the tests check.  A bad state is named
-    before a non-quadratic energy."""
+    six-map `products.coad`, which the tests check.  The state is judged by
+    errors.floats as a (dim,) array, before the energy's kind."""
     tensor = d.field_tensor
-    pi = _state(tensor, pi)
+    pi = floats(pi, "state", tensor.shape[:1])
     if spec.kind != "quadratic":
         raise ValueError("Euler-Poincare reduction needs a quadratic energy")
     return spec._folded(tensor).dot(pi).reshape(pi.size, pi.size).dot(pi)
@@ -244,38 +239,42 @@ def lp_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, mu: np.ndarra
     The negative of the Euler-Poincare contraction: of the folded tensor for
     a quadratic energy, and of `d.field_tensor` read as (n*n, n) with the
     finite-difference dH/dmu in place of I^-1 mu in the second product for a
-    blackbox one."""
+    blackbox one.  The state is judged as in ep_field."""
     tensor = d.field_tensor
-    mu = _state(tensor, mu)
+    mu = floats(mu, "state", tensor.shape[:1])
     n = mu.size
     if spec.kind == "quadratic":
         return -spec._folded(tensor).dot(mu).reshape(n, n).dot(mu)
     return -tensor.reshape(n * n, n).dot(mu).reshape(n, n).dot(spec.dual_gradient(mu))
 
 
-def _state(tensor: np.ndarray, y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (tensor.shape[0],):
-        raise DimensionError(f"state has shape {y.shape}, expected ({tensor.shape[0]},)")
-    return y
+def _labels(labels, n: int) -> tuple[str, ...]:
+    """n state labels: `labels` if it is a sequence of n strings, x1, x2, ...
+    if it is empty; a bare string or a non-string label is a ConfigError."""
+    labels = labels if isinstance(labels, str) else tuple(labels)
+    if isinstance(labels, str) or not all(isinstance(s, str) for s in labels):
+        raise ConfigError(f"labels must be a list of strings, got {labels!r}")
+    labels = labels or tuple(f"x{i + 1}" for i in range(n))
+    if len(labels) != n:
+        raise ValueError("one label per state component")
+    return labels
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Fixed-step integration output: times[i] pairs with states[i].  The
-    arrays rk4 hands over (_Kept) are kept, any other copied."""
+    arrays rk4 hands over (_Kept) are kept, any other copied; both are
+    judged by errors.floats, times as (m,) and states as (m, n).  `labels`
+    is a sequence of n strings, or empty for x1, x2, ..."""
 
     times: np.ndarray
     states: np.ndarray
     labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        times, states = read_only_floats(self.times), read_only_floats(self.states)
-        if states.ndim != 2 or times.ndim != 1 or len(times) != len(states):
-            raise ValueError("times and states rows must line up")
-        labels = tuple(self.labels) or tuple(f"x{i + 1}" for i in range(states.shape[1]))
-        if len(labels) != states.shape[1]:
-            raise ValueError("one label per state component")
+        times = read_only_floats(self.times, "times", (None,))
+        states = read_only_floats(self.states, "states", (len(times), None))
+        labels = _labels(self.labels, states.shape[1])
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "labels", labels)
@@ -297,7 +296,8 @@ def rk4(
 ) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta.
 
-    `h` must be finite and > 0, `steps` an integer >= 1 and `y0` 1-D.  Raises
+    `h` must be finite and > 0, `steps` an integer >= 1, `y0` a flat vector
+    of real numbers (errors.floats) and `labels` as for Trajectory.  Raises
     NonFiniteState as soon as a state stops being finite, so a blown-up run
     fails at the step that produced it rather than at write-out time; it
     carries .step, .component (the label of the first non-finite entry) and
@@ -318,12 +318,8 @@ def rk4(
     off in the loop, field calls included: a blow-up is a NonFiniteState.
     """
     h, steps = positive(h, "h"), integer(steps, "steps", 1)
-    y = np.array(y0, dtype=float)
-    if y.ndim != 1:
-        raise DimensionError(f"y0 has shape {y.shape}, expected a flat vector (n,)")
-    labels = tuple(labels) or tuple(f"x{i + 1}" for i in range(y.size))
-    if len(labels) != y.size:
-        raise ValueError("one label per state component")
+    y = floats(y0, "y0", (None,))
+    labels = _labels(labels, y.size)
     if not np.isfinite(y).all():
         raise _non_finite(0, y, None, labels)
     try:
@@ -371,7 +367,7 @@ def conservation_report(
 
     Each functional is called once, on the whole (m, n) `traj.states`, and
     must return its m values, one per state (`EnergySpec.hamiltonian` takes
-    such a stack); any other shape raises DimensionError.  Relative drift is
+    such a stack), judged by errors.floats.  Relative drift is
     normalized by max(|initial value|, 1e-30) so exactly conserved zero
     values do not divide by zero.
     """
@@ -379,12 +375,7 @@ def conservation_report(
         raise ValueError("conservation report needs a nonempty trajectory")
     report: dict[str, dict[str, float]] = {}
     for name, func in functionals.items():
-        values = np.asarray(func(traj.states), dtype=float)
-        if values.shape != (len(traj),):
-            raise DimensionError(
-                f"functional {name!r} returned shape {values.shape} for "
-                f"{len(traj)} states, expected ({len(traj)},)"
-            )
+        values = floats(func(traj.states), f"functional {name!r}", (len(traj),))
         initial = values[0]
         drift = np.max(np.abs(values - initial), initial=0.0)
         scale = max(abs(initial), 1e-30)

@@ -1,9 +1,14 @@
-"""Exception types, scalar judges, tolerance handling and the JSON reader.
+"""Exception types, the scalar and array judges, tolerance handling and the
+JSON reader.
 
 `real`, `positive` and `integer` judge every scalar argument by one rule: a bool
 is refused, numpy scalars are accepted, and a bad value raises ConfigError
-naming the argument.  Tolerances default to 1e-10, overridden globally by the
-UM_TOL environment variable (read at call time, so tests may monkeypatch it)."""
+naming the argument.  `floats` judges every array argument by the same rule,
+entry by entry: a bool, None, string, complex or other non-real entry is a
+ConfigError naming the argument, and a wrong shape a DimensionError.  NaN and
+inf are real numbers here; finiteness is each caller's own check.  Tolerances
+default to 1e-10, overridden globally by the UM_TOL environment variable (read
+at call time, so tests may monkeypatch it)."""
 
 import json
 import math
@@ -11,7 +16,10 @@ import numbers
 import os
 from pathlib import Path
 
+import numpy as np
+
 DEFAULT_TOL = 1e-10
+_FLOAT64 = np.dtype(float)
 
 
 def real(value, name: str, finite: bool = False):
@@ -38,6 +46,34 @@ def integer(value, name: str, low: int = 0) -> int:
     if (kind is int or kind is not bool and isinstance(value, numbers.Integral)) and value >= low:
         return value if kind is int else int(value)
     raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def floats(value, name: str, shape: tuple | None = None) -> np.ndarray:
+    """`value` as a float64 array if every entry is a real number, of `shape`
+    if given (a None in it matches any length).
+
+    A float64 ndarray is returned as it is, with no copy or scan; any other
+    array is judged by its dtype (integers and floats of any width or byte
+    order pass) and converted into a new array.  Lists, tuples and object
+    arrays are walked entry by entry with `real`, so ragged nesting fails at
+    its first sub-list.  A bad entry raises ConfigError naming `name`, a
+    wrong shape DimensionError as "NAME has shape (6,), expected (9,)", a
+    free length printed as *."""
+    if type(value) is not np.ndarray or value.dtype is not _FLOAT64:
+        try:
+            arr = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+        except ValueError as exc:  # nested arrays that numpy cannot stack
+            raise ConfigError(f"{name} must be an array of real numbers ({exc})") from exc
+        if arr.dtype.kind not in "fiu":  # bools, complex numbers, strings, objects
+            for entry in arr.astype(object).flat:
+                real(entry, name)
+        value = np.array(arr, dtype=float)
+    if shape is not None and value.shape != shape and not (
+            len(value.shape) == len(shape)
+            and all(want is None or got == want for got, want in zip(value.shape, shape))):
+        raise DimensionError(
+            f"{name} has shape {value.shape}, expected {str(shape).replace('None', '*')}")
+    return value
 
 
 def default_tol() -> float:

@@ -66,7 +66,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .algebra import _expm, _Kept, read_only_floats, real_array
+from .algebra import _expm, _Kept, read_only_floats
 from .errors import (
     ConfigError,
     DimensionError,
@@ -75,6 +75,7 @@ from .errors import (
     JetValidationError,
     SingularMatrix,
     default_tol,
+    floats,
     integer,
     load_json,
     positive,
@@ -112,8 +113,8 @@ def group_residual(group: str, g: np.ndarray) -> float | np.ndarray:
     """How far g is from the named matrix group (0 for GL, which only needs
     invertibility -- checked separately).  A (..., d, d) stack gives one
     residual per matrix; a single matrix gives a float.  Nothing warns: an
-    overflow gives inf."""
-    g = np.asarray(g, dtype=float)
+    overflow gives inf.  g is judged by errors.floats."""
+    g = floats(g, "g")
     bases = g.reshape((math.prod(g.shape[:-2]),) + g.shape[-2:])
     with np.errstate(over="ignore", invalid="ignore"):
         dets = np.linalg.det(bases) if group in ("SO", "SL") else 1.0
@@ -124,8 +125,8 @@ def group_residual(group: str, g: np.ndarray) -> float | np.ndarray:
 def algebra_residual(group: str, x: np.ndarray) -> float | np.ndarray:
     """How far x is from the Lie algebra of the named group.  A (..., d, d)
     stack gives one residual per matrix; a single matrix gives a float.
-    Nothing warns: an overflow gives inf."""
-    x = np.asarray(x, dtype=float)
+    Nothing warns: an overflow gives inf.  x is judged by errors.floats."""
+    x = floats(x, "x")
     slots = x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:])
     head, _, rows = _defects(group, slots[:0], 1.0, slots)
     return _as_float(_residuals(group, head, rows, 0, len(slots)).reshape(x.shape[:-2]))
@@ -286,8 +287,10 @@ class JetElement:
     failure is a JetValidationError naming the base or the first bad slot
     (SingularMatrix for a singular base).  The defects are formed once: a jet
     whose defects all lie within `tol` passes on that alone, and only another
-    is judged row by row against the bounds above.  The base and slots are
-    copied to read-only arrays, so no caller can change a validated jet.
+    is judged row by row against the bounds above.  The base and slots, a
+    sequence or (m, d, d) stack of d x d matrices, are judged by
+    errors.floats and copied to read-only arrays, so no caller can change a
+    validated jet.
     """
 
     group: str
@@ -302,19 +305,14 @@ class JetElement:
             raise ValueError(f"unknown group tag {self.group!r}")
         if self.kind not in ("tangent", "iterated"):
             raise ValueError(f"unknown jet kind {self.kind!r}")
-        base = read_only_floats(self.base)
+        base = read_only_floats(self.base, "base")
         if base.ndim != 2 or base.shape[0] != base.shape[1]:
-            raise DimensionError(f"base must be a square matrix, got {base.shape}")
+            raise DimensionError(f"base has shape {base.shape}, expected a square matrix")
         d = base.shape[0]
-        raw = self.slots
-        if type(raw) is not _Kept and not (isinstance(raw, np.ndarray) and raw.ndim == 3):
-            mats = [np.asarray(s, dtype=float) for s in raw]  # stacked afresh, so kept
-            raw = _Kept(np.stack(mats) if mats else np.empty((0, d, d)))
-        slots = read_only_floats(raw)
-        if slots.shape[1:] != (d, d):
-            raise DimensionError(
-                f"slots must be {d}x{d} matrices, got shape {slots.shape}"
-            )
+        slots = self.slots
+        if type(slots) in (tuple, list) and not slots:  # a plain group element
+            slots = _Kept(np.empty((0, d, d)))
+        slots = read_only_floats(slots, "slots", (None, d, d))
         if self.kind == "iterated":
             order = (len(slots) + 1).bit_length() - 1
             if 2**order - 1 != len(slots):
@@ -569,12 +567,12 @@ def complement_embed(
 ) -> JetElement:
     """Embed 2^n - 1 - n algebra elements into the n-fold iterated bundle
     over the identity: q fills every slot but the top subsets {n-k+1..n},
-    in slot order.  For n = 3 the slots are (X1, X2, X21, 0, X31, 0, 0)."""
-    n, q = integer(n, "n"), np.asarray(q, dtype=float)
-    count = 2**n - 1 - n
-    if q.ndim != 3 or len(q) != count or q.shape[1] != q.shape[2]:
-        raise DimensionError(f"order {n} needs {count} square algebra elements, "
-                             f"got shape {q.shape}")
+    in slot order.  For n = 3 the slots are (X1, X2, X21, 0, X31, 0, 0).
+    q is judged by errors.floats as a (2^n - 1 - n, d, d) array."""
+    n = integer(n, "n")
+    q = floats(q, "q", (2**n - 1 - n, None, None))
+    if q.shape[1] != q.shape[2]:
+        raise DimensionError(f"q has shape {q.shape}, expected square matrices")
     slots = np.zeros((2**n - 1,) + q.shape[1:])
     slots[_layout(n)[2]] = q
     return JetElement(group, _Kept(np.eye(q.shape[1])), _Kept(slots), kind="iterated",
@@ -679,18 +677,11 @@ def jet_from_doc(doc: dict) -> JetElement:
     m = re.fullmatch(r"([A-Z]+)(\d+)", str(name))
     if not m or m.group(1) not in GROUP_TAGS:
         raise ConfigError(f"bad group name {name!r}")
+    d = int(m.group(2))
     try:
-        base = real_array(base, "base")
-        slots = [real_array(s, "slot") for s in slots]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"jet base and slots must be numeric arrays: {exc}") from exc
-    if base.shape != (int(m.group(2)),) * 2:
-        raise ConfigError(
-            f"group {name} expects a {m.group(2)}x{m.group(2)} base, got {base.shape}"
-        )
-    try:
-        return JetElement(m.group(1), base, slots, kind=doc.get("kind", "tangent"))
-    except ValueError as exc:  # unknown kind, base or slot outside the group
+        return JetElement(m.group(1), floats(base, "base", (d, d)), slots,
+                          kind=doc.get("kind", "tangent"))
+    except ValueError as exc:  # a bad entry or shape, unknown kind, base or slot off the group
         raise ConfigError(f"jet document: {exc}") from exc
 
 

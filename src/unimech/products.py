@@ -49,7 +49,8 @@ from .algebra import (
     fill_entries,
     sparse_entries,
 )
-from .errors import ConfigError, DimensionError, NotASubalgebra, default_tol, integer, load_json
+from .errors import (ConfigError, DimensionError, NotASubalgebra, default_tol, floats, integer,
+                     load_json)
 
 # In compose_bracket's shape-check order and a document's key order; "?mm" maps are skew.
 MAP_AXES = {"act": "mhm", "phi": "mmm", "theta": "hmm", "psi": "hhm"}
@@ -161,8 +162,9 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
                     tol: float | None = None, strict: bool = True) -> UnifiedProductData:
     """The unified product of an m of dimension dim_m and h under the four maps.
 
-    A map of the wrong shape raises DimensionError.  With strict, the
-    LieAlgebra constructor judges the antisymmetry of the composed tensor:
+    Each map is judged by errors.floats against the shape of its block.
+    With strict, the LieAlgebra constructor judges the antisymmetry of the
+    composed tensor:
     of phi, theta and h directly, and through their mirrored blocks of act
     and psi, so a nan or inf in any map is refused too.  m_labels default
     to m1, m2, ... and tol to default_tol() read at call time.
@@ -176,10 +178,8 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
     c = np.zeros((n, n, n))
     maps = {"act": act, "phi": phi, "theta": theta, "psi": psi}
     for name, axes in MAP_AXES.items():
-        block, arr = c[_cut(m, n, axes)], np.asarray(maps[name], dtype=float)
-        if arr.shape != block.shape:
-            raise DimensionError(f"{name} has shape {arr.shape}, expected {block.shape}")
-        block[...] = arr
+        block = c[_cut(m, n, axes)]
+        block[...] = arr = floats(maps[name], name, block.shape)
         if axes[1:] == "hm":  # its (k; m, h) mirror: -n2 |> v1 and -psi(n2, v1)
             c[_cut(m, n, axes[0] + "mh")] = -arr.swapaxes(1, 2)
     c[_cut(m, n, "hhh")] = h.c
@@ -293,14 +293,10 @@ def coad(d: UnifiedProductData, x: np.ndarray, mu: np.ndarray) -> np.ndarray:
       h block:  coad_h(n) beta + act_star_h(v, alpha) + psi_star_h(v, beta)
 
     Satisfies <coad(x) mu, y> = -<mu, [x, y]> for the bracket of d.algebra.
+    x and mu are judged by errors.floats as (dim,) arrays.
     """
     m = d.dim_m
-    x = np.asarray(x, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if x.shape != (d.dim,) or mu.shape != (d.dim,):
-        raise DimensionError(
-            f"vectors have shapes {x.shape}/{mu.shape}, expected ({d.dim},)"
-        )
+    x, mu = floats(x, "x", (d.dim,)), floats(mu, "mu", (d.dim,))
     v, eta = x[:m], x[m:]
     alpha, beta = mu[:m], mu[m:]
     out = np.empty(d.dim)

@@ -35,7 +35,8 @@ import numpy as np
 
 from .algebra import LieAlgebra, _expm, read_only_floats, tangent_algebra
 from .dynamics import EnergySpec, ep_field, fd_gradient
-from .errors import DimensionError, NonUniformGrid, SingularFiberMap, TooFewPoints, default_tol
+from .errors import (DimensionError, NonUniformGrid, SingularFiberMap, TooFewPoints, default_tol,
+                     floats)
 from .products import UnifiedProductData
 
 __all__ = [
@@ -80,6 +81,7 @@ class MatrixBasis:
     Coordinates use the Frobenius pairing: coords(X) solves the Gram system
     of the basis, so coords(matrix(x)) == x exactly when the basis is
     independent.  Structure constants of the commutator come along for free.
+    The matrices and every argument are judged by errors.floats.
     """
 
     mats: np.ndarray
@@ -87,9 +89,10 @@ class MatrixBasis:
     tol: float = field(default_factory=default_tol)
 
     def __post_init__(self) -> None:
-        mats = read_only_floats(self.mats)
+        mats = read_only_floats(self.mats, "mats")
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"expected a stack of square matrices, got {mats.shape}")
+            raise DimensionError(
+                f"mats has shape {mats.shape}, expected a stack of square matrices")
         n = mats.shape[0]
         flat = mats.reshape(n, -1)
         gram = flat @ flat.T
@@ -114,10 +117,10 @@ class MatrixBasis:
         return self.mats.shape[0]
 
     def coords(self, x: np.ndarray) -> np.ndarray:
-        return self._proj @ np.asarray(x, dtype=float).ravel()
+        return self._proj @ floats(x, "x", self.mats.shape[1:]).ravel()
 
     def matrix(self, v: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(v, dtype=float), self.mats, axes=1)
+        return np.tensordot(floats(v, "v", (self.dim,)), self.mats, axes=1)
 
     @classmethod
     def so3(cls) -> "MatrixBasis":
@@ -145,9 +148,10 @@ def el_t_t2g_field(
 
     `state` is (g, xi1, xi2, eta0, eta1, eta2): a group element, two
     second-order base velocities and three fiber velocities, all matrices in
-    the representation carried by `basis`.  `L` takes the six matrices and
-    returns a scalar.  Returns the time derivatives of the three fiber
-    momenta (delta L / delta eta0, eta1, eta2) as coordinate covectors:
+    the representation carried by `basis`, judged by errors.floats as one
+    (6, d, d) array.  `L` takes the six matrices and returns a scalar.
+    Returns the time derivatives of the three fiber momenta (delta L /
+    delta eta0, eta1, eta2) as coordinate covectors:
 
       d/dt dL_eta0 = (left-trivialized dL_g) - ad*_xi1 dL_xi1 - ad*_xi2 dL_xi2
                      - ad*_eta0 dL_eta0 - ad*_eta1 dL_eta1 - ad*_eta2 dL_eta2
@@ -166,7 +170,7 @@ def el_t_t2g_field(
     error.  When L does not depend on g, xi1, xi2, the equations reduce to
     the third-order Euler-Poincare flow.
     """
-    args = [np.asarray(a, dtype=float) for a in state]
+    args = list(floats(state, "state", (6,) + basis.mats.shape[1:]))
     xi1, xi2, eta0, eta1, eta2 = (basis.coords(a) for a in args[1:])
     n = basis.dim
 
@@ -217,8 +221,8 @@ def third_order_identity_residual(
     differences, so for an RK4 trajectory with step h the residual floor is
     O(h^4) plus differencing noise.  Returns the max-abs residual at each
     interior point (indices 3 .. len-4).  Needs at least 7 states of width
-    3 * g.dim (else DimensionError) on a uniform grid; the first off-grid
-    step raises NonUniformGrid.
+    3 * g.dim (judged by errors.floats) on a uniform grid; the first
+    off-grid step raises NonUniformGrid.
 
     One array pass over the interior: each stencil is a sum of shifted
     slices, eta0 at every interior state comes from one stacked
@@ -226,10 +230,8 @@ def third_order_identity_residual(
     cached `g.field_tensor`.
     """
     n = g.dim
-    states = np.asarray(traj.states, dtype=float)
-    times = np.asarray(traj.times, dtype=float)
-    if states.shape[1:] != (3 * n,):
-        raise DimensionError(f"states have shape {states.shape}, expected (m, 3 * g.dim = {3 * n})")
+    states = floats(traj.states, "states", (None, 3 * n))
+    times = floats(traj.times, "times", (len(states),))
     if len(states) < 7:
         raise TooFewPoints(
             f"need at least 7 trajectory points for the interior stencils, got {len(states)}"

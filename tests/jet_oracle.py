@@ -6,7 +6,13 @@ subset of {1..n} in binary order, it is the block upper-triangular matrix
 block(n, x, X) of side 2^n d, so a jet product is a matrix product and a jet
 inverse a matrix inverse.  Nothing here reads a set partition or the
 library: the product formulas of jets.py come out of these matrices.
+
+An order-n tangent jet (x, xi_1..xi_n) is the Taylor polynomial of a curve
+g(t) with g(0) = x and g' = g xi, xi^(k-1)(0) = xi_k: a d x d matrix over
+R[t]/(t^(n+1)), whose coefficients `taylor` reads off the slots.
 """
+
+import math
 
 import numpy as np
 
@@ -29,3 +35,13 @@ def block(n, base, slots):
         return np.asarray(base, dtype=float)
     m = block(n - 1, base, slots[: 2 ** (n - 1) - 1])
     return np.block([[m, m @ lift(slots[2 ** (n - 1) - 1 :])], [np.zeros_like(m), m]])
+
+
+def taylor(base, slots):
+    """The t^k coefficients x^(k)/k!, k = 0..n, of a T^nG jet's curve:
+    x^(0) = x and x^(k) = sum_(i<k) C(k-1, i) x^(i) xi_(k-i), Leibniz's rule
+    for g^(k) = (g xi)^(k-1)."""
+    derivs = [np.asarray(base, dtype=float)]
+    for k in range(1, len(slots) + 1):
+        derivs.append(sum(math.comb(k - 1, i) * derivs[i] @ slots[k - 1 - i] for i in range(k)))
+    return [x / math.factorial(k) for k, x in enumerate(derivs)]

@@ -408,7 +408,8 @@ def test_run_blow_up_prints_only_its_error_line(tmp_path, warning_flags):
     [
         ({"dynamics": None}, "missing"),
         ({"dynamics": "rk"}, "dynamics must be"),
-        ({"initial": [1.0, 2.0]}, "initial state needs 3"),
+        pytest.param({"initial": [1.0, 2.0]}, "initial has shape (2,), expected (3,)",
+                     id="overrides2-initial state needs 3"),
         ({"conserve": ["wobble"]}, "unknown conserved-quantity"),
         pytest.param({"integrator": {"h": -1.0, "steps": 5}}, "h must be finite and > 0, got -1.0",
                      id="overrides4-h > 0"),

@@ -62,7 +62,7 @@ def test_fd_gradient_rejects_a_bad_step_or_a_non_flat_point():
         with pytest.raises(ConfigError) as excinfo:
             fd_gradient(f, np.ones(3), eps)
         assert str(excinfo.value) == f"eps must be finite and > 0, got {eps!r}"
-    with pytest.raises(DimensionError, match="flat vector"):
+    with pytest.raises(DimensionError, match=r"^x has shape \(2, 3\), expected \(\*,\)$"):
         fd_gradient(f, np.ones((2, 3)))
 
 
@@ -518,7 +518,7 @@ def test_rk4_argument_validation():
         with pytest.raises(DimensionError) as excinfo:
             rk4(lambda y: -y, y0, 0.1, 2)
         shape = np.shape(y0)
-        assert str(excinfo.value) == f"y0 has shape {shape}, expected a flat vector (n,)"
+        assert str(excinfo.value) == f"y0 has shape {shape}, expected (*,)"
     assert len(rk4(field, np.ones(1), 0.1, np.int64(3))) == 4
 
 
@@ -689,7 +689,7 @@ def test_trajectory_checks_and_defaults():
     traj = Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 3)))
     assert traj.labels == ("x1", "x2", "x3")
     assert not traj.states.flags.writeable
-    with pytest.raises(ValueError, match="line up"):
+    with pytest.raises(DimensionError, match=r"^states has shape \(2, 3\), expected \(1, \*\)$"):
         Trajectory(times=np.array([0.0]), states=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="one label per"):
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 3)), labels=("a",))
@@ -810,7 +810,7 @@ def test_conservation_report_rejects_a_functional_of_the_wrong_shape():
                        (lambda s: 1.0, "()")):
         with pytest.raises(DimensionError) as exc:
             conservation_report(traj, {"ok": lambda s: s[:, 0], "bad": bad})
-        assert f"functional 'bad' returned shape {shape} for 4 states" in str(exc.value)
+        assert str(exc.value) == f"functional 'bad' has shape {shape}, expected (4,)"
 
 
 def _write_csv_with_csv_writer(traj, path):

@@ -43,7 +43,7 @@ from unimech.jets import (
     subsets_by_slot,
 )
 
-from jet_oracle import block
+from jet_oracle import block, taylor
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
 
@@ -422,6 +422,59 @@ def test_jets_multiply_invert_and_factorize_as_block_matrices(group, dim, n):
                                   _block(t), _block(j))
 
 
+def _cauchy(p, q):
+    """The truncated product of two matrix polynomials over R[t]/(t^(n+1)),
+    and the sum of |p_i| |q_(k-i)| that its rounding scales with."""
+    terms = [[(p[i], q[k - i]) for i in range(k + 1)] for k in range(len(p))]
+    return ([sum(a @ b for a, b in row) for row in terms],
+            [sum(np.abs(a) @ np.abs(b) for a, b in row) for row in terms])
+
+
+@pytest.mark.parametrize("group,dim", _GROUPS)
+def test_tangent_jets_multiply_as_truncated_matrix_polynomials(group, dim):
+    # tn_multiply is the Cauchy product of the jets' Taylor polynomials over
+    # R[t]/(t^(n+1)) and tn_inverse its inverse, read off the slots directly,
+    # with neither tn_to_iterated nor the trie: each entry within 1e-13 of
+    # the size of the terms summed into it
+    rng = np.random.default_rng(0)
+    for n in range(1, 5):
+        one = [np.eye(dim)] + [np.zeros((dim, dim))] * n
+        for _ in range(20):
+            a, b = (random_jet(group, dim, n, rng=rng) for _ in range(2))
+            ab, inv = tn_multiply(n, a, b), tn_inverse(n, a)
+            for q, want in ((taylor(b.base, b.slots), taylor(ab.base, ab.slots)),
+                            (taylor(inv.base, inv.slots), one)):
+                got, scale = _cauchy(taylor(a.base, a.slots), q)
+                for k in range(n + 1):
+                    assert np.all(np.abs(got[k] - want[k]) <= 1e-13 * scale[k]), (n, k)
+
+
+def _scaled_jet(group, dim, seed):
+    """A valid order-4 iterated jet whose random slots are scaled by 1e3."""
+    j = random_jet(group, dim, 4, kind="iterated", rng=np.random.default_rng(seed))
+    return j.replace_slots(j.slots * 1e3)
+
+
+@pytest.mark.xfail(strict=True, raises=FactorizationError,
+                   reason="ROADMAP item 3: the round trip is judged against max|j|, "
+                          "not against the size of the factors' terms")
+def test_a_large_valid_jet_factorizes():
+    j = _scaled_jet("GL", 3, 0)  # residual 1.43e-06 against a bound of 1.18e-07
+    q, t = iterated_factorize(4, j)
+    product = iterated_multiply(4, complement_embed(4, q, tol=j.tol), tn_to_iterated(t))
+    _assert_jets_close(product, j, atol=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=JetValidationError,
+                   reason="ROADMAP item 3: each product slot is judged against its own size, "
+                          "not against the terms that cancel into it")
+def test_the_factors_of_a_large_valid_jet_multiply_back():
+    j = _scaled_jet("SO", 3, 1)  # slot 14 has an antisymmetry residual of 1.3e-07
+    q, t = iterated_factorize(4, j)
+    product = iterated_multiply(4, complement_embed(4, q, "SO", j.tol), tn_to_iterated(t))
+    _assert_jets_close(product, j, atol=1e-6)
+
+
 @pytest.mark.parametrize("kind", ["tangent", "iterated"])
 def test_term_trie_structure(kind):
     # the trie's nodes lie depth by depth, each a distinct path; its weights
@@ -533,7 +586,8 @@ def test_complement_embed_layout_at_every_order():
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 0), (2, 2), (3, 3), (3, 5), (4, 4)])
 def test_complement_embed_rejects_a_wrong_count(n, count):
-    with pytest.raises(DimensionError, match=f"order {n} needs {2**n - 1 - n}"):
+    with pytest.raises(DimensionError, match=rf"^q has shape \({count}, 3, 3\), "
+                       rf"expected \({2**n - 1 - n}, \*, \*\)$"):
         complement_embed(n, np.zeros((count, 3, 3)))
 
 
@@ -722,7 +776,8 @@ def test_jet_validity_checks():
         JetElement("SO", eye, kind="cotangent")
     with pytest.raises(DimensionError, match="square"):
         JetElement("GL", np.ones((2, 3)))
-    with pytest.raises(DimensionError, match="slots must be"):
+    with pytest.raises(DimensionError,
+                       match=r"^slots has shape \(1, 2, 2\), expected \(\*, 3, 3\)$"):
         JetElement("GL", eye, [np.zeros((2, 2))])
     with pytest.raises(DimensionError, match="2\\^n - 1"):
         JetElement("GL", eye, np.zeros((5, 3, 3)), kind="iterated")
@@ -1362,21 +1417,21 @@ def test_doc_errors(tmp_path):
         jet_from_doc({**good, "group": "SO"})
     with pytest.raises(ConfigError, match="missing key"):
         jet_from_doc({"group": "SO3", "base": np.eye(3).tolist()})
-    with pytest.raises(ConfigError, match="expects a 3x3"):
+    with pytest.raises(ConfigError, match=r"base has shape \(2, 2\), expected \(3, 3\)"):
         jet_from_doc({**good, "base": np.eye(2).tolist()})
     with pytest.raises(ConfigError, match="must be an object"):
         jet_from_doc([1, 2])
-    with pytest.raises(ConfigError, match="numeric"):
+    with pytest.raises(ConfigError, match="base must be a real number, got 'a'"):
         jet_from_doc({**good, "base": [["a", 0, 0], [0, 1, 0], [0, 0, 1]]})
-    with pytest.raises(ConfigError, match="numeric"):
+    with pytest.raises(ConfigError, match="slots must be a real number, got 'x'"):
         jet_from_doc({**good, "slots": [[["x"] * 3] * 3, good["slots"][1]]})
-    with pytest.raises(ConfigError, match="numeric"):
+    with pytest.raises(ConfigError, match=r"slots has shape \(\), expected \(\*, 3, 3\)"):
         jet_from_doc({**good, "slots": 7})
     # JSON strings and bools are not numbers, though numpy would convert them
-    for base in ([["1", "0"], ["0", "1"]], [[True, False], [False, True]]):
-        with pytest.raises(ConfigError, match="must be numeric arrays"):
+    for base, bad in (([["1", "0"], ["0", "1"]], "'1'"), ([[True, False], [False, True]], "True")):
+        with pytest.raises(ConfigError, match=f"base must be a real number, got {bad}"):
             jet_from_doc({"group": "GL2", "base": base, "slots": []})
-    with pytest.raises(ConfigError, match="must be numeric arrays"):
+    with pytest.raises(ConfigError, match="slots must be a real number, got False"):
         jet_from_doc({**good, "slots": [good["slots"][0], [[0, 1, 0], [-1, 0, False], [0, 0, 0]]]})
     # well-formed documents that JetElement itself rejects
     with pytest.raises(ConfigError, match="unknown jet kind 'foo'"):

@@ -98,6 +98,49 @@ def test_only_errors_decides_which_scalars_pass():
                 assert not {a.name for a in node.names} & {"Real", "Integral"}, where
 
 
+# (module, function) -> why a float conversion there judges no caller's array
+FLOAT_CASTS = {
+    ("algebra.py", "_expm"): "its callers pass matrices the library made",
+}
+_FLOAT_DTYPES = {"float", "np.float64", "np.double", "'float'", "'float64'", "'f8'", "'d'"}
+
+
+def _float_casts(node: ast.AST, function: str | None = None):
+    """(line, innermost enclosing function) of each np.asarray, np.array or
+    .astype call under `node` whose dtype is a float."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _float_casts(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+            name, owner = child.func.attr, ast.unparse(child.func.value)
+            if name == "astype":
+                dtypes = child.args[:1]
+            elif name in ("asarray", "array") and owner in ("np", "numpy"):
+                dtypes = child.args[1:2]
+            else:
+                dtypes = None
+            if dtypes is not None and any(
+                    ast.unparse(d) in _FLOAT_DTYPES
+                    for d in dtypes + [k.value for k in child.keywords if k.arg == "dtype"]):
+                yield child.lineno, function
+        yield from _float_casts(child, function)
+
+
+def test_only_errors_decides_which_arrays_pass():
+    # every array a caller hands the library is judged by errors.floats, so
+    # a float conversion anywhere else is a second, laxer rule
+    found = set()
+    for source in sorted(PACKAGE.glob("*.py")):
+        if source.name == "errors.py":
+            continue
+        for line, function in _float_casts(ast.parse(source.read_text(), str(source))):
+            if (source.name, function) not in FLOAT_CASTS:
+                raise AssertionError(f"{source.name}:{line} converts to float in {function}")
+            found.add((source.name, function))
+    assert found == set(FLOAT_CASTS), "an allowlisted conversion is gone"
+
+
 def _benchmark_names() -> set[tuple[str, str]]:
     """(module, dotted name) of every library name perfbench's workloads
     call and its tracer reads spans of, found in the source text."""
