@@ -30,12 +30,26 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (ConfigError, DimensionError, UnknownPreset, default_tol, floats, integer,
-                     load_json, positive, real)
+from .errors import (ConfigError, UnknownPreset, default_tol, floats, integer, labels, load_json,
+                     positive, real)
 
 
-def _default_labels(dim: int) -> tuple[str, ...]:
-    return tuple(f"e{i + 1}" for i in range(dim))
+@functools.cache
+def _cut(m: int, n: int, axes: str) -> tuple[slice, ...]:
+    """Index of the `axes` block of a tensor of side n cut after m."""
+    span = {"m": slice(0, m), "h": slice(m, n), "g": slice(0, n)}
+    return tuple(span[a] for a in axes)
+
+
+def _peak(t: np.ndarray, m: int, axes: str, labels: tuple[str, ...]) -> tuple[float, tuple]:
+    """Largest |entry| of the `axes` block of t, cut after m, and the labels
+    of its indices; (0.0, ()) for an empty block.  A nan entry is the peak."""
+    cut = _cut(m, len(labels), axes)
+    block = t[cut]
+    if block.size == 0:
+        return 0.0, ()
+    idx = np.unravel_index(int(np.abs(block).argmax()), block.shape)
+    return float(abs(block[idx])), tuple(labels[s.start + i] for s, i in zip(cut, idx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +57,7 @@ class LieAlgebra:
     """Structure-constant presentation of a real Lie algebra, `dim` an integer
     >= 0 and `tol` a finite real number >= 0; two compare equal only when they
     are the same object.  c and every vector argument, a (dim,) array, are
-    judged by errors.floats."""
+    judged by errors.floats and labels by errors.labels, e1, e2, ... if empty."""
 
     dim: int
     c: np.ndarray
@@ -55,19 +69,13 @@ class LieAlgebra:
         object.__setattr__(self, "dim", integer(self.dim, "dim"))
         positive(self.tol, "tol", zero=True)
         c = read_only_floats(self.c, "c", (self.dim,) * 3)
-        labels = tuple(self.labels) if self.labels else _default_labels(self.dim)
-        if len(labels) != self.dim:
-            raise DimensionError(
-                f"{len(labels)} labels for a dimension-{self.dim} algebra"
-            )
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", labels(self.labels, "labels", self.dim, "e"))
         if strict:
             res = self.antisymmetry_residual()
-            if not res <= self.tol:  # a nan residual fails too, and argmax stops at a nan
+            if not res <= self.tol:  # a nan residual fails too, and is the peak
                 with np.errstate(invalid="ignore"):
-                    worst = np.abs(c + c.swapaxes(1, 2)).argmax()
-                k, i, j = (labels[q] for q in np.unravel_index(worst, c.shape))
+                    k, i, j = _peak(c + c.swapaxes(1, 2), 0, "ggg", self.labels)[1]
                 raise ValueError(
                     f"structure tensor is not antisymmetric (residual {res:.3e}) worst at "
                     f"({k}; {i}, {j}); pass strict=False to construct anyway"
@@ -362,21 +370,19 @@ def algebra_from_doc(doc: dict) -> LieAlgebra:
     if "dim" not in doc:
         raise ConfigError("algebra document is missing 'dim'")
     dim = integer(doc["dim"], "'dim'")
-    labels = doc_labels(doc, dim)
+    names = doc_labels(doc, dim)
     entries = doc.get("c", [])
     if not isinstance(entries, list):
         raise ConfigError("'c' must be a list of [k, i, j, value] entries")
-    return from_sparse_entries(dim, entries, labels=labels)
+    return from_sparse_entries(dim, entries, labels=names)
 
 
 def doc_labels(doc: dict, dim: int) -> tuple[str, ...]:
-    """A document's "labels": dim strings, or () when absent or empty."""
-    labels = doc.get("labels", [])
-    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-        raise ConfigError(f"'labels' must be a list of strings, got {labels!r}")
-    if labels and len(labels) != dim:
-        raise ConfigError(f"{len(labels)} labels for dimension {dim}")
-    return tuple(labels)
+    """A document's "labels" judged by errors.labels, or () when absent or
+    empty, which leaves the defaults to the constructors."""
+    value = doc.get("labels", [])
+    names = labels(value, "'labels'", dim, "")
+    return names if value else ()
 
 
 def save_algebra(alg: LieAlgebra, path: str | Path) -> None:

@@ -183,9 +183,11 @@ def _cmd_run(args) -> int:
             continue
         if not isinstance(outputs[key], str):
             raise ConfigError(f"outputs.{key} must be a path")
-        parent = Path(outputs[key]).parent
-        if not parent.is_dir():
-            raise ConfigError(f"outputs.{key}: directory {parent} does not exist")
+        path = Path(outputs[key])
+        if not path.parent.is_dir():
+            raise ConfigError(f"outputs.{key}: directory {path.parent} does not exist")
+        if path.is_dir():
+            raise ConfigError(f"outputs.{key}: {path} is a directory")
 
     try:
         traj = rk4(lambda y: field(structure, spec, y), y0, integ["h"], integ["steps"],

@@ -48,9 +48,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from . import errors
 from .algebra import LieAlgebra, _Kept, read_only_floats
-from .errors import (ConfigError, DimensionError, NonFiniteState, SingularInertia,
-                     TrajectoryTooLarge, floats, integer, positive)
+from .errors import (DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge, floats,
+                     integer, positive)
 from .products import UnifiedProductData
 
 __all__ = [
@@ -141,7 +142,7 @@ class EnergySpec:
 
     @classmethod
     def identity(cls, dim: int) -> "EnergySpec":
-        return cls(kind="quadratic", inertia=np.eye(dim))
+        return cls(kind="quadratic", inertia=np.eye(integer(dim, "dim")))
 
     @classmethod
     def diagonal(cls, entries) -> "EnergySpec":
@@ -248,24 +249,12 @@ def lp_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, mu: np.ndarra
     return -tensor.reshape(n * n, n).dot(mu).reshape(n, n).dot(spec.dual_gradient(mu))
 
 
-def _labels(labels, n: int) -> tuple[str, ...]:
-    """n state labels: `labels` if it is a sequence of n strings, x1, x2, ...
-    if it is empty; a bare string or a non-string label is a ConfigError."""
-    labels = labels if isinstance(labels, str) else tuple(labels)
-    if isinstance(labels, str) or not all(isinstance(s, str) for s in labels):
-        raise ConfigError(f"labels must be a list of strings, got {labels!r}")
-    labels = labels or tuple(f"x{i + 1}" for i in range(n))
-    if len(labels) != n:
-        raise ValueError("one label per state component")
-    return labels
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Fixed-step integration output: times[i] pairs with states[i].  The
     arrays rk4 hands over (_Kept) are kept, any other copied; both are
-    judged by errors.floats, times as (m,) and states as (m, n).  `labels`
-    is a sequence of n strings, or empty for x1, x2, ..."""
+    judged by errors.floats, times as (m,) and states as (m, n), and labels
+    by errors.labels, x1, x2, ... if empty."""
 
     times: np.ndarray
     states: np.ndarray
@@ -274,10 +263,10 @@ class Trajectory:
     def __post_init__(self) -> None:
         times = read_only_floats(self.times, "times", (None,))
         states = read_only_floats(self.states, "states", (len(times), None))
-        labels = _labels(self.labels, states.shape[1])
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels",
+                           errors.labels(self.labels, "labels", states.shape[1], "x"))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -319,7 +308,7 @@ def rk4(
     """
     h, steps = positive(h, "h"), integer(steps, "steps", 1)
     y = floats(y0, "y0", (None,))
-    labels = _labels(labels, y.size)
+    labels = errors.labels(labels, "labels", y.size, "x")
     if not np.isfinite(y).all():
         raise _non_finite(0, y, None, labels)
     try:

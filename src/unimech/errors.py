@@ -1,12 +1,14 @@
-"""Exception types, the scalar and array judges, tolerance handling and the
-JSON reader.
+"""Exception types, the scalar, array and label judges, tolerance handling and
+the JSON reader.
 
 `real`, `positive` and `integer` judge every scalar argument by one rule: a bool
 is refused, numpy scalars are accepted, and a bad value raises ConfigError
 naming the argument.  `floats` judges every array argument by the same rule,
 entry by entry: a bool, None, string, complex or other non-real entry is a
 ConfigError naming the argument, and a wrong shape a DimensionError.  NaN and
-inf are real numbers here; finiteness is each caller's own check.  Tolerances
+inf are real numbers here; finiteness is each caller's own check.  `labels`
+judges every list of coordinate names: a bare string or a non-string entry is
+a ConfigError naming the argument, a wrong count a DimensionError.  Tolerances
 default to 1e-10, overridden globally by the UM_TOL environment variable (read
 at call time, so tests may monkeypatch it)."""
 
@@ -74,6 +76,21 @@ def floats(value, name: str, shape: tuple | None = None) -> np.ndarray:
         raise DimensionError(
             f"{name} has shape {value.shape}, expected {str(shape).replace('None', '*')}")
     return value
+
+
+def labels(value, name: str, n: int, prefix: str) -> tuple[str, ...]:
+    """`value` as a tuple if it is a list or tuple of n strings, and
+    PREFIX1..PREFIXn if it is empty.  A bare string or a non-string entry
+    raises ConfigError naming `name`, a wrong count DimensionError as
+    "NAME has 2 labels, expected 3"."""
+    kind = type(value)
+    if (kind is tuple or kind is list) and all(isinstance(s, str) for s in value):
+        if len(value) == n:
+            return value if kind is tuple else tuple(value)
+        if not value:
+            return tuple(f"{prefix}{i + 1}" for i in range(n))
+        raise DimensionError(f"{name} has {len(value)} labels, expected {n}")
+    raise ConfigError(f"{name} must be a list of strings, got {value!r}")
 
 
 def default_tol() -> float:

@@ -651,6 +651,7 @@ def random_jet(
     """Random jet with base exp(random algebra element): always lands in the
     tagged group, and stays well-conditioned for moderate `scale`."""
     dim, order = integer(dim, "dim"), integer(order, "order")
+    positive(scale, "scale", zero=True)
     rng = np.random.default_rng() if rng is None else rng
     base = _expm(_random_algebra(group, dim, rng, scale))
     n_slots = order if kind == "tangent" else 2**order - 1

@@ -36,13 +36,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import (
     LieAlgebra,
+    _cut,
+    _peak,
     algebra_from_doc,
     algebra_to_doc,
     doc_labels,
@@ -50,7 +52,7 @@ from .algebra import (
     sparse_entries,
 )
 from .errors import (ConfigError, DimensionError, NotASubalgebra, default_tol, floats, integer,
-                     load_json)
+                     labels, load_json)
 
 # In compose_bracket's shape-check order and a document's key order; "?mm" maps are skew.
 MAP_AXES = {"act": "mhm", "phi": "mmm", "theta": "hmm", "psi": "hhm"}
@@ -70,27 +72,9 @@ AXIOM_BLOCKS = {
 }
 
 
-@cache
-def _cut(m: int, n: int, axes: str) -> tuple[slice, ...]:
-    """Index of the `axes` block of a tensor of side n cut after m."""
-    span = {"m": slice(0, m), "h": slice(m, n), "g": slice(0, n)}
-    return tuple(span[a] for a in axes)
-
-
 def _map(name: str) -> property:
     """The structure map `name` of a product, a read-only view of its block."""
     return property(lambda d: d.algebra.c[_cut(d.dim_m, d.dim, MAP_AXES[name])])
-
-
-def _peak(t: np.ndarray, m: int, axes: str, labels: tuple[str, ...]) -> tuple[float, tuple]:
-    """Largest |entry| of the `axes` block of t, cut after m, and the labels
-    of its indices; (0.0, ()) for an empty block.  A nan entry is the peak."""
-    cut = _cut(m, len(labels), axes)
-    block = t[cut]
-    if block.size == 0:
-        return 0.0, ()
-    idx = np.unravel_index(int(np.abs(block).argmax()), block.shape)
-    return float(abs(block[idx])), tuple(labels[s.start + i] for s, i in zip(cut, idx))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,15 +150,13 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
     With strict, the LieAlgebra constructor judges the antisymmetry of the
     composed tensor:
     of phi, theta and h directly, and through their mirrored blocks of act
-    and psi, so a nan or inf in any map is refused too.  m_labels default
-    to m1, m2, ... and tol to default_tol() read at call time.
+    and psi, so a nan or inf in any map is refused too.  m_labels are judged
+    by errors.labels, m1, m2, ... if empty; tol defaults to default_tol() at call time.
     """
     m = integer(dim_m, "dim_m")
     n = m + h.dim
     tol = default_tol() if tol is None else tol
-    labels = tuple(m_labels) or tuple(f"m{i + 1}" for i in range(m))
-    if len(labels) != m:
-        raise DimensionError(f"{len(labels)} m-labels for dim_m={m}")
+    m_labels = labels(m_labels, "m_labels", m, "m")
     c = np.zeros((n, n, n))
     maps = {"act": act, "phi": phi, "theta": theta, "psi": psi}
     for name, axes in MAP_AXES.items():
@@ -183,7 +165,7 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
         if axes[1:] == "hm":  # its (k; m, h) mirror: -n2 |> v1 and -psi(n2, v1)
             c[_cut(m, n, axes[0] + "mh")] = -arr.swapaxes(1, 2)
     c[_cut(m, n, "hhh")] = h.c
-    return UnifiedProductData(LieAlgebra(n, c, labels + h.labels, tol, strict), m)
+    return UnifiedProductData(LieAlgebra(n, c, m_labels + h.labels, tol, strict), m)
 
 
 # -- axiom residuals -----------------------------------------------------------
@@ -339,13 +321,13 @@ def product_from_doc(doc: dict) -> UnifiedProductData:
     dim = integer(doc.get("dim", n), "'dim'")
     if dim != n:
         raise ConfigError(f"'dim' is {dim} but dim_m + dim_h = {n}")
-    labels = doc_labels(doc, n)
-    if labels:
-        h = replace(h, labels=labels[m:])
+    names = doc_labels(doc, n)
+    if names:
+        h = replace(h, labels=names[m:])
     maps = {name: fill_entries(tuple(s.stop - s.start for s in _cut(m, n, axes)),
                                doc.get(name, []), name, skew=axes[1:] == "mm")
             for name, axes in MAP_AXES.items()}
-    return compose_bracket(m, h, m_labels=labels[:m], **maps)
+    return compose_bracket(m, h, m_labels=names[:m], **maps)
 
 
 def save_product(d: UnifiedProductData, path: str | Path) -> None:

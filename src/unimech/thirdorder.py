@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import LieAlgebra, _expm, read_only_floats, tangent_algebra
 from .dynamics import EnergySpec, ep_field, fd_gradient
 from .errors import (DimensionError, NonUniformGrid, SingularFiberMap, TooFewPoints, default_tol,
-                     floats)
+                     floats, labels)
 from .products import UnifiedProductData
 
 __all__ = [
@@ -81,7 +81,8 @@ class MatrixBasis:
     Coordinates use the Frobenius pairing: coords(X) solves the Gram system
     of the basis, so coords(matrix(x)) == x exactly when the basis is
     independent.  Structure constants of the commutator come along for free.
-    The matrices and every argument are judged by errors.floats.
+    The matrices and every argument are judged by errors.floats and labels by
+    errors.labels, E1, E2, ... if empty.
     """
 
     mats: np.ndarray
@@ -100,17 +101,15 @@ class MatrixBasis:
         if n > 0 and np.linalg.matrix_rank(gram) < n:
             raise SingularFiberMap("basis matrices are linearly dependent")
         proj = np.linalg.solve(gram, flat) if n else flat
-        labels = tuple(self.labels) or tuple(f"E{i + 1}" for i in range(n))
-        if len(labels) != n:
-            raise ValueError("one label per basis matrix")
+        names = labels(self.labels, "labels", n, "E")
         c = np.empty((n, n, n))
         for i in range(n):
             for j in range(n):
                 c[:, i, j] = proj @ (mats[i] @ mats[j] - mats[j] @ mats[i]).ravel()
         object.__setattr__(self, "mats", mats)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", names)
         object.__setattr__(self, "_proj", proj)
-        object.__setattr__(self, "algebra", LieAlgebra(dim=n, c=c, labels=labels, tol=self.tol))
+        object.__setattr__(self, "algebra", LieAlgebra(dim=n, c=c, labels=names, tol=self.tol))
 
     @property
     def dim(self) -> int:

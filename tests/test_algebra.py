@@ -379,7 +379,7 @@ def test_load_rejects_malformed_documents(tmp_path):
         algebra_from_doc({"labels": ["a"]})  # no dim
     with pytest.raises(ConfigError):
         algebra_from_doc({"dim": -2})
-    with pytest.raises(ConfigError):
+    with pytest.raises(DimensionError, match=r"^'labels' has 1 labels, expected 2$"):
         algebra_from_doc({"dim": 2, "labels": ["a"]})
     with pytest.raises(ConfigError):
         algebra_from_doc({"dim": 2, "c": "nope"})

@@ -513,6 +513,19 @@ def test_run_checks_output_directories_before_integrating(tmp_path, capsys, monk
     assert f"outputs.{key}: directory {missing.parent} does not exist" in err
 
 
+@pytest.mark.parametrize("key", ["trajectory", "report"])
+def test_run_refuses_an_output_path_that_is_a_directory(tmp_path, capsys, monkeypatch, key):
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated despite an output path that is a directory")
+
+    monkeypatch.setattr(cli, "rk4", no_integration)
+    taken = tmp_path / "adir"
+    taken.mkdir()
+    cfg = _write_config(tmp_path, outputs={key: str(taken)})
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: outputs.{key}: {taken} is a directory\n"
+
+
 def test_run_ep3_needs_a_plain_algebra(tmp_path, capsys):
     cfg = _write_config(
         tmp_path,

@@ -691,7 +691,7 @@ def test_trajectory_checks_and_defaults():
     assert not traj.states.flags.writeable
     with pytest.raises(DimensionError, match=r"^states has shape \(2, 3\), expected \(1, \*\)$"):
         Trajectory(times=np.array([0.0]), states=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="one label per"):
+    with pytest.raises(DimensionError, match=r"^labels has 1 labels, expected 3$"):
         Trajectory(times=np.array([0.0, 1.0]), states=np.zeros((2, 3)), labels=("a",))
     single = Trajectory(times=np.array([2.0]), states=np.ones((1, 2)))
     assert single.h == 0.0

@@ -3,7 +3,10 @@ refused, numpy scalars are accepted, and a bad value raises ConfigError
 naming the argument.  The same rule for every array argument: a bool, None,
 string or complex entry and ragged nesting raise ConfigError naming the
 argument, a wrong shape DimensionError, and integer, float32, big-endian,
-strided and list inputs give the values a float64 array gives."""
+strided and list inputs give the values a float64 array gives.  And for
+every list of labels: a bare string or a non-string entry raises
+ConfigError naming the argument, a wrong count DimensionError, and an
+empty list gives the defaults."""
 
 import io
 import os
@@ -110,6 +113,8 @@ ARGUMENTS = {
     "unit_jet.order": ("order", lambda v: unit_jet("SO", 3, v), NOT_COUNT),
     "random_jet.dim": ("dim", lambda v: random_jet("SO", v, 1), NOT_COUNT),
     "random_jet.order": ("order", lambda v: random_jet("SO", 3, v), NOT_COUNT),
+    "random_jet.scale": ("scale", lambda v: random_jet("SO", 3, 1, scale=v), NOT_TOL),
+    "EnergySpec.identity.dim": ("dim", EnergySpec.identity, NOT_COUNT),
     "tn_multiply.n": ("n", lambda v: tn_multiply(v, TANGENT, TANGENT), NOT_COUNT),
     "tn_inverse.n": ("n", lambda v: tn_inverse(v, TANGENT), NOT_COUNT),
     "iterated_multiply.n": ("n", lambda v: iterated_multiply(v, ITERATED, ITERATED), NOT_COUNT),
@@ -165,6 +170,11 @@ def test_the_holes_the_scalar_judges_close():
         (lambda: rk4(lambda y: -y, np.ones(2), "0.1", 2), "h must be a real number, got '0.1'"),
         (lambda: random_jet("SO", 3, -1), "order must be an integer >= 0, got -1"),
         (lambda: unit_jet("SO", 3, 2.0), "order must be an integer >= 0, got 2.0"),
+        (lambda: EnergySpec.identity(True), "dim must be an integer >= 0, got True"),
+        (lambda: EnergySpec.identity(2.5), "dim must be an integer >= 0, got 2.5"),
+        (lambda: EnergySpec.identity(-1), "dim must be an integer >= 0, got -1"),
+        (lambda: random_jet("SO", 3, 1, scale="a"), "scale must be a real number, got 'a'"),
+        (lambda: random_jet("SO", 3, 1, scale=True), "scale must be a real number, got True"),
         (lambda: product_from_doc({"dim": 6.0, "dim_m": 3, "h": {"dim": 3}}),
          "'dim' must be an integer >= 0, got 6.0"),
     ]
@@ -354,3 +364,66 @@ def test_a_float64_array_passes_the_judge_as_it_is():
         floats(state, "x", (None, 3))
     for nan_or_inf in ([np.nan, 1.0], [np.inf, -np.inf]):  # finiteness is each caller's check
         assert floats(nan_or_inf, "x").shape == (2,)
+
+
+# -- labels ----------------------------------------------------------------------
+
+# argument -> (the name its messages give, a call that passes the labels and
+# returns the labels it keeps, the defaults an empty list gives)
+LABELS = {
+    "LieAlgebra.labels": ("labels", lambda v: LieAlgebra(3, SO3.c, labels=v).labels,
+                          ("e1", "e2", "e3")),
+    "MatrixBasis.labels": ("labels", lambda v: MatrixBasis(BASIS.mats, labels=v).labels,
+                           ("E1", "E2", "E3")),
+    "compose_bracket.m_labels": (  # m of dimension 2, h of dimension 1
+        "m_labels", lambda v: compose_bracket(
+            2, abelian(1), act=np.zeros((2, 1, 2)), phi=np.zeros((2, 2, 2)),
+            theta=np.zeros((1, 2, 2)), psi=np.zeros((1, 1, 2)), m_labels=v).m_labels,
+        ("m1", "m2")),
+    "Trajectory.labels": ("labels", lambda v: Trajectory([0.0, 1.0], np.ones((2, 3)),
+                                                         labels=v).labels, ("x1", "x2", "x3")),
+    "rk4.labels": ("labels", lambda v: rk4(lambda y: -y, np.ones(3), 0.1, 1, labels=v).labels,
+                   ("x1", "x2", "x3")),
+    "algebra_from_doc.labels": ("'labels'", lambda v: algebra_from_doc({"dim": 3,
+                                                                        "labels": v}).labels,
+                                ("e1", "e2", "e3")),
+    # an empty list leaves m its defaults and h the labels of its own document
+    "product_from_doc.labels": (
+        "'labels'", lambda v: product_from_doc({"dim_m": 1, "h": {"dim": 2, "labels": ["p", "q"]},
+                                                "labels": v}).labels,
+        ("m1", "p", "q")),
+}
+
+
+# each way a list of labels is refused, made from a good list
+_BAD_LABELS = {
+    "bare string": "".join,
+    "int entry": lambda good: [1] + good[1:],
+    "None entry": lambda good: good[:-1] + [None],
+    "wrong count": lambda good: good + ["z"],
+}
+
+
+@pytest.mark.parametrize("argument,bad", [
+    pytest.param(argument, bad, id=f"{argument}-{bad}")
+    for argument in LABELS for bad in _BAD_LABELS
+])
+def test_a_bad_list_of_labels_names_its_argument(argument, bad):
+    name, call, defaults = LABELS[argument]
+    good = [f"a{i}" for i in range(len(defaults))]
+    value = _BAD_LABELS[bad](good)
+    if bad == "wrong count":
+        error, message = DimensionError, f"{name} has {len(value)} labels, expected {len(good)}"
+    else:
+        error, message = ConfigError, f"{name} must be a list of strings, got {value!r}"
+    with pytest.raises(error) as excinfo:
+        call(value)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("argument", list(LABELS))
+def test_labels_are_kept_and_an_empty_list_gives_the_defaults(argument):
+    _, call, defaults = LABELS[argument]
+    good = [f"a{i}" for i in range(len(defaults))]
+    assert call(good) == call(tuple(good)) == tuple(good)
+    assert call([]) == call(()) == defaults

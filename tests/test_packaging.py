@@ -105,26 +105,33 @@ FLOAT_CASTS = {
 _FLOAT_DTYPES = {"float", "np.float64", "np.double", "'float'", "'float64'", "'f8'", "'d'"}
 
 
-def _float_casts(node: ast.AST, function: str | None = None):
-    """(line, innermost enclosing function) of each np.asarray, np.array or
-    .astype call under `node` whose dtype is a float."""
+def _calls(node: ast.AST, function: str | None = None):
+    """(call, innermost enclosing function) of each call under `node`."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.FunctionDef):
-            yield from _float_casts(child, child.name)
+            yield from _calls(child, child.name)
             continue
-        if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
-            name, owner = child.func.attr, ast.unparse(child.func.value)
-            if name == "astype":
-                dtypes = child.args[:1]
-            elif name in ("asarray", "array") and owner in ("np", "numpy"):
-                dtypes = child.args[1:2]
-            else:
-                dtypes = None
-            if dtypes is not None and any(
-                    ast.unparse(d) in _FLOAT_DTYPES
-                    for d in dtypes + [k.value for k in child.keywords if k.arg == "dtype"]):
-                yield child.lineno, function
-        yield from _float_casts(child, function)
+        if isinstance(child, ast.Call):
+            yield child, function
+        yield from _calls(child, function)
+
+
+def _float_casts(node: ast.AST):
+    """(line, innermost enclosing function) of each np.asarray, np.array or
+    .astype call under `node` whose dtype is a float."""
+    for call, function in _calls(node):
+        if not isinstance(call.func, ast.Attribute):
+            continue
+        name, owner = call.func.attr, ast.unparse(call.func.value)
+        if name == "astype":
+            dtypes = call.args[:1]
+        elif name in ("asarray", "array") and owner in ("np", "numpy"):
+            dtypes = call.args[1:2]
+        else:
+            continue
+        if any(ast.unparse(d) in _FLOAT_DTYPES
+               for d in dtypes + [k.value for k in call.keywords if k.arg == "dtype"]):
+            yield call.lineno, function
 
 
 def test_only_errors_decides_which_arrays_pass():
@@ -139,6 +146,45 @@ def test_only_errors_decides_which_arrays_pass():
                 raise AssertionError(f"{source.name}:{line} converts to float in {function}")
             found.add((source.name, function))
     assert found == set(FLOAT_CASTS), "an allowlisted conversion is gone"
+
+
+# (module, function) -> why a string test there judges no caller's labels
+STR_CHECKS = {
+    ("algebra.py", "preset"): "a preset is looked up by its name",
+    ("algebra.py", "_base_algebra"): "a tangent base is a preset name or an algebra",
+    ("cli.py", "_resolve_model"): "a model node is a preset name, a path or a document",
+    ("cli.py", "_cmd_run"): "an output is a path",
+}
+
+
+def _label_checks(node: ast.AST):
+    """(line, innermost enclosing function) of each isinstance(..., str) call
+    and each tuple() of a name ending in "labels" under `node`."""
+    for call, function in _calls(node):
+        name = getattr(call.func, "id", None)
+        if name == "isinstance" and len(call.args) == 2:
+            kinds = call.args[1].elts if isinstance(call.args[1], ast.Tuple) else call.args[1:]
+            if any(getattr(k, "id", None) == "str" for k in kinds):
+                yield call.lineno, function
+        elif name == "tuple" and len(call.args) == 1 and isinstance(
+                call.args[0], (ast.Name, ast.Attribute)) and ast.unparse(
+                call.args[0]).endswith("labels"):
+            yield call.lineno, function
+
+
+def test_only_errors_decides_which_labels_pass():
+    # every list of labels a caller hands the library is judged by
+    # errors.labels, so a string test or a tuple() of labels anywhere else
+    # is a second rule
+    found = set()
+    for source in sorted(PACKAGE.glob("*.py")):
+        if source.name == "errors.py":
+            continue
+        for line, function in _label_checks(ast.parse(source.read_text(), str(source))):
+            if (source.name, function) not in STR_CHECKS:
+                raise AssertionError(f"{source.name}:{line} judges labels in {function}")
+            found.add((source.name, function))
+    assert found == set(STR_CHECKS), "an allowlisted string test is gone"
 
 
 def _benchmark_names() -> set[tuple[str, str]]:

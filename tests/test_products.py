@@ -577,7 +577,7 @@ def test_constructor_checks():
             2, h, act=np.zeros((2, 2, 2)), phi=bad_phi,
             theta=np.zeros((2, 2, 2)), psi=np.zeros((2, 2, 2)),
         )
-    with pytest.raises(DimensionError, match="m-labels"):
+    with pytest.raises(DimensionError, match=r"^m_labels has 1 labels, expected 2$"):
         compose_bracket(
             2, h, act=np.zeros((2, 2, 2)), phi=np.zeros((2, 2, 2)),
             theta=np.zeros((2, 2, 2)), psi=np.zeros((2, 2, 2)), m_labels=("a",),

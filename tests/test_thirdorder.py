@@ -474,7 +474,7 @@ def test_matrix_basis_rejects_bad_input():
         MatrixBasis(np.array([np.eye(2), 2.0 * np.eye(2)]))
     with pytest.raises(ValueError, match="square"):
         MatrixBasis(np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError, match="one label"):
+    with pytest.raises(DimensionError, match=r"^labels has 2 labels, expected 1$"):
         MatrixBasis(np.array([np.eye(2)]), labels=("a", "b"))
 
 
