@@ -8,14 +8,15 @@ Conventions used throughout the package:
   * The coadjoint uses the duality pairing <mu, y> = sum_k mu_k y_k and is fixed
     by <coad(x) mu, y> = -<mu, [x, y]>, i.e. coad_matrix(x) = -ad_matrix(x).T.
 
-Antisymmetry of c in its last two indices is enforced at construction (pass
-strict=False to build a deliberately broken tensor for diagnostics; validate()
-will report the violation).  The Jacobi identity is never enforced at
-construction, so that near-miss tensors can be examined rather than
-rejected.  validate() judges a plain algebra as the unified product with an
-empty m, products.validate_axioms(UnifiedProductData(g, 0)), whose
-Jacobiator is judged against tol * max(1, max|c|)**2, the scale of its
-rounding error, so a large-scale basis is not read as a defect.
+Antisymmetry of c in its last two indices is enforced at construction, to
+the package's one tolerance errors.default_tol() (pass strict=False to build
+a deliberately broken tensor for diagnostics; validate() will report the
+violation).  The Jacobi identity is never enforced at construction, so that
+near-miss tensors can be examined rather than rejected.  validate() judges a
+plain algebra as the unified product with an empty m,
+products.validate_axioms(UnifiedProductData(g, 0)), whose Jacobiator is
+judged against default_tol() * max(1, max|c|)**2, the scale of its rounding
+error, so a large-scale basis is not read as a defect.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable
@@ -31,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import (ConfigError, UnknownPreset, default_tol, floats, integer, labels, load_json,
-                     positive, real)
+                     real)
 
 
 @functools.cache
@@ -55,25 +56,24 @@ def _peak(t: np.ndarray, m: int, axes: str, labels: tuple[str, ...]) -> tuple[fl
 @dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Structure-constant presentation of a real Lie algebra, `dim` an integer
-    >= 0 and `tol` a finite real number >= 0; two compare equal only when they
-    are the same object.  c and every vector argument, a (dim,) array, are
-    judged by errors.floats and labels by errors.labels, e1, e2, ... if empty."""
+    >= 0; two compare equal only when they are the same object.  With
+    `strict`, max|c + c^T| must lie within errors.default_tol().  c and every
+    vector argument, a (dim,) array, are judged by errors.floats and labels
+    by errors.labels, e1, e2, ... if empty."""
 
     dim: int
     c: np.ndarray
     labels: tuple[str, ...] = ()
-    tol: float = field(default_factory=default_tol)
     strict: InitVar[bool] = True
 
     def __post_init__(self, strict: bool) -> None:
         object.__setattr__(self, "dim", integer(self.dim, "dim"))
-        positive(self.tol, "tol", zero=True)
         c = read_only_floats(self.c, "c", (self.dim,) * 3)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "labels", labels(self.labels, "labels", self.dim, "e"))
         if strict:
             res = self.antisymmetry_residual()
-            if not res <= self.tol:  # a nan residual fails too, and is the peak
+            if not res <= default_tol():  # a nan residual fails too, and is the peak
                 with np.errstate(invalid="ignore"):
                     k, i, j = _peak(c + c.swapaxes(1, 2), 0, "ggg", self.labels)[1]
                 raise ValueError(
@@ -132,7 +132,7 @@ class LieAlgebra:
 
     def validate(self) -> "AxiomReport":
         """validate_axioms of the cut with an empty m: antisymmetry against
-        tol, the Jacobiator against tol * max(1, max|c|)**2."""
+        default_tol(), the Jacobiator against that times max(1, max|c|)**2."""
         from .products import UnifiedProductData, validate_axioms
 
         return validate_axioms(UnifiedProductData(self, 0))
@@ -213,7 +213,6 @@ def from_sparse_entries(
     dim: int,
     entries: Iterable[tuple[int, int, int, float]],
     labels: tuple[str, ...] = (),
-    tol: float | None = None,
 ) -> LieAlgebra:
     """Build an algebra from sparse entries [k, i, j, value] with i < j.
 
@@ -222,13 +221,13 @@ def from_sparse_entries(
     """
     dim = integer(dim, "dim")
     c = fill_entries((dim, dim, dim), entries, "structure", skew=True)
-    return LieAlgebra(dim, c, labels, default_tol() if tol is None else tol)
+    return LieAlgebra(dim, c, labels)
 
 
-def abelian(dim: int, labels: tuple[str, ...] = (), tol: float | None = None) -> LieAlgebra:
+def abelian(dim: int, labels: tuple[str, ...] = ()) -> LieAlgebra:
     """The abelian algebra of dimension `dim`, an integer >= 0 (all brackets zero)."""
     dim = integer(dim, "dim")
-    return LieAlgebra(dim, np.zeros((dim, dim, dim)), labels, default_tol() if tol is None else tol)
+    return LieAlgebra(dim, np.zeros((dim, dim, dim)), labels)
 
 
 def tangent_algebra(g: LieAlgebra, n: int = 1) -> LieAlgebra:
@@ -260,7 +259,7 @@ def _current_algebra(g: LieAlgebra, a: np.ndarray, labels: tuple[str, ...]) -> L
     r, d = a.shape[0], g.dim
     c = np.multiply.outer(a, g.c)
     c[a == 0.0] = 0.0
-    return LieAlgebra(r * d, c.transpose(0, 3, 1, 4, 2, 5).reshape((r * d,) * 3), labels, g.tol)
+    return LieAlgebra(r * d, c.transpose(0, 3, 1, 4, 2, 5).reshape((r * d,) * 3), labels)
 
 
 # name -> (labels, sparse [k, i, j, value] entries with i < j) of a fixed
@@ -274,20 +273,20 @@ _PRESETS = {
 
 
 @functools.cache
-def _fixed_preset(name: str, tol: float) -> LieAlgebra:
+def _fixed_preset(name: str) -> LieAlgebra:
     labels, entries = _PRESETS[name]
-    return from_sparse_entries(3, entries, labels, tol)
+    return from_sparse_entries(3, entries, labels)
 
 
 def preset(name: str, **params) -> LieAlgebra:
     """Named algebra presets: abelian (needs dim), so3, sl2, heisenberg,
     tangent (needs base: name or LieAlgebra; the first-order
     tangent_algebra(base), g |x g).  so3, sl2 and heisenberg are built once
-    per tolerance and shared read-only, with their cached tangent algebras
-    and field tensor."""
+    and shared read-only, with their cached tangent algebras and field
+    tensor."""
     if isinstance(name, str) and name in _PRESETS:
         _reject_extra(name, params)
-        return _fixed_preset(name, default_tol())
+        return _fixed_preset(name)
     if name == "abelian":
         if "dim" not in params:
             raise ConfigError("abelian preset needs a dim parameter")

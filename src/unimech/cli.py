@@ -8,7 +8,7 @@ MODEL is a preset name ("kepler", "tokamak", "so3", ...) or a path to a
 JSON document (product or algebra form); --params applies to preset names
 only.  Exit codes: 0 success, 1 bad configuration or usage, 2 validation
 failure, 3 numerical blow-up during integration.  The UM_TOL environment
-variable overrides the default tolerance used by every constructor.
+variable sets the one tolerance, 1e-10 by default, that every check reads.
 """
 
 from __future__ import annotations

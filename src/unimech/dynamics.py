@@ -50,8 +50,8 @@ import numpy as np
 
 from . import errors
 from .algebra import LieAlgebra, _Kept, read_only_floats
-from .errors import (DimensionError, NonFiniteState, SingularInertia, TrajectoryTooLarge, floats,
-                     integer, positive)
+from .errors import (ConfigError, DimensionError, NonFiniteState, SingularInertia,
+                     TrajectoryTooLarge, floats, integer, positive)
 from .products import UnifiedProductData
 
 __all__ = [
@@ -90,9 +90,9 @@ class EnergySpec:
 
     kind "quadratic" uses H(mu) = 1/2 <mu, I^-1 mu>; the inertia matrix, an
     array of real numbers (errors.floats), must be square, finite, symmetric
-    and positive definite, else SingularInertia (a non-finite entry or a
-    failed numpy Cholesky factorization I = L L^T) or ValueError (not
-    symmetric: an asymmetry above 1e-12 * max(1, max|I|)).
+    and positive definite, else SingularInertia (a non-finite entry, an
+    asymmetry above 1e-12 * max(1, max|I|) or a failed numpy Cholesky
+    factorization I = L L^T).
     X = I^-1 is formed once from the factor, as L^-T L^-1.  kind "blackbox"
     wraps an arbitrary callable and differentiates it by central differences,
     so tolerances downstream are limited to ~sqrt(machine eps) * |f|''
@@ -118,7 +118,7 @@ class EnergySpec:
                 raise SingularInertia("inertia has a non-finite entry")
             scale = max(1.0, np.max(np.abs(inertia), initial=0.0))
             if np.max(np.abs(inertia - inertia.T), initial=0.0) > _SYM_TOL * scale:
-                raise ValueError("inertia matrix is not symmetric")
+                raise SingularInertia("inertia matrix is not symmetric")
             try:
                 linv = np.linalg.inv(np.linalg.cholesky(inertia))
             except np.linalg.LinAlgError as exc:
@@ -132,7 +132,7 @@ class EnergySpec:
                 raise ValueError("blackbox energy needs a callable f")
             positive(self.fd_eps, "fd_eps")
         else:
-            raise ValueError(f"unknown energy kind {self.kind!r}")
+            raise ConfigError(f"unknown energy kind {self.kind!r}")
 
     # -- constructors ----------------------------------------------------
 

@@ -8,9 +8,12 @@ entry by entry: a bool, None, string, complex or other non-real entry is a
 ConfigError naming the argument, and a wrong shape a DimensionError.  NaN and
 inf are real numbers here; finiteness is each caller's own check.  `labels`
 judges every list of coordinate names: a bare string or a non-string entry is
-a ConfigError naming the argument, a wrong count a DimensionError.  Tolerances
-default to 1e-10, overridden globally by the UM_TOL environment variable (read
-at call time, so tests may monkeypatch it)."""
+a ConfigError naming the argument, a wrong count a DimensionError.
+
+There is one tolerance, `default_tol()`: 1e-10, or the UM_TOL environment
+variable, which must be finite and > 0.  Every check reads it at the moment
+it judges, and no constructor or function takes a tolerance of its own; this
+module is the only reader of UM_TOL."""
 
 import json
 import math
@@ -94,7 +97,8 @@ def labels(value, name: str, n: int, prefix: str) -> tuple[str, ...]:
 
 
 def default_tol() -> float:
-    """Package-wide default tolerance, honouring the UM_TOL override."""
+    """The package's one tolerance: UM_TOL if set, else 1e-10, read anew on
+    each call."""
     raw = os.environ.get("UM_TOL")
     if raw is None:
         return DEFAULT_TOL

@@ -40,8 +40,9 @@ inverses, embeddings and the t of a factorization hand the arrays they
 made or hold over uncopied (algebra._Kept).  One judgment serves jets and
 the public residuals alike: _defects forms each defect once, with no
 warning, and a jet whose determinant (_det, a cofactor expansion up to
-size 3) is safely nonzero and whose defects all lie within tol passes at
-once.  Otherwise _judge_rows reads each base's and slot's residual off the
+size 3) is safely nonzero and whose defects all lie within the package's
+one tolerance, errors.default_tol() (read once per jet), passes at once.
+Otherwise _judge_rows reads each base's and slot's residual off the
 same defects (_residuals), compares it with its own bound and raises the
 first failure.
 
@@ -157,7 +158,7 @@ def _defects(group: str, bases: np.ndarray, dets: float | np.ndarray, slots: np.
     if group == "GL":
         return 0.0, 0.0 if _all(_isfinite(slots), None) else math.inf, None
     if group != "SL":
-        raise ValueError(f"unknown group tag {group!r}")
+        raise ConfigError(f"unknown group tag {group!r}")
     peak = _max(np.abs(slots), None, initial=0.0)  # NaN or inf with a non-finite entry
     with _AS_IS if peak <= 1e300 else np.errstate(over="ignore", invalid="ignore"):
         rows = np.add.reduce(slots.diagonal(0, -2, -1), -1)
@@ -280,14 +281,15 @@ class JetElement:
 
     With no slots this is a plain group element.  The order is inferred from
     the slot count: kind "tangent" has `order` slots, kind "iterated" has
-    2**order - 1.  Construction checks `tol` (finite, >= 0), that every entry
-    is finite, that the base lies in the tagged group to `tol` (an SL base's
-    |det - 1| to `tol * max(1, prod_i |row_i|)`, the Hadamard bound on |det|)
-    and that each slot x lies in its Lie algebra to `tol * max(1, max|x|)`; a
-    failure is a JetValidationError naming the base or the first bad slot
-    (SingularMatrix for a singular base).  The defects are formed once: a jet
-    whose defects all lie within `tol` passes on that alone, and only another
-    is judged row by row against the bounds above.  The base and slots, a
+    2**order - 1.  Construction reads tol = errors.default_tol() once and
+    checks that every entry is finite, that the base lies in the tagged
+    group to `tol` (an SL base's |det - 1| to `tol * max(1, prod_i
+    |row_i|)`, the Hadamard bound on |det|) and that each slot x lies in its
+    Lie algebra to `tol * max(1, max|x|)`; a failure is a JetValidationError
+    naming the base or the first bad slot (SingularMatrix for a singular
+    base).  The defects are formed once: a jet whose defects all lie within
+    `tol` passes on that alone, and only another is judged row by row
+    against the bounds above.  The base and slots, a
     sequence or (m, d, d) stack of d x d matrices, are judged by
     errors.floats and copied to read-only arrays, so no caller can change a
     validated jet.
@@ -297,14 +299,13 @@ class JetElement:
     base: np.ndarray
     slots: np.ndarray = ()
     kind: str = "tangent"
-    tol: float = field(default_factory=default_tol)
     _inv: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.group not in GROUP_TAGS:
-            raise ValueError(f"unknown group tag {self.group!r}")
+            raise ConfigError(f"unknown group tag {self.group!r}")
         if self.kind not in ("tangent", "iterated"):
-            raise ValueError(f"unknown jet kind {self.kind!r}")
+            raise ConfigError(f"unknown jet kind {self.kind!r}")
         base = read_only_floats(self.base, "base")
         if base.ndim != 2 or base.shape[0] != base.shape[1]:
             raise DimensionError(f"base has shape {base.shape}, expected a square matrix")
@@ -319,7 +320,7 @@ class JetElement:
                 raise DimensionError(
                     f"iterated jet needs 2^n - 1 slots, got {len(slots)}"
                 )
-        det, tol = _det(base), positive(self.tol, "tol", zero=True)
+        det, tol = _det(base), default_tol()
         head, worst, rows = _defects(self.group, base, det, slots)
         if not (1e-300 <= abs(det) < math.inf and head <= tol and worst <= tol):
             _judge_rows(self.group, base, slots, tol, det, head, rows)
@@ -339,7 +340,7 @@ class JetElement:
     def _over_same_base(self, slots, kind: str) -> "JetElement":
         """A jet of `kind` with `slots` over this very base, sharing its
         inverse if that is formed."""
-        other = JetElement(self.group, _Kept(self.base), slots, kind=kind, tol=self.tol)
+        other = JetElement(self.group, _Kept(self.base), slots, kind=kind)
         object.__setattr__(other, "_inv", self._inv)
         return other
 
@@ -501,8 +502,7 @@ def _multiply(kind: str, n: int, a: JetElement, b: JetElement) -> JetElement:
     n = integer(n, "n")
     _check_pair(a, b, kind, n)
     slots = _product_slots(kind, n, a.slots, b.base, b._base_inverse(), b.slots)
-    return JetElement(a.group, _Kept(a.base @ b.base), _Kept(slots), kind=kind,
-                      tol=max(a.tol, b.tol))
+    return JetElement(a.group, _Kept(a.base @ b.base), _Kept(slots), kind=kind)
 
 
 def _invert(kind: str, n: int, a: JetElement) -> JetElement:
@@ -514,8 +514,7 @@ def _invert(kind: str, n: int, a: JetElement) -> JetElement:
         raise DimensionError(f"expected {article} {kind} jet of order {n}")
     base_inv = a._base_inverse()
     out = a.base @ _run_trie(_trie(kind, n, True), a.slots, a.slots) @ base_inv
-    inv = JetElement(a.group, _Kept(base_inv), _Kept(np.negative(out, out=out)), kind=kind,
-                     tol=a.tol)
+    inv = JetElement(a.group, _Kept(base_inv), _Kept(np.negative(out, out=out)), kind=kind)
     object.__setattr__(inv, "_inv", a.base)  # the inverse of base^-1 is the base
     return inv
 
@@ -562,21 +561,19 @@ def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fibers, tops, np.setdiff1d(np.arange(2**n - 1), tops)
 
 
-def complement_embed(
-    n: int, q: np.ndarray, group: str = "GL", tol: float | None = None
-) -> JetElement:
+def complement_embed(n: int, q: np.ndarray, group: str = "GL") -> JetElement:
     """Embed 2^n - 1 - n algebra elements into the n-fold iterated bundle
     over the identity: q fills every slot but the top subsets {n-k+1..n},
     in slot order.  For n = 3 the slots are (X1, X2, X21, 0, X31, 0, 0).
-    q is judged by errors.floats as a (2^n - 1 - n, d, d) array."""
+    q is judged by errors.floats as a (2^n - 1 - n, d, d) array, and the jet
+    by JetElement against default_tol()."""
     n = integer(n, "n")
     q = floats(q, "q", (2**n - 1 - n, None, None))
     if q.shape[1] != q.shape[2]:
         raise DimensionError(f"q has shape {q.shape}, expected square matrices")
     slots = np.zeros((2**n - 1,) + q.shape[1:])
     slots[_layout(n)[2]] = q
-    return JetElement(group, _Kept(np.eye(q.shape[1])), _Kept(slots), kind="iterated",
-                      tol=default_tol() if tol is None else tol)
+    return JetElement(group, _Kept(np.eye(q.shape[1])), _Kept(slots), kind="iterated")
 
 
 def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
@@ -589,11 +586,11 @@ def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
     the linked terms of size k, the top subset gives t_k and the other
     size-k subsets their W.
 
-    The round trip must hold to max(tol, 1e-10) * max(1, max|base|,
-    max|slots|) of j, else FactorizationError.  Its slots are compared, not
-    validated as a jet: close to j they lie in the algebra as j does, while
-    a jet check would judge the rounding of the factors' larger slots
-    against each output slot's own size.
+    The round trip must hold to max(default_tol(), 1e-10) * max(1,
+    max|base|, max|slots|) of j, else FactorizationError.  Its slots are
+    compared, not validated as a jet: close to j they lie in the algebra as
+    j does, while a jet check would judge the rounding of the factors'
+    larger slots against each output slot's own size.
     """
     n = integer(n, "n")
     if j.kind != "iterated" or j.order != n:
@@ -617,7 +614,7 @@ def iterated_factorize(n: int, j: JetElement) -> tuple[np.ndarray, JetElement]:
     embedded[free] = q
     recon = _product_slots("iterated", n, embedded, x, x_inv, tt)  # over the base I @ x == x
     err = float(_max_abs(recon - s).max(initial=0.0))
-    limit = max(j.tol, 1e-10) * float(max(1.0, _max_abs(x), _max_abs(s).max(initial=0.0)))
+    limit = max(default_tol(), 1e-10) * float(max(1.0, _max_abs(x), _max_abs(s).max(initial=0.0)))
     if not err <= limit:
         raise FactorizationError(f"round-trip residual {err:.3g} exceeds {limit:.3g}")
     return q, t
@@ -682,7 +679,9 @@ def jet_from_doc(doc: dict) -> JetElement:
     try:
         return JetElement(m.group(1), floats(base, "base", (d, d)), slots,
                           kind=doc.get("kind", "tangent"))
-    except ValueError as exc:  # a bad entry or shape, unknown kind, base or slot off the group
+    except DimensionError:  # a wrong shape, as algebra_from_doc and product_from_doc
+        raise
+    except ValueError as exc:  # a bad entry, unknown kind, base or slot off the group
         raise ConfigError(f"jet document: {exc}") from exc
 
 

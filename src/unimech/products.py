@@ -82,9 +82,9 @@ class UnifiedProductData:
     """A Lie algebra cut after its first dim_m coordinates: m those, h the rest.
 
     dim_m is an integer from 0 to the algebra's dim.  h must close: an
-    (m; h, h) entry above tol * max(1, max|c|) raises NotASubalgebra naming
-    the worst one.  The algebra is not checked again, so a strict=False
-    algebra cuts too, for validate_axioms to report on.
+    (m; h, h) entry above default_tol() * max(1, max|c|) raises
+    NotASubalgebra naming the worst one.  The algebra is not checked again,
+    so a strict=False algebra cuts too, for validate_axioms to report on.
     """
 
     algebra: LieAlgebra
@@ -96,7 +96,7 @@ class UnifiedProductData:
         if m > alg.dim:
             raise DimensionError(f"dim_m={m} outside 0..{alg.dim}")
         leak, witness = _peak(alg.c, m, "mhh", alg.labels)
-        limit = alg.tol * max(1.0, float(np.max(np.abs(alg.c), initial=0.0)))
+        limit = default_tol() * max(1.0, float(np.max(np.abs(alg.c), initial=0.0)))
         if witness and not leak <= limit:
             raise NotASubalgebra(witness, leak, limit)
 
@@ -111,7 +111,7 @@ class UnifiedProductData:
         alg, m, n = self.algebra, self.dim_m, self.dim
         if m == 0:
             return alg
-        return LieAlgebra(n - m, alg.c[_cut(m, n, "hhh")], alg.labels[m:], alg.tol, False)
+        return LieAlgebra(n - m, alg.c[_cut(m, n, "hhh")], alg.labels[m:], False)
 
     # -- read off the algebra -----------------------------------------------
 
@@ -132,10 +132,6 @@ class UnifiedProductData:
         return self.algebra.labels[: self.dim_m]
 
     @property
-    def tol(self) -> float:
-        return self.algebra.tol
-
-    @property
     def field_tensor(self) -> np.ndarray:
         """The algebra's coadjoint as one (dim, dim*dim) contraction."""
         return self.algebra.field_tensor
@@ -143,19 +139,18 @@ class UnifiedProductData:
 
 def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
                     theta: np.ndarray, psi: np.ndarray, m_labels: tuple[str, ...] = (),
-                    tol: float | None = None, strict: bool = True) -> UnifiedProductData:
+                    strict: bool = True) -> UnifiedProductData:
     """The unified product of an m of dimension dim_m and h under the four maps.
 
     Each map is judged by errors.floats against the shape of its block.
     With strict, the LieAlgebra constructor judges the antisymmetry of the
-    composed tensor:
-    of phi, theta and h directly, and through their mirrored blocks of act
-    and psi, so a nan or inf in any map is refused too.  m_labels are judged
-    by errors.labels, m1, m2, ... if empty; tol defaults to default_tol() at call time.
+    composed tensor to default_tol(): of phi, theta and h directly, and
+    through their mirrored blocks of act and psi, so a nan or inf in any map
+    is refused too.  m_labels are judged by errors.labels, m1, m2, ... if
+    empty.
     """
     m = integer(dim_m, "dim_m")
     n = m + h.dim
-    tol = default_tol() if tol is None else tol
     m_labels = labels(m_labels, "m_labels", m, "m")
     c = np.zeros((n, n, n))
     maps = {"act": act, "phi": phi, "theta": theta, "psi": psi}
@@ -165,7 +160,7 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
         if axes[1:] == "hm":  # its (k; m, h) mirror: -n2 |> v1 and -psi(n2, v1)
             c[_cut(m, n, axes[0] + "mh")] = -arr.swapaxes(1, 2)
     c[_cut(m, n, "hhh")] = h.c
-    return UnifiedProductData(LieAlgebra(n, c, m_labels + h.labels, tol, strict), m)
+    return UnifiedProductData(LieAlgebra(n, c, m_labels + h.labels, strict), m)
 
 
 # -- axiom residuals -----------------------------------------------------------
@@ -177,9 +172,10 @@ class AxiomReport:
 
     ``witnesses[name]`` holds the basis labels (output component first, then
     the argument basis vectors) of the entry where that axiom's residual is
-    largest -- the place to look when a validation fails.  ``tol`` judges the
-    antisymmetry residuals, ``jacobi_tol`` the Jacobiator blocks and
-    ``jacobi``, the largest entry of the whole Jacobiator.
+    largest -- the place to look when a validation fails.  ``tol``, the
+    default_tol() the report was judged against, judges the antisymmetry
+    residuals, ``jacobi_tol`` the Jacobiator blocks and ``jacobi``, the
+    largest entry of the whole Jacobiator.
     """
 
     residuals: dict[str, float]
@@ -209,14 +205,16 @@ def validate_axioms(d: UnifiedProductData) -> AxiomReport:
     Residuals are max-abs over all basis tuples.  m_antisymmetry reads every
     block of c + c^T with an m argument and h_antisymmetry the rest; each
     other axiom is one block of the one Jacobiator of d.algebra, judged
-    against tol * max(1, max|c|)**2, the scale of a product of two brackets.
+    against default_tol() * max(1, max|c|)**2, the scale of a product of
+    two brackets.
     A scale past the float range gives no threshold: jacobi_tol is then nan,
     and nothing passes.  With dim_m = 0 this is LieAlgebra.validate.
     """
     c, m, labels = d.algebra.c, d.dim_m, d.labels
     jacobiator = d.algebra.jacobiator()
     scale = max(1.0, float(np.abs(c).max(initial=0.0)))
-    jacobi_tol = d.tol * (scale * scale)
+    tol = default_tol()
+    jacobi_tol = tol * (scale * scale)
     res: dict[str, float] = {}
     wit: dict[str, tuple[str, ...]] = {}
     # c + c^T vanishes on a Lie algebra; up to its symmetry in (i, j), the
@@ -227,7 +225,7 @@ def validate_axioms(d: UnifiedProductData) -> AxiomReport:
     for name, axes in AXIOM_BLOCKS.items():
         res[name], wit[name] = _peak(jacobiator, m, axes, labels)
 
-    return AxiomReport(residuals=res, witnesses=wit, tol=d.tol,
+    return AxiomReport(residuals=res, witnesses=wit, tol=tol,
                        jacobi_tol=jacobi_tol if jacobi_tol < math.inf else math.nan,
                        h_antisymmetry=_peak(anti, m, "hhh", labels)[0],
                        jacobi=float(np.abs(jacobiator).max(initial=0.0)))

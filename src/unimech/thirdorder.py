@@ -28,15 +28,14 @@ one array pass over the whole trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .algebra import LieAlgebra, _expm, read_only_floats, tangent_algebra
 from .dynamics import EnergySpec, ep_field, fd_gradient
-from .errors import (DimensionError, NonUniformGrid, SingularFiberMap, TooFewPoints, default_tol,
-                     floats, labels)
+from .errors import DimensionError, NonUniformGrid, SingularFiberMap, TooFewPoints, floats, labels
 from .products import UnifiedProductData
 
 __all__ = [
@@ -87,7 +86,6 @@ class MatrixBasis:
 
     mats: np.ndarray
     labels: tuple[str, ...] = ()
-    tol: float = field(default_factory=default_tol)
 
     def __post_init__(self) -> None:
         mats = read_only_floats(self.mats, "mats")
@@ -109,7 +107,7 @@ class MatrixBasis:
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "labels", names)
         object.__setattr__(self, "_proj", proj)
-        object.__setattr__(self, "algebra", LieAlgebra(dim=n, c=c, labels=names, tol=self.tol))
+        object.__setattr__(self, "algebra", LieAlgebra(dim=n, c=c, labels=names))
 
     @property
     def dim(self) -> int:

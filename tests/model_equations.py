@@ -21,9 +21,9 @@ from unimech import (
 
 def with_maps(d: UnifiedProductData, **maps) -> UnifiedProductData:
     """d composed again with some of its compose_bracket arguments (h, act,
-    phi, theta, psi, tol, strict, ...) replaced."""
+    phi, theta, psi, strict, ...) replaced."""
     parts = dict(dim_m=d.dim_m, h=d.h, act=d.act, phi=d.phi, theta=d.theta, psi=d.psi,
-                 m_labels=d.m_labels, tol=d.tol)
+                 m_labels=d.m_labels)
     return compose_bracket(**{**parts, **maps})
 
 
@@ -127,7 +127,7 @@ def tokamak_regression(
     constant; an abelian base carries no recoverable B, but then both sides
     drop the B-terms anyway)."""
     n = d.dim_h // 2
-    base = LieAlgebra(dim=n, c=np.array(d.h.c[n:, n:, n:]), tol=d.tol)
+    base = LieAlgebra(dim=n, c=np.array(d.h.c[n:, n:, n:]))
     idx = np.unravel_index(int(np.argmax(np.abs(base.c))), base.c.shape) if n else (0, 0, 0)
     denom = base.c[idx] if n else 0.0
     b = float(-d.theta[idx[0], n + idx[1], idx[2]] / denom) if abs(denom) > 0 else 0.0

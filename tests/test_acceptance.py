@@ -273,7 +273,7 @@ def test_criterion_6_factorization_round_trips_and_cocycle_slots():
     for _ in range(100):
         j = random_jet("GL", 3, 3, kind="iterated", rng=rng)
         quad, t = t3_factorize(j)
-        recon = iterated_multiply(3, complement_embed(3, quad, tol=j.tol), tn_to_iterated(t))
+        recon = iterated_multiply(3, complement_embed(3, quad), tn_to_iterated(t))
         worst_rt = max(
             worst_rt,
             float(np.max(np.abs(recon.base - j.base))),

@@ -200,7 +200,8 @@ def test_a_tolerance_that_is_not_positive_and_finite_is_refused(raw, monkeypatch
     assert main(["validate", "so3"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     monkeypatch.setenv("UM_TOL", "1e-3")
-    assert default_tol() == 1e-3 and JetElement("SO", np.eye(3)).tol == 1e-3
+    assert default_tol() == 1e-3
+    JetElement("SO", 1.0001 * np.eye(3))  # |det - 1| = 3e-4: off SO(3) at the default 1e-10
 
 
 # -- describe -------------------------------------------------------------------

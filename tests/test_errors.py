@@ -6,7 +6,9 @@ argument, a wrong shape DimensionError, and integer, float32, big-endian,
 strided and list inputs give the values a float64 array gives.  And for
 every list of labels: a bare string or a non-string entry raises
 ConfigError naming the argument, a wrong count DimensionError, and an
-empty list gives the defaults."""
+empty list gives the defaults.  An unknown group, jet or energy tag raises
+ConfigError.  And every check reads the one tolerance, UM_TOL, when it
+judges."""
 
 import io
 import os
@@ -58,6 +60,7 @@ from unimech import (
     tn_inverse,
     tn_multiply,
     unit_jet,
+    validate_axioms,
 )
 from unimech import cli
 from unimech.errors import floats, integer, positive, real
@@ -66,8 +69,8 @@ from unimech.jets import algebra_residual, group_residual
 NAN, INF = float("nan"), float("inf")
 NOT_REAL = (True, "0.1", None)
 NOT_FINITE = NOT_REAL + (NAN, INF)
-NOT_TOL = NOT_FINITE + (-1,)  # a tolerance may be 0
-NOT_COUNT = NOT_TOL + (2.0,)  # a count, dimension or order may be 0, not a float
+NOT_NONNEGATIVE = NOT_FINITE + (-1,)  # a scale may be 0
+NOT_COUNT = NOT_NONNEGATIVE + (2.0,)  # a count, dimension or order may be 0, not a float
 NOT_POSITIVE = NOT_FINITE + (0, -1)
 
 
@@ -82,12 +85,10 @@ TANGENT, ITERATED = unit_jet("SO", 3, 1), unit_jet("SO", 3, 1, kind="iterated") 
 ARGUMENTS = {
     "UM_TOL": ("UM_TOL", _um_tol, (NAN, INF, 0.0, -1.0)),
     "LieAlgebra.dim": ("dim", lambda v: LieAlgebra(v, np.zeros((1, 1, 1))), NOT_COUNT),
-    "LieAlgebra.tol": ("tol", lambda v: LieAlgebra(3, np.zeros((3, 3, 3)), tol=v), NOT_TOL),
     "from_sparse_entries.dim": ("dim", lambda v: from_sparse_entries(v, []), NOT_COUNT),
     "UnifiedProductData.dim_m": ("dim_m", lambda v: UnifiedProductData(abelian(2), v), NOT_COUNT),
     "compose_bracket.dim_m": (  # maps that fit dim_m = 1
         "dim_m", lambda v: compose_bracket(v, abelian(1), *[np.zeros((1, 1, 1))] * 4), NOT_COUNT),
-    "JetElement.tol": ("tol", lambda v: JetElement("SO", np.eye(3), tol=v), NOT_TOL),
     "abelian.dim": ("dim", abelian, NOT_COUNT),
     "tangent_algebra.n": ("n", lambda v: tangent_algebra(preset("so3"), v), NOT_COUNT),
     "algebra_from_doc.dim": ("'dim'", lambda v: algebra_from_doc({"dim": v}), NOT_COUNT),
@@ -95,7 +96,7 @@ ARGUMENTS = {
         "'dim_m'", lambda v: product_from_doc({"dim_m": v, "h": {"dim": 1}}), NOT_COUNT),
     "product_from_doc.dim": (  # 1.0 equals dim_m + dim_h but is not an integer
         "'dim'", lambda v: product_from_doc({"dim": v, "dim_m": 0, "h": {"dim": 1}}),
-        NOT_TOL + (1.0,)),
+        NOT_NONNEGATIVE + (1.0,)),
     "fill_entries.value": (
         "structure entry", lambda v: algebra_from_doc({"dim": 3, "c": [[2, 0, 1, v]]}),
         NOT_REAL),
@@ -113,7 +114,7 @@ ARGUMENTS = {
     "unit_jet.order": ("order", lambda v: unit_jet("SO", 3, v), NOT_COUNT),
     "random_jet.dim": ("dim", lambda v: random_jet("SO", v, 1), NOT_COUNT),
     "random_jet.order": ("order", lambda v: random_jet("SO", 3, v), NOT_COUNT),
-    "random_jet.scale": ("scale", lambda v: random_jet("SO", 3, 1, scale=v), NOT_TOL),
+    "random_jet.scale": ("scale", lambda v: random_jet("SO", 3, 1, scale=v), NOT_NONNEGATIVE),
     "EnergySpec.identity.dim": ("dim", EnergySpec.identity, NOT_COUNT),
     "tn_multiply.n": ("n", lambda v: tn_multiply(v, TANGENT, TANGENT), NOT_COUNT),
     "tn_inverse.n": ("n", lambda v: tn_inverse(v, TANGENT), NOT_COUNT),
@@ -151,19 +152,13 @@ def test_numpy_scalars_are_accepted():
     np.testing.assert_array_equal(both[0].times, both[1].times)
     assert KeplerParams(np.float64(0.5), np.int64(2)).coupling == KeplerParams(0.5, 2).coupling
     assert unit_jet("SO", np.int64(3), np.int64(2)).order == 2
-    assert JetElement("SO", np.eye(3), tol=np.float64(0.0)).tol == 0.0
-    assert LieAlgebra(1, np.zeros((1, 1, 1)), tol=np.int64(1)).tol == 1
     assert type(LieAlgebra(np.int64(1), np.zeros((1, 1, 1))).dim) is int
     assert type(UnifiedProductData(abelian(2), np.int64(1)).dim_m) is int
     assert tn_multiply(np.int64(1), TANGENT, TANGENT).order == 1
 
 
 def test_the_holes_the_scalar_judges_close():
-    c = np.zeros((3, 3, 3))
-    c[0, 1, 2] = 1.0  # no mirror entry: antisymmetric only to a tol of True == 1
     holes = [
-        (lambda: JetElement("SO", 5 * np.eye(3), tol=INF), "tol must be finite and >= 0, got inf"),
-        (lambda: LieAlgebra(3, c, tol=True), "tol must be a real number, got True"),
         (lambda: fd_gradient(lambda x: 0.0, np.ones(2), eps=True),
          "eps must be a real number, got True"),
         (lambda: rk4(lambda y: -y, np.ones(2), True, 2), "h must be a real number, got True"),
@@ -308,8 +303,8 @@ def test_a_bad_array_entry_is_a_config_error_naming_its_argument(argument, bad):
 @pytest.mark.parametrize("argument", [a for a, row in ARRAYS.items() if row[3] is not None])
 def test_a_wrongly_shaped_array_names_its_argument(argument):
     name, call, _, wrong = ARRAYS[argument]
-    error = ConfigError if argument.startswith("jet_from_doc") else DimensionError
-    with pytest.raises(error, match=rf"{name} has shape {re.escape(str(np.shape(wrong)))}, "):
+    shape = re.escape(str(np.shape(wrong)))
+    with pytest.raises(DimensionError, match=rf"{name} has shape {shape}, "):
         call(wrong)
 
 
@@ -427,3 +422,71 @@ def test_labels_are_kept_and_an_empty_list_gives_the_defaults(argument):
     good = [f"a{i}" for i in range(len(defaults))]
     assert call(good) == call(tuple(good)) == tuple(good)
     assert call([]) == call(()) == defaults
+
+
+# -- tags ------------------------------------------------------------------------
+
+# argument -> (a call that passes an unknown tag, the message it gives)
+TAGS = {
+    "JetElement.group": (lambda: JetElement("XX", np.eye(2)), "unknown group tag 'XX'"),
+    "JetElement.kind": (lambda: JetElement("GL", np.eye(2), kind="foo"),
+                        "unknown jet kind 'foo'"),
+    "EnergySpec.kind": (lambda: EnergySpec(kind="cubic"), "unknown energy kind 'cubic'"),
+    "group_residual.group": (lambda: group_residual("XX", np.eye(2)), "unknown group tag 'XX'"),
+    "algebra_residual.group": (lambda: algebra_residual("XX", np.zeros((2, 2))),
+                               "unknown group tag 'XX'"),
+}
+
+
+@pytest.mark.parametrize("argument", list(TAGS))
+def test_an_unknown_tag_is_a_config_error(argument):
+    call, message = TAGS[argument]
+    with pytest.raises(ConfigError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+# -- the one tolerance -------------------------------------------------------------
+
+
+def _bumped(c, k, i, j, value):
+    """A copy of c with c[k, i, j] += value and c[k, j, i] -= value."""
+    c = np.array(c)
+    c[k, i, j] += value
+    c[k, j, i] -= value
+    return c
+
+
+_LEAKY = LieAlgebra(6, _bumped(tangent_algebra(SO3, 1).c, 0, 4, 5, 1e-6))  # h leaks into m
+_BENT = LieAlgebra(3, _bumped(SO3.c, 0, 0, 1, 1e-6))  # [e1, e2] = e3 + 1e-6 e1: no Jacobi
+_LARGE = random_jet("GL", 3, 4, kind="iterated", rng=np.random.default_rng(0))
+_LARGE = _LARGE.replace_slots(1e3 * _LARGE.slots)  # round trip 1.4e-6 against 1.2e-7
+
+# check -> a call it judges, on objects built beforehand, with a defect of
+# about 1e-6: refused at the default 1e-10, accepted at UM_TOL=1e-3
+TOLERANCE_CHECKS = {
+    "LieAlgebra.strict": lambda: LieAlgebra(3, SO3.c + 1e-6),  # c + c^T is 2e-6
+    "compose_bracket.strict": lambda: compose_bracket(
+        1, abelian(1), act=ZERO, phi=[[[1e-6]]], theta=ZERO, psi=ZERO),
+    "UnifiedProductData.cut": lambda: UnifiedProductData(_LEAKY, 3),
+    "validate_axioms": lambda: validate_axioms(UnifiedProductData(_BENT, 0)),
+    "JetElement": lambda: JetElement("SO", (1.0 + 1e-6) * np.eye(3)),
+    "iterated_factorize": lambda: iterated_factorize(4, _LARGE),
+}
+
+
+def _accepted(check) -> bool:
+    try:
+        verdict = check()
+    except ValueError:
+        return False
+    return getattr(verdict, "ok", True)
+
+
+@pytest.mark.parametrize("check", list(TOLERANCE_CHECKS))
+def test_every_check_reads_um_tol_when_it_judges(check, monkeypatch):
+    assert not _accepted(TOLERANCE_CHECKS[check])
+    monkeypatch.setenv("UM_TOL", "1e-3")
+    assert _accepted(TOLERANCE_CHECKS[check])
+    monkeypatch.setenv("UM_TOL", "1e-10")
+    assert not _accepted(TOLERANCE_CHECKS[check])

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import os
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -18,6 +19,7 @@ from unimech import (
     JetValidationError,
     SingularMatrix,
     complement_embed,
+    default_tol,
     iterated_factorize,
     iterated_inverse,
     iterated_multiply,
@@ -320,7 +322,7 @@ def test_iterated_factorize_round_trip_property(seed, group_dim, order, scale):
     j = random_jet(group, dim, order, kind="iterated", rng=rng, scale=scale)
     q, t = iterated_factorize(order, j)
     assert t.group == group and t.kind == "tangent" and t.order == order
-    recon = iterated_multiply(order, complement_embed(order, q, group=group, tol=j.tol),
+    recon = iterated_multiply(order, complement_embed(order, q, group=group),
                               tn_to_iterated(t))
     _assert_jets_close(recon, j, atol=1e-10)
 
@@ -418,7 +420,7 @@ def test_jets_multiply_invert_and_factorize_as_block_matrices(group, dim, n):
         _assert_block_product(_block(ea), _block(eb), _block(pair))
         for j in (random_jet(group, dim, n, kind="iterated", rng=rng), pair):
             q, t = iterated_factorize(n, j)
-            _assert_block_product(_block(complement_embed(n, q, group=group, tol=j.tol)),
+            _assert_block_product(_block(complement_embed(n, q, group=group)),
                                   _block(t), _block(j))
 
 
@@ -461,7 +463,7 @@ def _scaled_jet(group, dim, seed):
 def test_a_large_valid_jet_factorizes():
     j = _scaled_jet("GL", 3, 0)  # residual 1.43e-06 against a bound of 1.18e-07
     q, t = iterated_factorize(4, j)
-    product = iterated_multiply(4, complement_embed(4, q, tol=j.tol), tn_to_iterated(t))
+    product = iterated_multiply(4, complement_embed(4, q), tn_to_iterated(t))
     _assert_jets_close(product, j, atol=1e-6)
 
 
@@ -471,7 +473,7 @@ def test_a_large_valid_jet_factorizes():
 def test_the_factors_of_a_large_valid_jet_multiply_back():
     j = _scaled_jet("SO", 3, 1)  # slot 14 has an antisymmetry residual of 1.3e-07
     q, t = iterated_factorize(4, j)
-    product = iterated_multiply(4, complement_embed(4, q, "SO", j.tol), tn_to_iterated(t))
+    product = iterated_multiply(4, complement_embed(4, q, "SO"), tn_to_iterated(t))
     _assert_jets_close(product, j, atol=1e-6)
 
 
@@ -600,7 +602,7 @@ def test_t3_factorize_round_trips(group, dim):
         assert quad.shape == (4, dim, dim)
         assert t.kind == "tangent" and t.order == 3
         np.testing.assert_allclose(t.base, j.base)
-        embedded = (complement_embed(3, quad, group=group, tol=j.tol), tn_to_iterated(t))
+        embedded = (complement_embed(3, quad, group=group), tn_to_iterated(t))
         _assert_jets_close(iterated_multiply(3, *embedded), j, atol=1e-10)
         # and through the longhand product, so the check does not lean on
         # the same multiply routine the factorization itself used
@@ -634,7 +636,7 @@ def test_iterated_factorize_round_trips(group, dim):
             assert q.shape == (2**n - 1 - n, dim, dim)
             assert t.group == group and t.kind == "tangent" and t.order == n
             np.testing.assert_array_equal(t.base, j.base)
-            recon = iterated_multiply(n, complement_embed(n, q, group=group, tol=j.tol),
+            recon = iterated_multiply(n, complement_embed(n, q, group=group),
                                       tn_to_iterated(t))
             _assert_jets_close(recon, j, atol=1e-10)
 
@@ -673,7 +675,7 @@ def test_factorization_judges_the_round_trip_against_the_jet_scale(group, dim, s
         q, t = t3_factorize(j)
         # the longhand product: a validated one may reject the factors' product
         # (their slots grow like powers of the jet's, see ROADMAP item 3)
-        base, slots = _iterated3_by_hand(complement_embed(3, q, group=group, tol=j.tol),
+        base, slots = _iterated3_by_hand(complement_embed(3, q, group=group),
                                          tn_to_iterated(t))
         size = max(1.0, np.max(np.abs(j.base)), np.max(np.abs(j.slots)))
         np.testing.assert_allclose(base, j.base, rtol=0, atol=1e-10 * size)
@@ -729,7 +731,7 @@ def test_act_and_twist_closed_forms():
     xi = t.slots
     quad = rng.standard_normal((4, 3, 3))
     m1, m2, m21, m31 = quad
-    embedded = complement_embed(3, quad, group=t.group, tol=t.tol)
+    embedded = complement_embed(3, quad, group=t.group)
     moved, twisted = iterated_factorize(3, iterated_multiply(3, tn_to_iterated(t), embedded))
 
     push = lambda z: x @ z @ np.linalg.inv(x)
@@ -768,7 +770,7 @@ def test_jet_keeps_private_copies_of_its_arrays():
         assert not jet.base.flags.writeable and not jet.slots.flags.writeable
 
 
-def test_jet_validity_checks():
+def test_jet_validity_checks(monkeypatch):
     eye = np.eye(3)
     with pytest.raises(ValueError, match="unknown group tag"):
         JetElement("SU", eye)
@@ -819,7 +821,8 @@ def test_jet_validity_checks():
     rough = eye + 1e-6
     with pytest.raises(ValueError, match="not in SO"):
         JetElement("SO", rough)
-    JetElement("SO", rough, tol=1e-3)
+    monkeypatch.setenv("UM_TOL", "1e-3")
+    JetElement("SO", rough)
 
 
 def test_jets_reject_non_finite_entries():
@@ -857,11 +860,12 @@ def test_sl_bases_are_judged_against_the_hadamard_bound_on_det():
     # of tol * prod_i |row_i|: seed 0 gives two draws with |det - 1| > tol
     rng = np.random.default_rng(0)
     draws = [random_jet("SL", 4, 1, rng=rng, scale=3.0) for _ in range(100)]
-    over = [j for j in draws if abs(np.linalg.det(j.base) - 1.0) > j.tol]
+    tol = default_tol()
+    over = [j for j in draws if abs(np.linalg.det(j.base) - 1.0) > tol]
     assert len(over) == 2
     for j in over:
         hadamard = np.prod(np.linalg.norm(j.base, axis=1))
-        assert abs(np.linalg.det(j.base) - 1.0) <= j.tol * hadamard
+        assert abs(np.linalg.det(j.base) - 1.0) <= tol * hadamard
     # a unit-scale base off SL by 1e-6 still fails, with the same message
     for base in (np.diag([1.0 + 1e-6, 1.0, 1.0]), np.diag([10.0, 0.1 * (1.0 + 1e-6), 1.0])):
         with pytest.raises(JetValidationError) as err:
@@ -1027,7 +1031,7 @@ def test_plain_group_elements_validate_and_multiply(group, dim):
                              JetElement(group, b.base, kind="iterated")).slots.shape[0] == 0
 
 
-def test_validation_failures_keep_their_type_where_and_message():
+def test_validation_failures_keep_their_type_where_and_message(monkeypatch):
     eye = np.eye(3)
     skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     shear = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -1042,8 +1046,6 @@ def test_validation_failures_keep_their_type_where_and_message():
          "base is not in SO(3) to tol=1e-10 (residual 2e-10)"),  # Gram test, det 1
         (("SL", 2.0 * np.eye(2)), JetValidationError, "base",
          "base is not in SL(2) to tol=1e-10 (residual 3)"),
-        (("GL", eye, [], "tangent", -1.0), ConfigError, None,
-         "tol must be finite and >= 0, got -1.0"),
         (("SO", eye, [skew, skew + 0.125 * bump]), JetValidationError, 1,
          f"slot 1 {so} (residual 0.25)"),
         (("SO", eye, [1e6 * skew, 1e-3 * skew + 1e-10 * bump]), JetValidationError, 1,
@@ -1070,9 +1072,14 @@ def test_validation_failures_keep_their_type_where_and_message():
     # the same checks pass just inside their thresholds
     JetElement("SO", eye + np.diag([6e-11, 0.0], 1))
     JetElement("SO", eye, [1e6 * skew + 2.5e-5 * bump, 1e-3 * skew + 2.5e-11 * bump])
-    JetElement("GL", eye, [], tol=0.0)
-    JetElement("SO", eye, [skew], tol=0.0)
     JetElement("SL", _sheared(8e-8))  # |det - 1| above tol, below tol * prod_i |row_i|
+    # exact jets pass at the smallest positive tolerance; a negative one is refused
+    monkeypatch.setenv("UM_TOL", "5e-324")
+    JetElement("GL", eye, [])
+    JetElement("SO", eye, [skew])
+    monkeypatch.setenv("UM_TOL", "-1.0")
+    with pytest.raises(ConfigError, match=r"^UM_TOL must be finite and > 0, got -1\.0$"):
+        JetElement("GL", eye, [])
 
 
 def _sheared(excess):
@@ -1088,7 +1095,7 @@ _DEFECTS = ("none", "nan", "inf", "huge", "flip", "base_off", "hadamard", "large
 def _with_defect(group, d, kind, order, defect, in_slot, rng):
     """A random jet's (base, slots, tol) as writeable copies, with one defect."""
     j = random_jet(group, d, order, kind=kind, rng=rng, scale=2.0 if defect == "hadamard" else 0.5)
-    base, slots, tol = j.base.copy(), j.slots.copy(), j.tol
+    base, slots, tol = j.base.copy(), j.slots.copy(), default_tol()
     i, k = (int(v) for v in rng.integers(d, size=2))
     slot = slots[int(rng.integers(len(slots)))]
     target = slot if in_slot else base
@@ -1126,13 +1133,13 @@ def _verdict(check):
 
 def _reference_verdict(group, base, slots, tol):
     """The jet check written out slot by slot in plain numpy: a finite tol
-    >= 0, finite entries, an invertible base, the base in its group to tol
+    > 0, finite entries, an invertible base, the base in its group to tol
     (an SL base's |det - 1| also to tol * prod_i |row_i|), each slot x in its
     algebra to tol * max(1, max|x|).  det is jets._det, whose own accuracy is
     tested against exact arithmetic below."""
     d = len(base)
-    if not 0.0 <= tol < np.inf:
-        return ConfigError, None, f"tol must be finite and >= 0, got {tol!r}"
+    if not 0.0 < tol < np.inf:
+        return ConfigError, None, f"UM_TOL must be finite and > 0, got {tol!r}"
     if not np.isfinite(base).all():
         return JetValidationError, "base", "base has a non-finite entry"
     for i, x in enumerate(slots):
@@ -1176,9 +1183,10 @@ def test_jet_verdicts_match_a_per_slot_reference(seed, group, d, kind, order, de
     base, slots, tol = _with_defect(group, d, kind, order, defect, in_slot,
                                     np.random.default_rng(seed))
     spy = mock.patch.object(jets, "_judge_rows", wraps=jets._judge_rows)
-    with warnings.catch_warnings(), spy as judge_rows:
+    um_tol = mock.patch.dict(os.environ, {"UM_TOL": repr(tol)})
+    with warnings.catch_warnings(), spy as judge_rows, um_tol:
         warnings.simplefilter("error")
-        built = _verdict(lambda: JetElement(group, base, slots, kind=kind, tol=tol))
+        built = _verdict(lambda: JetElement(group, base, slots, kind=kind))
     assert built == _reference_verdict(group, base, slots, tol)
     if defect == "none":  # a valid random jet passes on tol alone, before any bound
         assert built == "accepted" and not judge_rows.called
@@ -1375,9 +1383,9 @@ def test_random_jets_land_on_their_manifolds():
     rng = np.random.default_rng(25)
     for group, dim in (("SO", 3), ("SL", 2), ("GL", 4)):
         j = random_jet(group, dim, 3, rng=rng)
-        assert group_residual(group, j.base) <= j.tol
+        assert group_residual(group, j.base) <= default_tol()
         for s in j.slots:
-            assert algebra_residual(group, s) <= j.tol
+            assert algebra_residual(group, s) <= default_tol()
         assert j.order == 3
 
 
@@ -1417,7 +1425,8 @@ def test_doc_errors(tmp_path):
         jet_from_doc({**good, "group": "SO"})
     with pytest.raises(ConfigError, match="missing key"):
         jet_from_doc({"group": "SO3", "base": np.eye(3).tolist()})
-    with pytest.raises(ConfigError, match=r"base has shape \(2, 2\), expected \(3, 3\)"):
+    # a shape error is a DimensionError, as from algebra_from_doc and product_from_doc
+    with pytest.raises(DimensionError, match=r"base has shape \(2, 2\), expected \(3, 3\)"):
         jet_from_doc({**good, "base": np.eye(2).tolist()})
     with pytest.raises(ConfigError, match="must be an object"):
         jet_from_doc([1, 2])
@@ -1425,7 +1434,7 @@ def test_doc_errors(tmp_path):
         jet_from_doc({**good, "base": [["a", 0, 0], [0, 1, 0], [0, 0, 1]]})
     with pytest.raises(ConfigError, match="slots must be a real number, got 'x'"):
         jet_from_doc({**good, "slots": [[["x"] * 3] * 3, good["slots"][1]]})
-    with pytest.raises(ConfigError, match=r"slots has shape \(\), expected \(\*, 3, 3\)"):
+    with pytest.raises(DimensionError, match=r"slots has shape \(\), expected \(\*, 3, 3\)"):
         jet_from_doc({**good, "slots": 7})
     # JSON strings and bools are not numbers, though numpy would convert them
     for base, bad in (([["1", "0"], ["0", "1"]], "'1'"), ([[True, False], [False, True]], "True")):
@@ -1442,7 +1451,7 @@ def test_doc_errors(tmp_path):
         jet_from_doc({**good, "slots": [good["slots"][0], np.eye(3).tolist()]})
     with pytest.raises(ConfigError, match="not invertible"):
         jet_from_doc({**good, "group": "GL3", "base": np.zeros((3, 3)).tolist()})
-    with pytest.raises(ConfigError, match="iterated jet needs"):
+    with pytest.raises(DimensionError, match="iterated jet needs"):
         jet_from_doc({**good, "kind": "iterated"})
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

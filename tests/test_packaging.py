@@ -1,5 +1,6 @@
-"""unimech runs on numpy and the standard library alone, and every library
-name the benchmark looks up exists."""
+"""unimech runs on numpy and the standard library alone, every library
+name the benchmark looks up exists, and the one tolerance is UM_TOL, read
+in errors.py alone."""
 
 import ast
 import importlib
@@ -185,6 +186,66 @@ def test_only_errors_decides_which_labels_pass():
                 raise AssertionError(f"{source.name}:{line} judges labels in {function}")
             found.add((source.name, function))
     assert found == set(STR_CHECKS), "an allowlisted string test is gone"
+
+
+# name -> why a `tol` parameter there is no tolerance a caller sets
+TOL_PARAMETERS = {
+    "AxiomReport": "a report records the tolerance it was judged against",
+}
+
+
+def _public_callables():
+    """(name, object) of every public function and class that a unimech
+    module defines, and of each public method of those classes."""
+    for source in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"unimech.{source.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                yield name, obj
+                for method, member in inspect.getmembers(obj, callable):
+                    if not method.startswith("_") and not inspect.isclass(member):
+                        yield f"{name}.{method}", member
+
+
+def test_no_public_callable_takes_a_tolerance():
+    # the one tolerance is UM_TOL, read by errors.default_tol when a check judges
+    found = set()
+    for name, obj in _public_callables():
+        try:
+            parameters = inspect.signature(obj).parameters
+        except ValueError:  # an exception class that keeps BaseException's (*args)
+            continue
+        if "tol" in parameters:
+            assert name in TOL_PARAMETERS, f"{name} takes a tol"
+            found.add(name)
+    assert found == set(TOL_PARAMETERS), "an allowlisted tol parameter is gone"
+
+
+def _environment_reads(tree: ast.AST):
+    """Line of each read of the environment or of the string "UM_TOL" in
+    `tree`, docstrings aside."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            yield node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and "UM_TOL" in node.value and id(node) not in docstrings):
+            yield node.lineno
+
+
+def test_only_errors_reads_um_tol():
+    for source in sorted(PACKAGE.glob("*.py")):
+        reads = list(_environment_reads(ast.parse(source.read_text(), str(source))))
+        if source.name == "errors.py":
+            assert reads, "errors.default_tol no longer reads UM_TOL"
+        else:
+            assert not reads, f"{source.name}:{reads[0]} reads the environment"
 
 
 def _benchmark_names() -> set[tuple[str, str]]:
