@@ -10,10 +10,10 @@ Conventions used throughout the package:
 
 Antisymmetry of c in its last two indices is enforced at construction, to
 the package's one tolerance errors.default_tol() (pass strict=False to build
-a deliberately broken tensor for diagnostics; validate() will report the
-violation).  The Jacobi identity is never enforced at construction, so that
-near-miss tensors can be examined rather than rejected.  validate() judges a
-plain algebra as the unified product with an empty m,
+a deliberately broken tensor for diagnostics; validate() reports it in its
+h_antisymmetry row).  The Jacobi identity is never enforced at construction,
+so that near-miss tensors can be examined rather than rejected.  validate()
+judges a plain algebra as the unified product with an empty m,
 products.validate_axioms(UnifiedProductData(g, 0)), whose Jacobiator is
 judged against default_tol() * max(1, max|c|)**2, the scale of its rounding
 error, so a large-scale basis is not read as a defect.
@@ -72,14 +72,12 @@ class LieAlgebra:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "labels", labels(self.labels, "labels", self.dim, "e"))
         if strict:
-            res = self.antisymmetry_residual()
+            with np.errstate(invalid="ignore"):  # an inf -inf pair gives nan
+                res, witness = _peak(c + c.swapaxes(1, 2), 0, "ggg", self.labels)
             if not res <= default_tol():  # a nan residual fails too, and is the peak
-                with np.errstate(invalid="ignore"):
-                    k, i, j = _peak(c + c.swapaxes(1, 2), 0, "ggg", self.labels)[1]
                 raise ValueError(
                     f"structure tensor is not antisymmetric (residual {res:.3e}) worst at "
-                    f"({k}; {i}, {j}); pass strict=False to construct anyway"
-                )
+                    "({}; {}, {}); pass strict=False to construct anyway".format(*witness))
 
     # -- basic operations ---------------------------------------------------
 
@@ -112,11 +110,6 @@ class LieAlgebra:
 
     # -- diagnostics --------------------------------------------------------
 
-    def antisymmetry_residual(self) -> float:
-        """max|c + c^T|; an inf -inf pair gives nan, without a warning."""
-        with np.errstate(invalid="ignore"):
-            return float(np.max(np.abs(self.c + self.c.swapaxes(1, 2)), initial=0.0))
-
     def jacobiator(self) -> np.ndarray:
         """J[k, i, j, l] = ([[e_i, e_j], e_l] + cyclic)_k, over all basis triples."""
         n = self.dim
@@ -131,8 +124,9 @@ class LieAlgebra:
             return t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
 
     def validate(self) -> "AxiomReport":
-        """validate_axioms of the cut with an empty m: antisymmetry against
-        default_tol(), the Jacobiator against that times max(1, max|c|)**2."""
+        """validate_axioms of the cut with an empty m: one Check row per
+        property, antisymmetry against default_tol(), the Jacobiator against
+        that times max(1, max|c|)**2."""
         from .products import UnifiedProductData, validate_axioms
 
         return validate_axioms(UnifiedProductData(self, 0))

@@ -1,14 +1,15 @@
 """Command-line entry points.
 
-  unimech validate MODEL        check the structure axioms, exit 0/2
+  unimech validate MODEL        print one line per structure check, exit 0/2
   unimech describe MODEL        print dimensions, labels, cocycle entries
-  unimech run CONFIG.json       integrate a reduced flow, write csv/json
+  unimech run CONFIG.json       validate, integrate a reduced flow, write csv/json
 
 MODEL is a preset name ("kepler", "tokamak", "so3", ...) or a path to a
 JSON document (product or algebra form); --params applies to preset names
 only.  Exit codes: 0 success, 1 bad configuration or usage, 2 validation
-failure, 3 numerical blow-up during integration.  The UM_TOL environment
-variable sets the one tolerance, 1e-10 by default, that every check reads.
+failure (run names the worst failed check on stderr), 3 numerical blow-up
+during integration.  The UM_TOL environment variable sets the one
+tolerance, 1e-10 by default, that every check reads.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .dynamics import (
 )
 from .errors import ConfigError, NonFiniteState, floats, load_json, parse_json
 from .models import build_model
-from .products import MAP_AXES, UnifiedProductData, product_from_doc, validate_axioms
+from .products import MAP_AXES, AxiomReport, UnifiedProductData, product_from_doc, validate_axioms
 from .thirdorder import ep3_field
 
 __all__ = ["main"]
@@ -62,23 +63,21 @@ def _model_from_doc(doc: dict) -> UnifiedProductData:
     raise ConfigError("model document needs either 'dim_m' (product) or 'dim' (algebra)")
 
 
-def _print_validation(d: UnifiedProductData) -> bool:
+def _print_validation(d: UnifiedProductData) -> AxiomReport:
     report = validate_axioms(d)
-    rows = [(f"axiom {name}", value, report.threshold(name), report.witnesses[name])
-            for name, value in report.residuals.items()]
-    rows += [("h antisymmetry", report.h_antisymmetry, report.tol, ()),
-             ("composed jacobi", report.jacobi, report.jacobi_tol, ())]
-    for label, value, limit, witness in rows:
-        flag = "ok" if value <= limit else "FAIL"
-        print(f"{label:<28} residual {value:9.3e}  [{flag}]"
-              + (f"  worst at ({','.join(witness)})" if flag == "FAIL" and witness else ""))
-    return report.ok
+    labels = {"h_antisymmetry": "h antisymmetry", "jacobi": "composed jacobi"}
+    for name, check in report.checks.items():
+        label = labels.get(name, f"axiom {name}")
+        print(f"{label:<28} residual {check.residual:9.3e}  [{'ok' if check.ok else 'FAIL'}]"
+              + (f"  worst at ({','.join(check.witness)})"
+                 if not check.ok and check.witness else ""))
+    return report
 
 
 def _cmd_validate(args) -> int:
     params = parse_json(args.params, "--params") if args.params else None
     d = _resolve_model(args.model, params)
-    ok = _print_validation(d)
+    ok = _print_validation(d).ok
     print("result: ok" if ok else "result: FAIL")
     return 0 if ok else 2
 
@@ -141,8 +140,11 @@ def _cmd_run(args) -> int:
     if kind not in ("ep", "lp", "ep3"):
         raise ConfigError(f"dynamics must be 'ep', 'lp' or 'ep3', got {kind!r}")
 
-    if not _print_validation(d):
-        print("result: FAIL (structure axioms)", file=sys.stderr)
+    failure = _print_validation(d).worst_failure()
+    if failure:
+        name, check = failure
+        print(f"result: FAIL (structure axioms): {name}"
+              + (f" at ({','.join(check.witness)})" if check.witness else ""), file=sys.stderr)
         return 2
 
     # the flow: its state algebra, the named blocks of the state, and the

@@ -109,7 +109,7 @@ class EnergySpec:
     def __post_init__(self) -> None:
         if self.kind == "quadratic":
             if self.inertia is None:
-                raise ValueError("quadratic energy needs an inertia matrix")
+                raise ConfigError("quadratic energy needs an inertia matrix")
             inertia = read_only_floats(self.inertia, "inertia")
             if inertia.ndim != 2 or inertia.shape[0] != inertia.shape[1]:
                 raise DimensionError(
@@ -129,7 +129,7 @@ class EnergySpec:
             object.__setattr__(self, "_inv", inv)
         elif self.kind == "blackbox":
             if self.f is None or not callable(self.f):
-                raise ValueError("blackbox energy needs a callable f")
+                raise ConfigError("blackbox energy needs a callable f")
             positive(self.fd_eps, "fd_eps")
         else:
             raise ConfigError(f"unknown energy kind {self.kind!r}")
@@ -196,6 +196,12 @@ class EnergySpec:
             raise DimensionError(f"mu has shape {mu.shape}, expected (n,) or (m, n)")
         return np.array([float(self.f(row)) for row in mu])
 
+    def _fit(self, n: int) -> None:
+        """Raise DimensionError unless a quadratic energy's inertia is n x n."""
+        if self.kind == "quadratic" and len(self.inertia) != n:
+            k = len(self.inertia)
+            raise DimensionError(f"inertia is {k}x{k}, the state has length {n}")
+
     def _folded(self, tensor: np.ndarray) -> np.ndarray:
         """The field tensor `tensor` (n, n*n) with X = I^-1 folded in, stored
         as (n*n, n): K[k*n + i, j] = sum_a tensor[k, a*n + j] X[a, i], so that
@@ -207,11 +213,7 @@ class EnergySpec:
         key, k = self._fold
         if key is not tensor:
             n = tensor.shape[0]
-            if self.inertia.shape[0] != n:
-                raise DimensionError(
-                    f"inertia is {self.inertia.shape[0]}x{self.inertia.shape[0]}, "
-                    f"the state has length {n}"
-                )
+            self._fit(n)
             k = np.einsum("kaj,ai->kij", tensor.reshape(n, n, n), self._inv).reshape(n * n, n)
             k.setflags(write=False)
             object.__setattr__(self, "_fold", (tensor, k))
@@ -230,7 +232,7 @@ def ep_field(d: UnifiedProductData | LieAlgebra, spec: EnergySpec, pi: np.ndarra
     tensor = d.field_tensor
     pi = floats(pi, "state", tensor.shape[:1])
     if spec.kind != "quadratic":
-        raise ValueError("Euler-Poincare reduction needs a quadratic energy")
+        raise ConfigError("Euler-Poincare reduction needs a quadratic energy")
     return spec._folded(tensor).dot(pi).reshape(pi.size, pi.size).dot(pi)
 
 

@@ -84,19 +84,15 @@ class TokamakParams:
 
     def __post_init__(self) -> None:
         if not isinstance(self.base, LieAlgebra):
-            raise TypeError("base must be a LieAlgebra")
+            raise ConfigError(f"base must be a LieAlgebra, got {self.base!r}")
         real(self.b_i, "b_i", finite=True)
-        report = self.base.validate()
-        if not report.ok:  # name the worst failed check, nan first, and where
-            checks = {"h_antisymmetry": report.h_antisymmetry, **report.residuals}
-            failed = [k for k, v in checks.items() if not v <= report.threshold(k)]
-            name = failed[int(np.argmax([checks[k] for k in failed]))]
-            where = report.witnesses.get(name)
+        failure = self.base.validate().worst_failure()
+        if failure:
+            name, check = failure
             raise ValueError(
-                f"base fails the Lie algebra checks: {name} residual {checks[name]:.3g} "
-                f"(threshold {report.threshold(name):.3g})"
-                + (f" at ({','.join(where)})" if where else "")
-            )
+                f"base fails the Lie algebra checks: {name} residual {check.residual:.3g} "
+                f"(threshold {check.threshold:.3g})"
+                + (f" at ({','.join(check.witness)})" if check.witness else ""))
 
 
 def tokamak_algebra(params: TokamakParams) -> UnifiedProductData:

@@ -22,9 +22,12 @@ wraps a plain algebra.  validate_axioms is the one structure check: it
 builds one Jacobiator J[k, i, j, l] of the algebra and reads each
 compatibility axiom off its block in AXIOM_BLOCKS (m_jacobi the (m; m, m,
 m) block, ...), so together with the antisymmetry of c the axioms hold iff
-the algebra is a Lie algebra.  LieAlgebra.validate is validate_axioms of the
-cut with an empty m, and returns the same AxiomReport.  The hand-derived
-einsum form of the axioms is the test oracle for the blocks.
+the algebra is a Lie algebra.  Its AxiomReport is one table, a
+Check(residual, threshold, witness) row per property, and its
+worst_failure() is the row to name; the CLI and TokamakParams read the
+rows.  LieAlgebra.validate is validate_axioms of the cut with an empty m.
+The hand-derived einsum form of the axioms is the test oracle for the
+blocks.
 
 The coadjoint is assembled from six dual maps, each defined through the
 duality pairing (see the individual functions); the assembly agrees with
@@ -38,6 +41,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +64,7 @@ MAP_AXES = {"act": "mhm", "phi": "mmm", "theta": "hmm", "psi": "hhm"}
 # Block (k; i, j, l) of the Jacobiator J[k, i, j, l] of d.algebra that each
 # axiom reads.  On an antisymmetric c whose h closes, J is alternating in
 # (i, j, l) and its (m; h, h, h) block vanishes, so these seven cover all of
-# it; AxiomReport.jacobi covers all of J on any tensor.
+# it; the jacobi row of an AxiomReport covers all of J on any tensor.
 AXIOM_BLOCKS = {
     "action_derivation": "mhmm",
     "cocycle_action_compat": "hhmm",
@@ -166,69 +170,69 @@ def compose_bracket(dim_m: int, h: LieAlgebra, act: np.ndarray, phi: np.ndarray,
 # -- axiom residuals -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    """Max residual per defining axiom, over all basis tuples.
+class Check(NamedTuple):
+    """One row of an AxiomReport: the largest |entry| of a property's residual,
+    the threshold it is judged against, and the basis labels of that entry
+    (output component first, then the arguments), () for an empty block."""
 
-    ``witnesses[name]`` holds the basis labels (output component first, then
-    the argument basis vectors) of the entry where that axiom's residual is
-    largest -- the place to look when a validation fails.  ``tol``, the
-    default_tol() the report was judged against, judges the antisymmetry
-    residuals, ``jacobi_tol`` the Jacobiator blocks and ``jacobi``, the
-    largest entry of the whole Jacobiator.
-    """
-
-    residuals: dict[str, float]
-    witnesses: dict[str, tuple[str, ...]]
-    tol: float
-    jacobi_tol: float
-    h_antisymmetry: float
-    jacobi: float
+    residual: float
+    threshold: float
+    witness: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return (self.h_antisymmetry <= self.tol and self.jacobi <= self.jacobi_tol
-                and all(value <= self.threshold(name) for name, value in self.residuals.items()))
+        return self.residual <= self.threshold  # a nan on either side fails
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    """The verdict of validate_axioms, one Check per property in a fixed
+    order: m_antisymmetry and h_antisymmetry, the seven AXIOM_BLOCKS, then
+    jacobi, the whole Jacobiator."""
+
+    checks: dict[str, Check]
 
     @property
-    def worst(self) -> float:
-        # np.max, unlike max, keeps a nan residual
-        return float(np.max(list(self.residuals.values()), initial=0.0))
+    def ok(self) -> bool:
+        return all(check.ok for check in self.checks.values())
 
-    def threshold(self, name: str) -> float:
-        return self.jacobi_tol if name in AXIOM_BLOCKS else self.tol
+    def worst_failure(self) -> tuple[str, Check] | None:
+        """The failed (name, Check) to name: a nan residual first, then the
+        largest, ties to the earlier row; None if every row passes."""
+        failed = [(name, check) for name, check in self.checks.items() if not check.ok]
+        # np.argmax, unlike max, puts a nan above every number; ties go to the first
+        return failed[int(np.argmax([check.residual for _, check in failed]))] if failed else None
 
 
 def validate_axioms(d: UnifiedProductData) -> AxiomReport:
     """Evaluate the compatibility axioms of the structure maps.
 
-    Residuals are max-abs over all basis tuples.  m_antisymmetry reads every
-    block of c + c^T with an m argument and h_antisymmetry the rest; each
-    other axiom is one block of the one Jacobiator of d.algebra, judged
-    against default_tol() * max(1, max|c|)**2, the scale of a product of
-    two brackets.
-    A scale past the float range gives no threshold: jacobi_tol is then nan,
-    and nothing passes.  With dim_m = 0 this is LieAlgebra.validate.
+    Each row is the max-abs entry of its block, over all basis tuples, and
+    where it sits.  m_antisymmetry reads every block of c + c^T with an m
+    argument and h_antisymmetry the rest, against default_tol(); each
+    other row is a block of the one Jacobiator of d.algebra, jacobi all of
+    it, judged against default_tol() * max(1, max|c|)**2, the scale of a
+    product of two brackets.
+    A scale past the float range gives no threshold: it is then nan, and
+    no Jacobiator row passes.  With dim_m = 0 this is LieAlgebra.validate.
     """
     c, m, labels = d.algebra.c, d.dim_m, d.labels
     jacobiator = d.algebra.jacobiator()
-    scale = max(1.0, float(np.abs(c).max(initial=0.0)))
-    tol = default_tol()
+    tol, scale = default_tol(), max(1.0, float(np.abs(c).max(initial=0.0)))
     jacobi_tol = tol * (scale * scale)
-    res: dict[str, float] = {}
-    wit: dict[str, tuple[str, ...]] = {}
+    jacobi_tol = jacobi_tol if jacobi_tol < math.inf else math.nan
     # c + c^T vanishes on a Lie algebra; up to its symmetry in (i, j), the
     # blocks (k; i, m) are all those with an m argument.  inf - inf is nan.
     with np.errstate(invalid="ignore"):
         anti = c + c.swapaxes(1, 2)
-    res["m_antisymmetry"], wit["m_antisymmetry"] = _peak(anti, m, "ggm", labels)
-    for name, axes in AXIOM_BLOCKS.items():
-        res[name], wit[name] = _peak(jacobiator, m, axes, labels)
-
-    return AxiomReport(residuals=res, witnesses=wit, tol=tol,
-                       jacobi_tol=jacobi_tol if jacobi_tol < math.inf else math.nan,
-                       h_antisymmetry=_peak(anti, m, "hhh", labels)[0],
-                       jacobi=float(np.abs(jacobiator).max(initial=0.0)))
+    rows = [("m_antisymmetry", anti, "ggm", tol), ("h_antisymmetry", anti, "hhh", tol),
+            *((name, jacobiator, axes, jacobi_tol) for name, axes in AXIOM_BLOCKS.items()),
+            ("jacobi", jacobiator, "gggg", jacobi_tol)]
+    checks = {}
+    for name, tensor, axes, threshold in rows:
+        residual, witness = _peak(tensor, m, axes, labels)
+        checks[name] = Check(residual, threshold, witness)
+    return AxiomReport(checks)
 
 
 # -- dual maps and the coadjoint ------------------------------------------------

@@ -218,8 +218,8 @@ def third_order_identity_residual(
     differences, so for an RK4 trajectory with step h the residual floor is
     O(h^4) plus differencing noise.  Returns the max-abs residual at each
     interior point (indices 3 .. len-4).  Needs at least 7 states of width
-    3 * g.dim (judged by errors.floats) on a uniform grid; the first
-    off-grid step raises NonUniformGrid.
+    3 * g.dim (judged by errors.floats), a quadratic spec of that width and
+    a uniform grid; the first off-grid step raises NonUniformGrid.
 
     One array pass over the interior: each stencil is a sum of shifted
     slices, eta0 at every interior state comes from one stacked
@@ -229,6 +229,7 @@ def third_order_identity_residual(
     n = g.dim
     states = floats(traj.states, "states", (None, 3 * n))
     times = floats(traj.times, "times", (len(states),))
+    spec._fit(3 * n)
     if len(states) < 7:
         raise TooFewPoints(
             f"need at least 7 trajectory points for the interior stencils, got {len(states)}"

@@ -83,8 +83,8 @@ def test_heisenberg_relations():
 def test_presets_satisfy_jacobi(name):
     report = preset(name).validate()
     assert report.ok
-    assert report.h_antisymmetry == 0.0
-    assert report.jacobi == 0.0
+    assert report.checks["h_antisymmetry"].residual == 0.0
+    assert report.checks["jacobi"].residual == 0.0
 
 
 def test_abelian_preset():
@@ -202,9 +202,9 @@ def test_fixed_presets_are_built_once(monkeypatch):
     # one object under any UM_TOL: its checks read the tolerance when they judge
     monkeypatch.setenv("UM_TOL", "1e-3")
     assert preset("so3") is g and tangent_algebra(preset("so3"), 2) is tangent_algebra(g, 2)
-    assert g.validate().tol == 1e-3
+    assert g.validate().checks["h_antisymmetry"].threshold == 1e-3
     monkeypatch.delenv("UM_TOL")
-    assert preset("so3") is g and g.validate().tol == 1e-10
+    assert preset("so3") is g and g.validate().checks["h_antisymmetry"].threshold == 1e-10
 
 
 def test_a_second_kepler_build_parses_no_preset(monkeypatch):
@@ -246,7 +246,7 @@ def test_from_sparse_entries_antisymmetrizes():
     g = from_sparse_entries(2, [(0, 0, 1, 2.5)])
     assert g.c[0, 0, 1] == 2.5
     assert g.c[0, 1, 0] == -2.5
-    assert g.antisymmetry_residual() == 0.0
+    assert g.validate().checks["h_antisymmetry"].residual == 0.0
 
 
 def test_from_sparse_entries_rejects_bad_rows():
@@ -276,7 +276,7 @@ def test_constructor_enforces_antisymmetry():
     g = LieAlgebra(dim=2, c=c, strict=False)
     report = g.validate()
     assert not report.ok
-    assert report.h_antisymmetry == 1.0
+    assert report.checks["h_antisymmetry"] == (1.0, 1e-10, ("e1", "e1", "e2"))
 
 
 def test_strict_antisymmetry_refuses_nan_and_inf():
@@ -291,7 +291,8 @@ def test_strict_antisymmetry_refuses_nan_and_inf():
                            r"worst at \(e1; e2, e3\);"):
             LieAlgebra(3, c)
         loose = LieAlgebra(3, c, strict=False)
-        assert np.isnan(loose.antisymmetry_residual()) and not loose.validate().ok
+        assert np.isnan(loose.validate().checks["h_antisymmetry"].residual)
+        assert not loose.validate().ok
 
 
 def test_constructor_shape_and_label_checks():
@@ -316,8 +317,8 @@ def test_jacobi_residual_flags_broken_tensor():
     c[0, 0, 1] += 0.5
     c[0, 1, 0] -= 0.5
     g = LieAlgebra(dim=3, c=c)
-    assert g.antisymmetry_residual() == 0.0
-    np.testing.assert_allclose(g.validate().jacobi, 0.5, atol=1e-15)
+    assert g.validate().checks["h_antisymmetry"].residual == 0.0
+    np.testing.assert_allclose(g.validate().checks["jacobi"].residual, 0.5, atol=1e-15)
     assert not g.validate().ok
 
 
@@ -341,7 +342,8 @@ def test_jacobi_residual_matches_the_einsum_oracle(dim):
             want = _jacobi_residual_by_einsum(g.c)
             if dim >= 3:
                 assert want > 1e-3
-            np.testing.assert_allclose(g.validate().jacobi, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(g.validate().checks["jacobi"].residual, want,
+                                       rtol=1e-12, atol=0.0)
 
 
 def test_zero_dimensional_algebra():
@@ -424,8 +426,9 @@ def test_jacobi_is_judged_against_the_scale_of_the_structure():
     c = _rebased(composed.c, 1e3)
     c = 0.5 * (c - c.swapaxes(1, 2))
     report = LieAlgebra(composed.dim, c).validate()
-    assert report.jacobi > 1e-10
-    assert report.jacobi_tol == report.tol * np.max(np.abs(c)) ** 2
+    jacobi = report.checks["jacobi"]
+    assert jacobi.residual > 1e-10
+    assert jacobi.threshold == report.checks["h_antisymmetry"].threshold * np.max(np.abs(c)) ** 2
     assert report.ok
     # a relative defect of 1e-6 in one bracket at the same scale still fails
     bent = c.copy()
@@ -439,9 +442,10 @@ def test_a_jacobi_scale_past_the_float_range_fails_without_a_warning():
     # overflowing Jacobiator raises no RuntimeWarning (errors under pytest)
     for c in (1e200 * preset("so3").c, 1e160 * tangent_algebra(preset("sl2"), 1).c):
         report = LieAlgebra(c.shape[0], c).validate()
-        assert not report.ok and np.isnan(report.jacobi_tol)
-    big = LieAlgebra(3, 1e150 * preset("so3").c).validate()
-    assert big.ok and big.jacobi_tol == pytest.approx(big.tol * 1e300)
+        assert not report.ok and np.isnan(report.checks["jacobi"].threshold)
+    big = LieAlgebra(3, 1e150 * preset("so3").c).validate().checks
+    assert all(check.ok for check in big.values())
+    assert big["jacobi"].threshold == pytest.approx(big["h_antisymmetry"].threshold * 1e300)
 
 
 # -- the matrix exponential (scipy is the test-only oracle) --------------------

@@ -110,6 +110,23 @@ def test_validate_broken_document(tmp_path, capsys):
     assert "worst at (" in out
 
 
+def test_validate_prints_one_line_per_row_and_where_each_failure_peaks(capsys):
+    # [e1, e2] = e1 with no mirror entry: c is not antisymmetric, and the
+    # h antisymmetry and composed jacobi rows name where they peak too
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 1] = 1.0
+    d = products.UnifiedProductData(LieAlgebra(2, c, strict=False), 0)
+    assert not cli._print_validation(d).ok
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[0].rstrip() for line in lines] == [
+        "axiom m_antisymmetry", "h antisymmetry", *(f"axiom {name}" for name in
+                                                    products.AXIOM_BLOCKS), "composed jacobi"]
+    assert lines[1] == ("h antisymmetry               residual 1.000e+00  [FAIL]"
+                        "  worst at (e1,e1,e2)")
+    assert re.fullmatch(r"composed jacobi +residual 1\.000e\+00  \[FAIL\]"
+                        r"  worst at \((e\d,){3}e\d\)", lines[-1]), lines[-1]
+
+
 def test_validate_plain_algebra_document(tmp_path):
     path = tmp_path / "sl2.json"
     save_algebra(preset("sl2"), path)
@@ -372,6 +389,9 @@ def test_run_validates_before_integrating(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "structure axioms" in captured.err
     assert "[FAIL]" in captured.out
+    # the worst failed row, named with where it peaks
+    assert captured.err == ("result: FAIL (structure axioms): cocycle_action_compat "
+                            "at (eta1,eta2,v1,v2)\n")
 
 
 def test_run_blow_up_exits_3(tmp_path, capsys):

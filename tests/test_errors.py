@@ -426,12 +426,18 @@ def test_labels_are_kept_and_an_empty_list_gives_the_defaults(argument):
 
 # -- tags ------------------------------------------------------------------------
 
-# argument -> (a call that passes an unknown tag, the message it gives)
+# argument -> (a call that passes an unknown tag, or a kind its other
+# arguments do not fit, the message it gives)
 TAGS = {
     "JetElement.group": (lambda: JetElement("XX", np.eye(2)), "unknown group tag 'XX'"),
     "JetElement.kind": (lambda: JetElement("GL", np.eye(2), kind="foo"),
                         "unknown jet kind 'foo'"),
     "EnergySpec.kind": (lambda: EnergySpec(kind="cubic"), "unknown energy kind 'cubic'"),
+    "EnergySpec.inertia": (lambda: EnergySpec("quadratic"),
+                           "quadratic energy needs an inertia matrix"),
+    "EnergySpec.f": (lambda: EnergySpec("blackbox", f=1.0), "blackbox energy needs a callable f"),
+    "ep_field.spec": (lambda: ep_field(SO3, EnergySpec.blackbox(lambda mu: 0.0), E1),
+                      "Euler-Poincare reduction needs a quadratic energy"),
     "group_residual.group": (lambda: group_residual("XX", np.eye(2)), "unknown group tag 'XX'"),
     "algebra_residual.group": (lambda: algebra_residual("XX", np.zeros((2, 2))),
                                "unknown group tag 'XX'"),

@@ -188,12 +188,6 @@ def test_only_errors_decides_which_labels_pass():
     assert found == set(STR_CHECKS), "an allowlisted string test is gone"
 
 
-# name -> why a `tol` parameter there is no tolerance a caller sets
-TOL_PARAMETERS = {
-    "AxiomReport": "a report records the tolerance it was judged against",
-}
-
-
 def _public_callables():
     """(name, object) of every public function and class that a unimech
     module defines, and of each public method of those classes."""
@@ -213,16 +207,12 @@ def _public_callables():
 
 def test_no_public_callable_takes_a_tolerance():
     # the one tolerance is UM_TOL, read by errors.default_tol when a check judges
-    found = set()
     for name, obj in _public_callables():
         try:
             parameters = inspect.signature(obj).parameters
         except ValueError:  # an exception class that keeps BaseException's (*args)
             continue
-        if "tol" in parameters:
-            assert name in TOL_PARAMETERS, f"{name} takes a tol"
-            found.add(name)
-    assert found == set(TOL_PARAMETERS), "an allowlisted tol parameter is gone"
+        assert "tol" not in parameters, f"{name} takes a tol"
 
 
 def _environment_reads(tree: ast.AST):

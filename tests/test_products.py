@@ -27,6 +27,8 @@ from unimech import (
 from unimech.cli import main
 from unimech.models import KeplerParams, kepler_algebra
 from unimech.products import (
+    AxiomReport,
+    Check,
     act_star_h,
     act_star_m,
     phi_coad,
@@ -152,10 +154,11 @@ def test_dual_maps_satisfy_their_pairings():
 
 def test_axioms_pass_on_kepler():
     report = validate_axioms(kepler_algebra(KeplerParams(e=-0.5, m=2.0)))
-    assert report.ok
-    assert report.worst == 0.0
-    assert set(report.residuals) == {
+    assert report.ok and report.worst_failure() is None
+    assert all(check.residual == 0.0 for check in report.checks.values())
+    assert list(report.checks) == [
         "m_antisymmetry",
+        "h_antisymmetry",
         "action_derivation",
         "cocycle_action_compat",
         "twist_derivation",
@@ -163,7 +166,8 @@ def test_axioms_pass_on_kepler():
         "cocycle_jacobi",
         "action_representation",
         "h_jacobi",
-    }
+        "jacobi",
+    ]
 
 
 def test_axioms_flag_a_perturbed_cocycle():
@@ -174,8 +178,21 @@ def test_axioms_flag_a_perturbed_cocycle():
     broken = with_maps(d, theta=theta)
     report = validate_axioms(broken)
     assert not report.ok
-    assert report.worst > 1e-4
-    assert broken.algebra.validate().jacobi > 1e-4
+    assert report.worst_failure()[1].residual > 1e-4
+    assert broken.algebra.validate().checks["jacobi"].residual > 1e-4
+
+
+def test_worst_failure_names_nan_first_then_the_largest_then_the_earlier_row():
+    nan = float("nan")
+    rows = {"a": Check(0.5, 1.0, ()), "b": Check(2.0, 1.0, ("x",)),
+            "c": Check(3.0, 1.0, ("y",)), "d": Check(3.0, 1.0, ("z",)),
+            "e": Check(0.0, nan, ())}
+    assert AxiomReport(rows).worst_failure() == ("c", rows["c"])  # tie: the earlier row
+    assert not rows["e"].ok  # a nan threshold fails every residual
+    rows["f"] = Check(nan, 1.0, ("w",))
+    assert AxiomReport(rows).worst_failure() == ("f", rows["f"])
+    passing = AxiomReport({"a": rows["a"]})
+    assert passing.ok and passing.worst_failure() is None
 
 
 def test_strict_compose_bracket_refuses_nan_and_inf_maps():
@@ -218,13 +235,13 @@ def test_witness_points_at_the_worst_entry():
         strict=False,
     )
     report = validate_axioms(d)
-    assert report.residuals["m_antisymmetry"] == 2.0
-    assert report.witnesses["m_antisymmetry"] == ("m2", "m1", "m3")
+    assert report.checks["m_antisymmetry"].residual == 2.0
+    assert report.checks["m_antisymmetry"].witness == ("m2", "m1", "m3")
 
 
 def test_witness_matches_independent_argmax():
-    """The m_jacobi witness must name the labels at the argmax of the
-    residual tensor computed by a literal loop."""
+    """The m_jacobi, jacobi and h_antisymmetry witnesses must name the labels
+    at the argmax of the residual tensor computed by a literal loop."""
     rng = np.random.default_rng(9)
     phi = rng.standard_normal((3, 3, 3))
     phi = phi - phi.swapaxes(1, 2)
@@ -253,8 +270,31 @@ def test_witness_matches_independent_argmax():
     report = validate_axioms(d)
     idx = np.unravel_index(np.argmax(np.abs(by_hand)), by_hand.shape)
     labels = ("u1", "u2", "u3")
-    assert report.witnesses["m_jacobi"] == tuple(labels[q] for q in idx)
-    assert abs(report.residuals["m_jacobi"] - np.max(np.abs(by_hand))) < 1e-12
+    for name in ("m_jacobi", "jacobi"):  # h is empty: the Jacobiator is its m block
+        assert report.checks[name].witness == tuple(labels[q] for q in idx)
+        assert abs(report.checks[name].residual - np.max(np.abs(by_hand))) < 1e-12
+
+    # a tensor neither antisymmetric nor Lie: the h_antisymmetry and jacobi
+    # witnesses index an entry of c + c^T over h and of the literal
+    # Jacobiator whose magnitude is the row's residual
+    labels = ("u1", "u2", "x1", "x2", "x3")
+    for _ in range(5):
+        c = rng.standard_normal((5, 5, 5))
+        c[:2, 2:, 2:] = 0.0  # h closes
+        report = validate_axioms(UnifiedProductData(LieAlgebra(5, c, labels, strict=False), 2))
+        sym = np.zeros((3, 3, 3))
+        jac = np.zeros((5, 5, 5, 5))
+        for k, i, j in np.ndindex(3, 3, 3):
+            sym[k, i, j] = c[2 + k, 2 + i, 2 + j] + c[2 + k, 2 + j, 2 + i]
+        for k, i, j, l in np.ndindex(5, 5, 5, 5):
+            jac[k, i, j, l] = sum(c[k, q, l] * c[q, i, j] + c[k, q, i] * c[q, j, l]
+                                  + c[k, q, j] * c[q, l, i] for q in range(5))
+        anti, whole = report.checks["h_antisymmetry"], report.checks["jacobi"]
+        where = tuple(labels.index(label) - 2 for label in anti.witness)
+        assert abs(sym[where]) == anti.residual == np.max(np.abs(sym)) > 0.0
+        where = tuple(labels.index(label) for label in whole.witness)
+        np.testing.assert_allclose(abs(jac[where]), whole.residual, rtol=1e-12)
+        np.testing.assert_allclose(np.max(np.abs(jac)), whole.residual, rtol=1e-12)
 
 
 def _axiom_residuals_by_einsum(d):
@@ -333,9 +373,10 @@ def test_jacobiator_blocks_match_the_einsum_oracle(model, scale):
         offset = {"m": 0, "h": d.dim_m}
         for name, (want, axes) in _axiom_residuals_by_einsum(d).items():
             peak = float(np.max(np.abs(want)))
-            np.testing.assert_allclose(report.residuals[name], peak, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(report.checks[name].residual, peak, rtol=1e-12,
+                                       atol=1e-14)
             idx = tuple(d.labels.index(label) - offset[a]
-                        for label, a in zip(report.witnesses[name], axes))
+                        for label, a in zip(report.checks[name].witness, axes))
             assert abs(want[idx]) >= peak * (1 - 1e-12) - 1e-14, (name, idx)
 
 
@@ -354,9 +395,10 @@ def test_twice_the_adjoint_action_is_rejected():
     assert all(np.max(np.abs(r)) == 0.0 for r, _ in _axiom_residuals_by_einsum(d).values())
     report = validate_axioms(d)
     assert not report.ok
-    assert report.residuals["action_representation"] == 2.0
-    assert len(report.witnesses["action_representation"]) == 4
-    assert report.jacobi == d.algebra.validate().jacobi == 2.0
+    assert report.checks["action_representation"].residual == 2.0
+    assert len(report.checks["action_representation"].witness) == 4
+    assert (report.checks["jacobi"].residual == d.algebra.validate().checks["jacobi"].residual
+            == 2.0)
 
 
 def test_cli_names_the_failed_representation_axiom(tmp_path, capsys):
@@ -404,7 +446,8 @@ def test_axioms_hold_iff_the_composed_bracket_is_lie(model, target, scale, seed)
     report = validate_axioms(d)
     composed = d.algebra.validate()
     assert report.ok == composed.ok
-    np.testing.assert_allclose(report.jacobi, composed.jacobi, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(report.checks["jacobi"].residual,
+                               composed.checks["jacobi"].residual, rtol=1e-12, atol=0.0)
 
 
 def _random_valid_structure(kind, base, rng):
@@ -461,7 +504,7 @@ def test_a_diagnostic_algebra_still_splits_for_validate_axioms():
     d = UnifiedProductData(broken, 0)
     assert d.h is broken
     report = validate_axioms(d)
-    assert not report.ok and report.h_antisymmetry == pytest.approx(1e-3)
+    assert not report.ok and report.checks["h_antisymmetry"].residual == pytest.approx(1e-3)
     # nonzero cuts split it too; the defect lands in theta, then in phi
     for dim_m, name in ((2, "theta"), (3, "phi")):
         tensor = getattr(UnifiedProductData(broken, dim_m), name)
@@ -477,16 +520,19 @@ def test_a_defect_in_the_mixed_blocks_is_reported_not_repaired():
     c[2, 0, 1] += 1e-3
     d = UnifiedProductData(LieAlgebra(3, c, labels=("q", "p", "z"), strict=False), 1)
     report = validate_axioms(d)
-    assert report.residuals["m_antisymmetry"] == pytest.approx(1e-3)
-    assert report.witnesses["m_antisymmetry"] == ("z", "p", "q")
+    assert report.checks["m_antisymmetry"].residual == pytest.approx(1e-3)
+    assert report.checks["m_antisymmetry"].witness == ("z", "p", "q")
     assert not report.ok and not d.algebra.validate().ok
 
 
 def test_a_jacobiator_past_the_float_range_fails_and_shows_as_worst():
-    # (1e200)**2 overflows: the Jacobiator reads nan, and so does worst
+    # (1e200)**2 overflows: the Jacobiator reads nan, and so does the worst failure
     report = validate_axioms(UnifiedProductData(LieAlgebra(3, 1e200 * preset("so3").c), 0))
     assert not report.ok
-    assert np.isnan(report.worst) and np.isnan(report.jacobi) and np.isnan(report.jacobi_tol)
+    name, worst = report.worst_failure()
+    assert name == "h_jacobi" and np.isnan(worst.residual)
+    jacobi = report.checks["jacobi"]
+    assert np.isnan(jacobi.residual) and np.isnan(jacobi.threshold)
 
 
 @pytest.mark.parametrize("model", ["kepler", "tokamak", "third_order"])
@@ -540,7 +586,8 @@ def test_split_product_inverts_compose_bracket(model, monkeypatch):
         np.testing.assert_array_equal(getattr(back, name), getattr(d, name))
     np.testing.assert_array_equal(back.h.c, d.h.c)
     assert (back.dim_m, back.m_labels, back.h.labels) == (d.dim_m, d.m_labels, d.h.labels)
-    assert validate_axioms(back) == validate_axioms(d) and validate_axioms(d).tol == 1e-9
+    assert validate_axioms(back) == validate_axioms(d)
+    assert validate_axioms(d).checks["h_antisymmetry"].threshold == 1e-9
 
 
 def test_split_product_refuses_an_open_h_and_a_bad_dim_m():
